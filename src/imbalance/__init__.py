@@ -54,20 +54,11 @@ from .payments import (
     is_adequate,
 )
 from .rationals import (
-    EQ,
-    GT,
-    LT,
     Rational,
     RationalParseError,
-    add,
-    compare,
-    div,
     ensure_rational,
     format_rational,
-    make_rational,
-    mul,
     parse_rational,
-    sub,
 )
 from .rules import (
     PriceRule,

@@ -250,15 +250,21 @@ def completion(vector: BidVector, multiset: BidMultiset, fill) -> BidVector:
 
     Same domain as ``vector``; agrees with the lexicographically smallest
     restriction realizing ``multiset`` and is constantly ``fill`` on the
-    remaining bidders.
+    remaining bidders.  That restriction keeps, for each value, its first
+    ``count`` holders in bidder-id order, so it is built in one scan.
     """
-    options = restrictions(vector, multiset)
-    if not options:
+    remaining = multiset.counts()
+    keep = []
+    for _, v in vector.entries:
+        kept = remaining.get(v, 0) > 0
+        if kept:
+            remaining[v] -= 1
+        keep.append(kept)
+    if any(remaining.values()):
         raise ValueError(f"not a sub-multiset: {multiset!r} of {bag_of(vector)!r}")
-    kept = options[0]
     fill_bid = ensure_rational(fill)
     return BidVector(
-        tuple((i, kept[i] if i in kept else fill_bid) for i, _ in vector.entries)
+        tuple((i, v if k else fill_bid) for (i, v), k in zip(vector.entries, keep))
     )
 
 
@@ -296,10 +302,10 @@ def bid_vector_from_json(obj) -> BidVector:
         raise ValueError('bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}')
     entries = {}
     for key, text in obj["bids"].items():
-        bidder = int(key)
-        if bidder < 0:
-            raise ValueError(f"bidder ids must be non-negative, got {key!r}")
-        entries[bidder] = ensure_rational(text)
+        # "01" would silently merge with "1", so only canonical decimals pass
+        if not (key.isdecimal() and key == str(int(key))):
+            raise ValueError(f"bidder ids must be non-negative canonical decimals, got {key!r}")
+        entries[int(key)] = ensure_rational(text)
     return BidVector.of(entries)
 
 

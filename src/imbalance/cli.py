@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bids import BidVector, bid_vector_from_json
@@ -27,7 +26,7 @@ from .feasibility import (
     Feasible,
 )
 from .payments import build_payment_table
-from .rationals import RationalParseError, format_rational
+from .rationals import format_rational
 from .rules import RuleArityError, RuleDomainError, get_rule
 from .witness import (
     verify_imbalance,
@@ -41,19 +40,6 @@ EXIT_USAGE = 2
 EXIT_FINDING = 3
 
 DEFAULT_MAX_DOM = 10
-
-
-@dataclass
-class CliConfig:
-    command: str
-    rule: str = "neg-second-price"
-    g: str = "neg-first-price"
-    n: int | None = None
-    bids: str | None = None
-    witness: str | None = None
-    system: str | None = None
-    out: str | None = None
-    trace: bool = False
 
 
 class _UsageError(Exception):
@@ -90,10 +76,10 @@ def _load_json(path: str):
         raise _UsageError(f"invalid JSON in {path}: {exc}")
 
 
-def _load_bid_vector(path: str) -> BidVector:
+def _parse_bid_vector(obj, path: str) -> BidVector:
     try:
-        vector = bid_vector_from_json(_load_json(path))
-    except (ValueError, RationalParseError) as exc:
+        vector = bid_vector_from_json(obj)
+    except (ValueError, TypeError) as exc:  # TypeError: a bid neither string nor integer
         raise _UsageError(f"bad bid vector in {path}: {exc}")
     _check_dom(len(vector), f"bid vector in {path}")
     return vector
@@ -103,21 +89,13 @@ def _load_witness(path: str) -> list[BidVector]:
     obj = _load_json(path)
     if not isinstance(obj, list):
         raise _UsageError(f"witness file {path} must be a JSON array of bid vectors")
-    vectors = []
-    for entry in obj:
-        try:
-            vector = bid_vector_from_json(entry)
-        except (ValueError, RationalParseError) as exc:
-            raise _UsageError(f"bad bid vector in {path}: {exc}")
-        _check_dom(len(vector), f"bid vector in {path}")
-        vectors.append(vector)
-    return vectors
+    return [_parse_bid_vector(entry, path) for entry in obj]
 
 
 def _get_rule(name: str):
     try:
         return get_rule(name)
-    except (ValueError, RationalParseError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc))
 
 
@@ -132,16 +110,16 @@ def _write_out(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require_n(config: CliConfig) -> int:
-    if config.n is None or config.n < 1:
-        raise _UsageError(f"--n must be a positive integer, got {config.n}")
-    _check_dom(config.n + 2, f"the instance for n={config.n}")
-    return config.n
+def _require_n(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise _UsageError(f"--n must be a positive integer, got {args.n}")
+    _check_dom(args.n + 2, f"the instance for n={args.n}")
+    return args.n
 
 
-def cmd_eval(config: CliConfig) -> int:
-    rule = _get_rule(config.rule)
-    vector = _load_bid_vector(config.bids)
+def cmd_eval(args: argparse.Namespace) -> int:
+    rule = _get_rule(args.rule)
+    vector = _parse_bid_vector(_load_json(args.bids), args.bids)
     try:
         value = rule(vector)
     except (RuleArityError, RuleDomainError) as exc:
@@ -150,14 +128,14 @@ def cmd_eval(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_theorem(config: CliConfig) -> int:
-    n = _require_n(config)
-    rule = _get_rule(config.rule)
-    g = _get_rule(config.g)
+def cmd_theorem(args: argparse.Namespace) -> int:
+    n = _require_n(args)
+    rule = _get_rule(args.rule)
+    g = _get_rule(args.g)
     triple, selector_low, selector_high = vickrey_instance(n, g=g)
     report = verify_imbalance(rule, triple, selector_low, selector_high)
 
-    if config.trace:
+    if args.trace:
         for check in report.hypotheses:
             status = "PASS" if check.passed else "FAIL"
             suffix = f" ({check.detail})" if check.detail else ""
@@ -170,8 +148,8 @@ def cmd_theorem(config: CliConfig) -> int:
         except Exception as exc:  # trace is diagnostic only
             print(f"iteration trace unavailable: {exc}")
 
-    if config.out:
-        _write_out(config.out, _dump(report.to_json()))
+    if args.out:
+        _write_out(args.out, _dump(report.to_json()))
 
     if report.hypotheses_met and report.holds:
         print(f"HOLDS lhs={format_rational(report.lhs)} rhs={format_rational(report.rhs)}")
@@ -183,16 +161,16 @@ def cmd_theorem(config: CliConfig) -> int:
     return EXIT_FINDING
 
 
-def cmd_witness(config: CliConfig) -> int:
-    n = _require_n(config)
+def cmd_witness(args: argparse.Namespace) -> int:
+    n = _require_n(args)
     vectors = vickrey_witness_set(n)
-    _write_out(config.out, _dump(witness_set_to_json(vectors)))
+    _write_out(args.out, _dump(witness_set_to_json(vectors)))
     return EXIT_OK
 
 
-def cmd_check_balance(config: CliConfig) -> int:
-    rule = _get_rule(config.rule)
-    vectors = _load_witness(config.witness)
+def cmd_check_balance(args: argparse.Namespace) -> int:
+    rule = _get_rule(args.rule)
+    vectors = _load_witness(args.witness)
     try:
         system = build_balance_system(vectors, rule)
     except ValueError as exc:
@@ -200,25 +178,25 @@ def cmd_check_balance(config: CliConfig) -> int:
     result = solve_or_refute(system)
     if isinstance(result, Feasible):
         print("FEASIBLE")
-        if config.out:
-            _write_out(config.out, _dump({"status": "FEASIBLE",
+        if args.out:
+            _write_out(args.out, _dump({"status": "FEASIBLE",
                                           "assignment": result.assignment.to_json()}))
         return EXIT_OK
     verified = verify_certificate(system, result.certificate)
     print(f"INFEASIBLE certificate-verified={str(verified).lower()}")
     cert_json = certificate_to_json(result.certificate)
-    if config.out:
-        _write_out(config.out, _dump({"status": "INFEASIBLE", "certificate": cert_json}))
+    if args.out:
+        _write_out(args.out, _dump({"status": "INFEASIBLE", "certificate": cert_json}))
     else:
         print(json.dumps(cert_json, sort_keys=True))
     return EXIT_FINDING
 
 
-def cmd_solve_system(config: CliConfig) -> int:
+def cmd_solve_system(args: argparse.Namespace) -> int:
     try:
-        system = system_from_json(_load_json(config.system))
-    except (ValueError, RationalParseError) as exc:
-        raise _UsageError(f"bad system in {config.system}: {exc}")
+        system = system_from_json(_load_json(args.system))
+    except (ValueError, TypeError) as exc:  # TypeError: a value neither string nor integer
+        raise _UsageError(f"bad system in {args.system}: {exc}")
     result = solve_or_refute(system)
     if isinstance(result, Feasible):
         print("FEASIBLE")
@@ -278,19 +256,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    config = CliConfig(
-        command=args.command,
-        rule=getattr(args, "rule", "neg-second-price"),
-        g=getattr(args, "g", "neg-first-price"),
-        n=getattr(args, "n", None),
-        bids=getattr(args, "bids", None),
-        witness=getattr(args, "witness", None),
-        system=getattr(args, "system", None),
-        out=getattr(args, "out", None),
-        trace=getattr(args, "trace", False),
-    )
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

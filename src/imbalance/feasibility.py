@@ -215,10 +215,15 @@ def system_from_json(obj) -> LinearSystem:
     variables = tuple(multiset_from_json(m) for m in obj["variables"])
     rows = []
     for row in obj["rows"]:
+        if not isinstance(row, dict) or not isinstance(row.get("coeffs"), dict) or "rhs" not in row:
+            raise ValueError('each row must be an object with "coeffs" and "rhs"')
         coeffs = {}
         for key, text in row["coeffs"].items():
+            # "01" would silently merge with "1", so only canonical decimals pass
+            if not (key.isdecimal() and key == str(int(key))):
+                raise ValueError(f"coefficient indices must be canonical decimals, got {key!r}")
             col = int(key)
-            if not 0 <= col < len(variables):
+            if col >= len(variables):
                 raise ValueError(f"coefficient index {col} out of range")
             coeffs[col] = ensure_rational(text)
         rows.append(

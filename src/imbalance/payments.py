@@ -119,15 +119,11 @@ class IterationTrace:
 
     ``steps`` pairs the multiset shape reached after introducing each
     extra bid with its elimination coefficient (the payment divided by
-    the rule's flat value).  The first coefficient is 1/N and, with the
-    scaling constants ``q`` fixed to 1, so is every later one.  ``q`` is
-    kept explicit so a non-unit scaling could be added without changing
-    the trace format.
+    the rule's flat value).  Every coefficient equals 1/N.
     """
 
     n_bidders: int
     steps: tuple[tuple[BidMultiset, Fraction], ...]
-    q: tuple[Fraction, ...]
 
 
 def build_adequate_set(
@@ -196,6 +192,7 @@ def has_full_family_structure(
     that every sub-multiset is realized, and that the members can be put
     in one-to-one correspondence with (a subset of) the sub-multisets: a
     set with more members than distinct roles cannot be a full family.
+    Meant for externally supplied sets, like ``is_adequate``.
     """
     member_list = sorted(set(members), key=lambda b: b.entries)
     if not member_list:
@@ -245,7 +242,12 @@ def has_full_family_structure(
 def is_adequate(
     members: Iterable[BidVector], base: BidVector, fill, rule: PriceRule, i1: int, i2: int
 ) -> bool:
-    """Both adequacy predicates: family structure and flat-invariance."""
+    """Both adequacy predicates: family structure and flat-invariance.
+
+    For externally supplied sets only: ``build_adequate_set`` constructs
+    the structure and records flat-invariance itself, so its output needs
+    no re-check.
+    """
     member_set = frozenset(members)
     if not has_full_family_structure(member_set, base, fill, i1, i2):
         return False
@@ -344,12 +346,7 @@ def build_payment_table(
         prefix = BidMultiset.of(extra_bids[:j])
         shape = prefix + BidMultiset.of([fill_bid] * (n_bidders - 1 - j))
         steps.append((shape, coefficients[j]))
-    trace = IterationTrace(
-        n_bidders=n_bidders,
-        steps=tuple(steps),
-        q=(Fraction(1),) * len(extra_bids),
-    )
-    return table, trace
+    return table, IterationTrace(n_bidders=n_bidders, steps=tuple(steps))
 
 
 def forced_payment_sum(
@@ -364,8 +361,10 @@ def forced_payment_sum(
         (1 / |dom|) * sum over i of rule(flat vector at vector[j(i)]),
 
     returned together with the per-bidder map eta of those flat values.
-    Raises when a selector is invalid or an adequacy hypothesis fails,
-    identifying the bidder.
+    Each adequate set is built once; its structure holds by construction
+    and its recorded ``flat_invariant`` decides adequacy.  Raises when a
+    selector is invalid or an adequacy hypothesis fails, identifying the
+    bidder.
     """
     if not vector:
         raise ValueError("bid vector must be nonempty")
@@ -376,10 +375,9 @@ def forced_payment_sum(
             raise ValueError(
                 f"invalid selector for bidder {i}: must name another bidder in the domain"
             )
-        base = remove(vector, {i, partner})
         fill_bid = vector[partner]
-        adequate = build_adequate_set(base, fill_bid, rule, i, partner)
-        if not is_adequate(adequate.members, base, fill_bid, rule, i, partner):
+        adequate = build_adequate_set(remove(vector, {i, partner}), fill_bid, rule, i, partner)
+        if not adequate.flat_invariant:
             raise AdequacyError(
                 f"adequacy fails for bidder {i}: rule {rule.name!r} is not "
                 f"flat-invariant on the set built with partner {partner}"

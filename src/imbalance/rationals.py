@@ -1,4 +1,4 @@
-"""Exact rational scalars: construction, comparison, parsing, formatting.
+"""Exact rational scalars: coercion, parsing, formatting.
 
 Every quantity in this package (bids, payments, rule values, certificate
 multipliers) is an arbitrary-precision rational backed by the standard
@@ -17,11 +17,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-# compare() results
-LT = -1
-EQ = 0
-GT = 1
-
 _DIGITS = "0123456789"
 
 
@@ -32,44 +27,6 @@ class RationalParseError(ValueError):
         super().__init__(f"invalid rational {text!r}: {reason} at position {position}")
         self.text = text
         self.position = position
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Normalized num/den with positive denominator, in lowest terms."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
-
-
-def add(a: Fraction, b: Fraction) -> Fraction:
-    """Exact sum, normalized."""
-    return a + b
-
-
-def sub(a: Fraction, b: Fraction) -> Fraction:
-    """Exact difference, normalized."""
-    return a - b
-
-
-def mul(a: Fraction, b: Fraction) -> Fraction:
-    """Exact product, normalized."""
-    return a * b
-
-
-def div(a: Fraction, b: Fraction) -> Fraction:
-    """Exact quotient, normalized; b must be nonzero."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero")
-    return a / b
-
-
-def compare(a: Fraction, b: Fraction) -> int:
-    """Total order on the rational line: LT, EQ or GT."""
-    if a < b:
-        return LT
-    if a > b:
-        return GT
-    return EQ
 
 
 def parse_rational(text: str) -> Fraction:

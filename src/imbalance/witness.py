@@ -26,21 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .bids import (
-    BidVector,
-    bid_vector_to_json,
-    extend,
-    flat,
-    full_family,
-    preimage,
-    remove,
-)
-from .payments import (
-    AdequacyError,
-    build_adequate_set,
-    forced_payment_sum,
-    is_adequate,
-)
+from .bids import BidVector, bid_vector_to_json, extend, flat, full_family, remove
+from .payments import build_adequate_set
 from .rationals import format_rational
 from .rules import PriceRule, RuleArityError, RuleDomainError, get_rule
 
@@ -198,23 +185,20 @@ def vickrey_instance(
 def vickrey_witness_set(n: int) -> frozenset[BidVector]:
     """The canonical finite set on which balance is already contradictory.
 
-    For each of the two stock vectors: one extended completion family per
-    non-top bidder (paired with the top bidder, filled at the top bid),
-    plus one family pairing the top bidder with the runner-up (filled at
-    the runner-up's bid); the two stock vectors themselves complete the
-    set.  Duplicates merge under graph equality.
+    For each of the two stock vectors and each bidder i with partner j(i)
+    named by ``default_selector``: the completion family of the vector
+    without i and j(i), filled at j(i)'s bid and extended by i and j(i)
+    at that bid.  Every non-top bidder is paired with the top bidder and
+    the top bidder with the runner-up.  The two stock vectors themselves
+    complete the set.  Duplicates merge under graph equality.
     """
     low, high = vickrey_vectors(n)
-    top_bid = Fraction(n + 3)
     out: set[BidVector] = {low, high}
-    for vector, runner_bid in ((low, Fraction(n + 1)), (high, Fraction(n + 2))):
-        (top_id,) = preimage(vector, {top_bid})
-        for i in sorted(vector.dom - {top_id}):
-            family = full_family(remove(vector, {i, top_id}), top_bid)
-            out |= extend(flat({i, top_id}, top_bid), family.members)
-        pair = preimage(vector, {runner_bid, top_bid})
-        family = full_family(remove(vector, pair), runner_bid)
-        out |= extend(flat(pair, runner_bid), family.members)
+    for vector in (low, high):
+        for i, partner in default_selector(vector).items():
+            fill = vector[partner]
+            family = full_family(remove(vector, {i, partner}), fill)
+            out |= extend(flat({i, partner}, fill), family.members)
     return frozenset(out)
 
 
@@ -231,96 +215,92 @@ def verify_imbalance(
     and per vector, that the rule's flat value at the partner's bid equals
     the tagged rule's value (so the forced sum telescopes against the tag
     map).  Failures are logged, never raised: the report shows why a
-    candidate instance does not qualify.  When all hypotheses pass, the
-    residuals are computed through the forced payment sums and must
+    candidate instance does not qualify.
+
+    One pass over (vector, bidder) builds each adequate set once and
+    reads adequacy from its recorded flat-invariance.  The flat value the
+    eta check evaluates is the bidder's forced term, so when a vector's
+    sets are all adequate its residual is rule(vector) minus the mean of
+    those flat values.  When all hypotheses pass, the residuals must
     differ.
     """
-    checks: list[HypothesisCheck] = []
     dom = triple.b_low.dom
     counter_ok = is_counterexample(triple, rule) and len(dom) >= 2
-    checks.append(
-        HypothesisCheck(
-            "counterexample",
-            counter_ok,
-            "" if counter_ok else "triple does not separate the two rules on >= 2 bidders",
-        )
+    counter = HypothesisCheck(
+        "counterexample",
+        counter_ok,
+        "" if counter_ok else "triple does not separate the two rules on >= 2 bidders",
     )
 
-    sides = (
+    adequacy_checks: list[HypothesisCheck] = []
+    eta_checks: list[HypothesisCheck] = []
+    witness: set[BidVector] = {triple.b_low, triple.b_high}
+    residuals: list[Fraction | None] = []
+    etas: list[dict[int, Fraction]] = []
+    for label, vector, selector in (
         ("low", triple.b_low, selector_low),
         ("high", triple.b_high, selector_high),
-    )
-    witness: set[BidVector] = {triple.b_low, triple.b_high}
-    adequacy_ok = {"low": True, "high": True}
-    for label, vector, selector in sides:
+    ):
+        adequate_all = True
+        eta: dict[int, Fraction] = {}
         for i in sorted(vector.dom):
             partner = selector.get(i)
-            if partner is None or partner == i or partner not in vector.dom:
-                checks.append(
-                    HypothesisCheck(
-                        f"adequate[{label},{i}]", False, f"invalid partner {partner!r}"
-                    )
+            known = partner is not None and partner in vector.dom
+            if known and partner != i:
+                fill = vector[partner]
+                adequate = build_adequate_set(
+                    remove(vector, {i, partner}), fill, rule, i, partner
                 )
-                adequacy_ok[label] = False
-                continue
-            base = remove(vector, {i, partner})
-            adequate = build_adequate_set(base, vector[partner], rule, i, partner)
-            ok = is_adequate(adequate.members, base, vector[partner], rule, i, partner)
-            detail = "" if ok else f"rule not flat-invariant at fill {format_rational(vector[partner])}"
-            checks.append(HypothesisCheck(f"adequate[{label},{i}]", ok, detail))
-            if ok:
-                witness |= adequate.members
+                ok = adequate.flat_invariant
+                detail = "" if ok else f"rule not flat-invariant at fill {format_rational(fill)}"
+                if ok:
+                    witness |= adequate.members
             else:
-                adequacy_ok[label] = False
+                ok, detail = False, f"invalid partner {partner!r}"
+            adequacy_checks.append(HypothesisCheck(f"adequate[{label},{i}]", ok, detail))
+            adequate_all = adequate_all and ok
 
-    for label, vector, selector in sides:
-        for i in sorted(vector.dom):
-            partner = selector.get(i)
-            if partner is None or partner not in vector.dom:
-                checks.append(
+            if not known:
+                eta_checks.append(
                     HypothesisCheck(f"eta[{label},{i}]", False, "no valid partner")
                 )
                 continue
             tag = triple.h.get(i)
             try:
-                flat_value = rule(flat(vector.dom, vector[partner]))
+                eta[i] = rule(flat(vector.dom, vector[partner]))
                 tagged_value = (rule if tag == RULE_F else triple.g)(vector)
-                ok = tag in (RULE_F, RULE_G) and flat_value == tagged_value
+                ok = tag in (RULE_F, RULE_G) and eta[i] == tagged_value
                 detail = (
                     ""
                     if ok
-                    else f"flat value {format_rational(flat_value)} differs from "
+                    else f"flat value {format_rational(eta[i])} differs from "
                     f"tagged value {format_rational(tagged_value)}"
                 )
             except (RuleArityError, RuleDomainError) as exc:
                 ok, detail = False, str(exc)
-            checks.append(HypothesisCheck(f"eta[{label},{i}]", ok, detail))
+            eta_checks.append(HypothesisCheck(f"eta[{label},{i}]", ok, detail))
 
-    lhs = rhs = None
-    eta_low: dict[int, Fraction] = {}
-    eta_high: dict[int, Fraction] = {}
-    if adequacy_ok["low"]:
-        try:
-            total_low, eta_low = forced_payment_sum(triple.b_low, rule, selector_low)
-            lhs = rule(triple.b_low) - total_low
-        except (AdequacyError, ValueError):
-            lhs = None
-    if adequacy_ok["high"]:
-        try:
-            total_high, eta_high = forced_payment_sum(triple.b_high, rule, selector_high)
-            rhs = rule(triple.b_high) - total_high
-        except (AdequacyError, ValueError):
-            rhs = None
+        residual = None
+        if adequate_all and vector and len(eta) == len(vector):
+            try:
+                residual = rule(vector) - sum(eta.values(), Fraction(0)) / len(vector)
+            except ValueError:  # rule undefined on the vector: no residual to report
+                pass
+        else:
+            eta = {}
+        residuals.append(residual)
+        etas.append(eta)
 
-    hypotheses = tuple(checks)
+    lhs, rhs = residuals
+    hypotheses = (counter, *adequacy_checks, *eta_checks)
     met = all(c.passed for c in hypotheses)
     holds = (lhs != rhs) if (met and lhs is not None and rhs is not None) else None
     return ImbalanceReport(
         lhs=lhs,
         rhs=rhs,
         holds=holds,
-        eta_low=eta_low,
-        eta_high=eta_high,
+        eta_low=etas[0],
+        eta_high=etas[1],
         witness_set=frozenset(witness),
         hypotheses=hypotheses,
     )

@@ -8,8 +8,6 @@ from imbalance import BidMultiset, BidVector
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=20)
 
-nonzero_rationals = rationals.filter(lambda f: f != 0)
-
 bidder_ids = st.integers(min_value=0, max_value=12)
 
 

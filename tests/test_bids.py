@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import bid_vectors, multisets, rationals
+from conftest import bid_vectors, bidder_ids, multisets, rationals
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -199,6 +199,17 @@ class TestCompletion:
         assert c.dom == b.dom
         assert bag_of(c) == m + BidMultiset.of([fill] * (len(b) - len(m)))
 
+
+    @given(st.data())
+    def test_matches_first_restriction(self, data):
+        # a small value pool forces repeated bids and fills that occur among them
+        pool = st.sampled_from([Fraction(1), Fraction(2), Fraction(5, 2)])
+        b = data.draw(st.dictionaries(bidder_ids, pool, max_size=6).map(BidVector.of))
+        m = data.draw(st.sampled_from(sub_multisets(bag_of(b))))
+        fill = data.draw(st.one_of(pool, rationals))
+        kept = restrictions(b, m)[0]
+        expected = vec({i: kept[i] if i in kept else fill for i in b})
+        assert completion(b, m, fill) == expected
 
 class TestFullFamily:
     def test_two_bidders(self):

@@ -173,6 +173,52 @@ class TestSolveSystem:
         assert main(["solve-system", "--system", path]) == 2
 
 
+
+_INPUT_FLAG = {"eval": "--bids", "check-balance": "--witness", "solve-system": "--system"}
+
+
+class TestBadInput:
+    """Malformed files end with exit 2 and an ``error:`` line, never a
+    traceback, and never lose data silently."""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("eval", {"bids": {"1": 1.5, "2": "2"}}),
+            ("check-balance", [{"bids": {"1": 1.5, "2": "2"}}]),
+            ("eval", {"bids": {"1": "1", "01": "2", "3": "4"}}),
+            ("check-balance", [{"bids": {"1": "1", "01": "2", "3": "4"}}]),
+            ("solve-system", {"variables": [["1"]], "rows": [{"rhs": "1"}]}),
+            ("solve-system", {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}}]}),
+            ("solve-system", {"variables": [["1"]], "rows": [["0", "1"]]}),
+            ("solve-system", {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}, "rhs": 1.5}]}),
+            (
+                "solve-system",
+                {"variables": [["1"], ["2"]], "rows": [{"coeffs": {"1": "1", "01": "2"}, "rhs": "1"}]},
+            ),
+        ],
+        ids=[
+            "eval-float-bid",
+            "check-balance-float-bid",
+            "eval-noncanonical-id",
+            "check-balance-noncanonical-id",
+            "row-without-coeffs",
+            "row-without-rhs",
+            "row-not-an-object",
+            "float-rhs",
+            "noncanonical-index",
+        ],
+    )
+    def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload):
+        path = write_json(tmp_path / "input.json", payload)
+        argv = [command, _INPUT_FLAG[command], path]
+        if command != "solve-system":
+            argv += ["--rule", "constant:0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2

@@ -186,7 +186,6 @@ class TestBuildPaymentTable:
         assert table.value(bag(1, 4)) == Fraction(-4, 3)
         assert table.value(bag(1, 4)) == forced_payment(vec({9: 1}), 4, NEG2, 1, 2)
         assert [k for _, k in trace.steps] == [Fraction(1, 3), Fraction(1, 3)]
-        assert trace.q == (Fraction(1),)
 
     def test_constant_zero_rule(self):
         table, _ = build_payment_table(4, 2, [1, 1], get_rule("constant:0"))

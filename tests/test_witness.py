@@ -232,6 +232,44 @@ class TestVerifyImbalance:
             report = verify_imbalance(NEG2, triple, j_low, j_high)
             assert report.witness_set == vickrey_witness_set(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_single_pass_builds_each_set_once(self, n, monkeypatch):
+        from imbalance import payments, witness
+
+        calls = []
+        original = payments.build_adequate_set
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a set built here needs no structure re-check")
+
+        monkeypatch.setattr(witness, "build_adequate_set", counting)
+        monkeypatch.setattr(payments, "build_adequate_set", counting)
+        monkeypatch.setattr(payments, "is_adequate", forbidden)
+        monkeypatch.setattr(witness, "is_adequate", forbidden, raising=False)
+        triple, j_low, j_high = vickrey_instance(n)
+        assert verify_imbalance(NEG2, triple, j_low, j_high).holds
+        assert len(calls) == 2 * (n + 2)
+
+    def test_invalid_partner_fails_its_side_only(self):
+        triple, j_low, j_high = stock_triple(2)
+        report = verify_imbalance(NEG2, triple, {**j_low, 1: 1}, j_high)
+        names = [c.name for c in report.hypotheses]
+        assert names == ["counterexample"] + [
+            f"{kind}[{side},{i}]"
+            for kind in ("adequate", "eta")
+            for side in ("low", "high")
+            for i in range(1, 5)
+        ]
+        failed = {c.name: c.detail for c in report.hypotheses if not c.passed}
+        assert failed == {"adequate[low,1]": "invalid partner 1", "eta[low,1]": failed["eta[low,1]"]}
+        assert (report.lhs, report.eta_low, report.holds) == (None, {}, None)
+        assert report.rhs == Fraction(3, 4)
+        assert report.eta_high == {1: -5, 2: -5, 3: -5, 4: -4}
+
     def test_relabeling_invariance(self):
         rng = random.Random(4)
         triple, j_low, j_high = vickrey_instance(2)
