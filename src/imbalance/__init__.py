@@ -10,7 +10,6 @@ rational; there is no floating point anywhere.
 from .bids import (
     BidMultiset,
     BidVector,
-    FullFamily,
     bag_of,
     bid_vector_from_json,
     bid_vector_to_json,
@@ -21,7 +20,6 @@ from .bids import (
     full_family,
     multiset_from_json,
     multiset_to_json,
-    preimage,
     remove,
     restrictions,
     sub_multisets,
@@ -54,7 +52,6 @@ from .payments import (
     is_adequate,
 )
 from .rationals import (
-    Rational,
     RationalParseError,
     ensure_rational,
     format_rational,

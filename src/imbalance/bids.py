@@ -10,7 +10,7 @@ On top of the two value types this module provides the combinatorial
 operators the verification pipeline is assembled from:
 
 * ``bag_of`` - range with multiplicities,
-* ``remove`` / ``preimage`` / ``flat`` - restriction, fiber, constant map,
+* ``remove`` / ``flat`` - restriction, constant map,
 * ``sub_multisets`` - every sub-multiset, in a fixed canonical order,
 * ``restrictions`` / ``completion`` - sub-vectors realizing a multiset,
   and the canonical vector agreeing with one of them and constantly equal
@@ -111,9 +111,6 @@ class BidMultiset:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __contains__(self, value) -> bool:
-        return ensure_rational(value) in self.values
-
     def count(self, value) -> int:
         needle = ensure_rational(value)
         return sum(1 for v in self.values if v == needle)
@@ -158,25 +155,6 @@ class BidMultiset:
         return "BidMultiset([" + ", ".join(format_rational(v) for v in self.values) + "])"
 
 
-@dataclass(frozen=True)
-class FullFamily:
-    """One completion of ``base`` to ``fill`` per sub-multiset of its bag.
-
-    ``indexed`` pairs each sub-multiset with its canonical completion, in
-    canonical sub-multiset order.  Distinct sub-multisets can yield the
-    same vector when ``fill`` already occurs among the base bids, so the
-    deduplicated ``members`` set may be smaller than ``indexed``.
-    """
-
-    base: BidVector
-    fill: Fraction
-    indexed: tuple[tuple[BidMultiset, BidVector], ...]
-
-    @property
-    def members(self) -> frozenset[BidVector]:
-        return frozenset(vec for _, vec in self.indexed)
-
-
 def bag_of(vector: BidVector) -> BidMultiset:
     """Range of the vector counted with multiplicity."""
     return BidMultiset(tuple(sorted(v for _, v in vector.entries)))
@@ -186,12 +164,6 @@ def remove(vector: BidVector, bidders: Iterable[int]) -> BidVector:
     """Restriction to dom(vector) minus ``bidders``; absent ids are ignored."""
     gone = frozenset(bidders)
     return BidVector(tuple((i, v) for i, v in vector.entries if i not in gone))
-
-
-def preimage(vector: BidVector, values: Iterable[object]) -> frozenset[int]:
-    """All bidders whose bid lies in ``values`` (the fiber of the set)."""
-    needles = frozenset(ensure_rational(v) for v in values)
-    return frozenset(i for i, v in vector.entries if v in needles)
 
 
 def flat(bidders: Iterable[int], value) -> BidVector:
@@ -268,13 +240,16 @@ def completion(vector: BidVector, multiset: BidMultiset, fill) -> BidVector:
     )
 
 
-def full_family(vector: BidVector, fill) -> FullFamily:
-    """The canonical full family of ``fill``-completions of ``vector``."""
+def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
+    """The canonical full family: one ``fill``-completion of ``vector`` per
+    sub-multiset of its bag.
+
+    Distinct sub-multisets yield the same vector when ``fill`` already
+    occurs among the base bids, so the family can have fewer members than
+    the bag has sub-multisets.
+    """
     fill_bid = ensure_rational(fill)
-    indexed = tuple(
-        (m, completion(vector, m, fill_bid)) for m in sub_multisets(bag_of(vector))
-    )
-    return FullFamily(base=vector, fill=fill_bid, indexed=indexed)
+    return frozenset(completion(vector, m, fill_bid) for m in sub_multisets(bag_of(vector)))
 
 
 def extend(pairs: BidVector, family: Iterable[BidVector]) -> frozenset[BidVector]:
@@ -297,16 +272,23 @@ def bid_vector_to_json(vector: BidVector) -> dict:
     return {"bids": {str(i): format_rational(v) for i, v in vector.entries}}
 
 
+def canonical_id(key: str, noun: str) -> int:
+    """The integer a JSON object key names, as bidder id or variable index.
+
+    Only canonical decimals pass: ``"01"`` would silently merge with ``"1"``.
+    """
+    if not (key.isdecimal() and key == str(int(key))):
+        raise ValueError(f"{noun} must be non-negative canonical decimals, got {key!r}")
+    return int(key)
+
+
 def bid_vector_from_json(obj) -> BidVector:
     if not isinstance(obj, dict) or not isinstance(obj.get("bids"), dict):
         raise ValueError('bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}')
-    entries = {}
-    for key, text in obj["bids"].items():
-        # "01" would silently merge with "1", so only canonical decimals pass
-        if not (key.isdecimal() and key == str(int(key))):
-            raise ValueError(f"bidder ids must be non-negative canonical decimals, got {key!r}")
-        entries[int(key)] = ensure_rational(text)
-    return BidVector.of(entries)
+    return BidVector.of({
+        canonical_id(key, "bidder ids"): ensure_rational(text)
+        for key, text in obj["bids"].items()
+    })
 
 
 def multiset_to_json(multiset: BidMultiset) -> list[str]:

@@ -14,16 +14,18 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bids import BidVector, bid_vector_from_json
 from .feasibility import (
+    Feasible,
+    LinearSystem,
     build_balance_system,
     certificate_to_json,
     solve_or_refute,
     system_from_json,
     verify_certificate,
-    Feasible,
 )
 from .payments import build_payment_table
 from .rationals import format_rational
@@ -67,12 +69,24 @@ def _check_dom(size: int, what: str) -> None:
         )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # dict() kept only the last value of a repeated key
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"repeated object key {next(k for k, c in counts.items() if c > 1)!r}")
+    return obj
+
+
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise _UsageError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and _unique_keys;
+    # RecursionError comes from deeply nested arrays or objects
+    except (ValueError, RecursionError) as exc:
         raise _UsageError(f"invalid JSON in {path}: {exc}")
 
 
@@ -105,7 +119,10 @@ def _dump(obj) -> str:
 
 def _write_out(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -168,6 +185,22 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _decide(system: LinearSystem) -> tuple[int, dict]:
+    """Solve, re-check an INFEASIBLE certificate, and print the verdict line.
+
+    Returns the exit code and the result document, which holds the status
+    and either the assignment or the certificate.
+    """
+    result = solve_or_refute(system)
+    if isinstance(result, Feasible):
+        print("FEASIBLE")
+        return EXIT_OK, {"status": "FEASIBLE", "assignment": result.assignment.to_json()}
+    verified = verify_certificate(system, result.certificate)
+    print(f"INFEASIBLE certificate-verified={str(verified).lower()}")
+    return EXIT_FINDING, {"status": "INFEASIBLE",
+                          "certificate": certificate_to_json(result.certificate)}
+
+
 def cmd_check_balance(args: argparse.Namespace) -> int:
     rule = _get_rule(args.rule)
     vectors = _load_witness(args.witness)
@@ -175,21 +208,12 @@ def cmd_check_balance(args: argparse.Namespace) -> int:
         system = build_balance_system(vectors, rule)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    result = solve_or_refute(system)
-    if isinstance(result, Feasible):
-        print("FEASIBLE")
-        if args.out:
-            _write_out(args.out, _dump({"status": "FEASIBLE",
-                                          "assignment": result.assignment.to_json()}))
-        return EXIT_OK
-    verified = verify_certificate(system, result.certificate)
-    print(f"INFEASIBLE certificate-verified={str(verified).lower()}")
-    cert_json = certificate_to_json(result.certificate)
+    code, result = _decide(system)
     if args.out:
-        _write_out(args.out, _dump({"status": "INFEASIBLE", "certificate": cert_json}))
-    else:
-        print(json.dumps(cert_json, sort_keys=True))
-    return EXIT_FINDING
+        _write_out(args.out, _dump(result))
+    elif code == EXIT_FINDING:
+        print(json.dumps(result["certificate"], sort_keys=True))
+    return code
 
 
 def cmd_solve_system(args: argparse.Namespace) -> int:
@@ -197,15 +221,9 @@ def cmd_solve_system(args: argparse.Namespace) -> int:
         system = system_from_json(_load_json(args.system))
     except (ValueError, TypeError) as exc:  # TypeError: a value neither string nor integer
         raise _UsageError(f"bad system in {args.system}: {exc}")
-    result = solve_or_refute(system)
-    if isinstance(result, Feasible):
-        print("FEASIBLE")
-        print(json.dumps(result.assignment.to_json(), sort_keys=True))
-        return EXIT_OK
-    verified = verify_certificate(system, result.certificate)
-    print(f"INFEASIBLE certificate-verified={str(verified).lower()}")
-    print(json.dumps(certificate_to_json(result.certificate), sort_keys=True))
-    return EXIT_FINDING
+    code, result = _decide(system)
+    print(json.dumps(result["assignment" if code == EXIT_OK else "certificate"], sort_keys=True))
+    return code
 
 
 _HANDLERS = {

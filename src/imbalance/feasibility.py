@@ -25,6 +25,7 @@ from .bids import (
     bag_of,
     bid_vector_from_json,
     bid_vector_to_json,
+    canonical_id,
     multiset_from_json,
     multiset_to_json,
     remove,
@@ -213,19 +214,21 @@ def system_from_json(obj) -> LinearSystem:
     if not isinstance(obj, dict) or "variables" not in obj or "rows" not in obj:
         raise ValueError('linear system JSON must have "variables" and "rows"')
     variables = tuple(multiset_from_json(m) for m in obj["variables"])
+    if len(set(variables)) != len(variables):
+        # one unknown per multiset: a repeated one would fold two columns into one
+        raise ValueError("variables must be distinct multisets")
     rows = []
     for row in obj["rows"]:
         if not isinstance(row, dict) or not isinstance(row.get("coeffs"), dict) or "rhs" not in row:
             raise ValueError('each row must be an object with "coeffs" and "rhs"')
         coeffs = {}
         for key, text in row["coeffs"].items():
-            # "01" would silently merge with "1", so only canonical decimals pass
-            if not (key.isdecimal() and key == str(int(key))):
-                raise ValueError(f"coefficient indices must be canonical decimals, got {key!r}")
-            col = int(key)
+            col = canonical_id(key, "coefficient indices")
             if col >= len(variables):
                 raise ValueError(f"coefficient index {col} out of range")
-            coeffs[col] = ensure_rational(text)
+            value = ensure_rational(text)
+            if value:  # the solver reads a stored coefficient as nonzero
+                coeffs[col] = value
         rows.append(
             LinearRow(
                 coeffs=coeffs,

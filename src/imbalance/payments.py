@@ -80,12 +80,6 @@ class PaymentTable:
         except KeyError:
             raise PaymentLookupError(f"no payment value recorded for {multiset!r}") from None
 
-    def __contains__(self, multiset: BidMultiset) -> bool:
-        return multiset in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
     def items(self) -> list[tuple[BidMultiset, Fraction]]:
         return sorted(self._values.items(), key=lambda kv: kv[0].canonical_key())
 
@@ -136,8 +130,7 @@ def build_adequate_set(
             f"{sorted(base.dom)}"
         )
     fill_bid = ensure_rational(fill)
-    family = full_family(base, fill_bid)
-    members = extend(flat({i1, i2}, fill_bid), family.members)
+    members = extend(flat({i1, i2}, fill_bid), full_family(base, fill_bid))
     try:
         invariant = check_flat_invariance(rule, members, base.dom | {i1, i2}, fill_bid)
     except (RuleArityError, RuleDomainError):

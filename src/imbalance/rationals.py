@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 _DIGITS = "0123456789"
 
 

@@ -198,7 +198,7 @@ def vickrey_witness_set(n: int) -> frozenset[BidVector]:
         for i, partner in default_selector(vector).items():
             fill = vector[partner]
             family = full_family(remove(vector, {i, partner}), fill)
-            out |= extend(flat({i, partner}, fill), family.members)
+            out |= extend(flat({i, partner}, fill), family)
     return frozenset(out)
 
 

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from imbalance import (
     bid_vector_from_json,
@@ -16,7 +20,11 @@ from imbalance.cli import main
 
 
 def write_json(path, obj):
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    """Write ``obj`` as JSON, or write it as it is when it is already bytes."""
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
 
@@ -168,6 +176,14 @@ class TestSolveSystem:
         assert main(["solve-system", "--system", path]) == 3
         assert "INFEASIBLE certificate-verified=true" in capsys.readouterr().out
 
+    def test_explicit_zero_coefficient(self, tmp_path, capsys):
+        obj = {"variables": [["1"]], "rows": [{"coeffs": {"0": "0"}, "rhs": "1"}]}
+        path = write_json(tmp_path / "sys.json", obj)
+        assert main(["solve-system", "--system", path]) == 3
+        assert capsys.readouterr().out == (
+            'INFEASIBLE certificate-verified=true\n{"multipliers": ["1"]}\n'
+        )
+
     def test_malformed_system(self, tmp_path):
         path = write_json(tmp_path / "sys.json", {"rows": []})
         assert main(["solve-system", "--system", path]) == 2
@@ -196,6 +212,17 @@ class TestBadInput:
                 "solve-system",
                 {"variables": [["1"], ["2"]], "rows": [{"coeffs": {"1": "1", "01": "2"}, "rhs": "1"}]},
             ),
+            ("eval", b'{"bids": {"1": "1", "1": "2", "2": "5"}}'),
+            ("solve-system", b'{"variables": [["1"]], "rows": [{"coeffs": {"0": "1", "0": "2"}, "rhs": "1"}]}'),
+            ("eval", b'{"bids": {"1": "1", "2": "\xff"}}'),
+            ("eval", b"[" * 100_000 + b"]" * 100_000),
+            (
+                "solve-system",
+                {
+                    "variables": [[], []],
+                    "rows": [{"coeffs": {"0": "1"}, "rhs": "1"}, {"coeffs": {"1": "1"}, "rhs": "2"}],
+                },
+            ),
         ],
         ids=[
             "eval-float-bid",
@@ -207,6 +234,11 @@ class TestBadInput:
             "row-not-an-object",
             "float-rhs",
             "noncanonical-index",
+            "eval-duplicate-key",
+            "solve-system-duplicate-key",
+            "eval-not-utf8",
+            "eval-deeply-nested",
+            "repeated-variable",
         ],
     )
     def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload):
@@ -218,6 +250,71 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--rule", "constant:0", "--bids", "{tmp}"],
+            ["witness", "--n", "1", "--out", "{tmp}/missing/w.json"],
+            ["theorem", "--n", "1", "--out", "{tmp}/missing/r.json"],
+        ],
+        ids=["directory-as-input", "witness-unwritable-out", "theorem-unwritable-out"],
+    )
+    def test_unusable_path_exits_2(self, tmp_path, capsys, argv):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+_json_keys = st.sampled_from(
+    ["0", "1", "01", "2", "bids", "variables", "rows", "coeffs", "rhs", "origin"]
+)
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "0", "1", "2", "01", "-1/2", "2/0", "x"])
+    | st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_keys, inner, max_size=3),
+    max_leaves=12,
+)
+# shaped like the real inputs, so that many draws get past the first check
+_ids = st.sampled_from(["0", "1", "2", "3", "01"])
+_numbers = st.sampled_from(["0", "1", "2", "-1/2", "3/4"]) | st.integers(min_value=-3, max_value=3)
+_bid_vectors = st.fixed_dictionaries({"bids": st.dictionaries(_ids, _numbers, max_size=4)})
+_systems = st.fixed_dictionaries({
+    "variables": st.lists(st.lists(_numbers, max_size=2), max_size=4),
+    "rows": st.lists(
+        st.fixed_dictionaries({"coeffs": st.dictionaries(_ids, _numbers, max_size=3), "rhs": _numbers}),
+        max_size=4,
+    ),
+})
+
+
+@pytest.mark.parametrize(
+    "argv, shaped",
+    [
+        (["eval", "--rule", "second-price", "--bids"], _bid_vectors),
+        (["check-balance", "--rule", "neg-second-price", "--witness"], st.lists(_bid_vectors, max_size=4)),
+        (["solve-system", "--system"], _systems),
+    ],
+    ids=["eval", "check-balance", "solve-system"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_json_input_ends_in_0_2_or_3(tmp_path_factory, argv, shaped, data):
+    """Whatever JSON a file holds, the command ends with a finding, a
+    result or a usage error, never a traceback."""
+    payload = data.draw(_json_values | shaped)
+    path = write_json(tmp_path_factory.getbasetemp() / f"fuzz-{argv[0]}.json", payload)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + [path]) in (0, 2, 3)
+
 
 class TestUsage:
     def test_no_command(self):
