@@ -36,6 +36,7 @@ from .feasibility import (
     solve_or_refute,
     system_from_json,
     system_to_json,
+    verify_assignment,
     verify_certificate,
 )
 from .payments import (

@@ -25,6 +25,7 @@ from .feasibility import (
     certificate_to_json,
     solve_or_refute,
     system_from_json,
+    verify_assignment,
     verify_certificate,
 )
 from .payments import build_payment_table
@@ -186,13 +187,17 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _decide(system: LinearSystem) -> tuple[int, dict]:
-    """Solve, re-check an INFEASIBLE certificate, and print the verdict line.
+    """Solve, re-check the result, and print the verdict line.
 
+    A FEASIBLE assignment that violates a row is a solver bug and raises;
+    an INFEASIBLE certificate's re-check is printed on the verdict line.
     Returns the exit code and the result document, which holds the status
     and either the assignment or the certificate.
     """
     result = solve_or_refute(system)
     if isinstance(result, Feasible):
+        if not verify_assignment(system, result.assignment):
+            raise AssertionError("elimination returned an assignment that violates a row")
         print("FEASIBLE")
         return EXIT_OK, {"status": "FEASIBLE", "assignment": result.assignment.to_json()}
     verified = verify_certificate(system, result.certificate)

@@ -2,11 +2,20 @@
 
 Given any finite set of bid vectors, imposing the balance equation on each
 one yields a linear system over the unknown symmetric payments P(m), one
-unknown per deletion multiset.  This module builds that system, decides it
-by exact rational Gaussian elimination, and, when it is infeasible,
-produces a combination of rows summing to the contradiction 0 = 1: a list
-of rational multipliers that anyone can re-check independently of the
-solver (``verify_certificate``).
+unknown per deletion multiset.  This module builds that system and
+decides it by exact, fraction-free Gaussian elimination over Python
+integers (Bareiss 1968): each row is scaled once to integer entries, and
+a column index keeps elimination to the rows that have an entry in the
+pivot column.  When the system is infeasible the solver produces a
+combination of rows summing to the contradiction 0 = 1: a list of
+rational multipliers that anyone can re-check independently of the solver
+(``verify_certificate``).  A feasible assignment is re-checked by
+substituting it into every row (``verify_assignment``).
+
+The pivot for each column is the row with the lowest original index whose
+reduced entry there is nonzero.  That rule alone fixes the certificate and
+the assignment byte for byte, so changing it (for example to Markowitz
+pivoting) changes recorded outputs.
 
 This is the package's independent route to the imbalance results: it
 never looks at adequate sets or forced closed forms, only at the raw
@@ -15,8 +24,10 @@ equations.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 from .bids import (
@@ -30,7 +41,7 @@ from .bids import (
     multiset_to_json,
     remove,
 )
-from .payments import PaymentTable
+from .payments import PaymentLookupError, PaymentTable
 from .rationals import ensure_rational, format_rational
 from .rules import PriceRule, RuleArityError, RuleDomainError
 
@@ -109,65 +120,115 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
 def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     """Decide the system exactly; free variables are fixed to zero.
 
-    Elimination pivots on the first remaining row with a nonzero entry in
-    canonical variable order, so results are deterministic.  Each working
-    row carries its expression as a combination of original rows; the
-    first row reduced to 0 = nonzero yields the certificate, scaled so
-    the combined right-hand side is 1.
+    Fraction-free elimination over ``int``: each row is scaled once by the
+    lcm of the denominators of its coefficients and right-hand side, then
+    updated as ``(a/g)*row - (f/g)*pivot`` (``a`` the pivot entry, ``f``
+    the row's entry, ``g`` their gcd) and divided by the gcd of all its
+    integers.  A column index maps each variable to the live rows with a
+    nonzero entry there, so only those rows are touched.  Each working row
+    carries its expression as an integer combination of original rows; a
+    pivot row's combination is dropped once its column is eliminated.
+
+    Pivot invariant: the pivot for a column is the live row with the
+    lowest original index whose reduced entry there is nonzero.  Row
+    scaling never changes which reduced entries are nonzero, so this rule
+    alone fixes the pivot set, and with it the certificate (the first
+    leftover row, by original index, reduced to 0 = nonzero, scaled so the
+    combined right-hand side is 1) and the assignment.  Changing the rule
+    changes those bytes.
     """
-    # (original index, sparse coeffs, rhs, multipliers over original rows)
-    work = [
-        (idx, dict(row.coeffs), row.rhs, {idx: Fraction(1)})
-        for idx, row in enumerate(system.rows)
-    ]
-    pivots: list[tuple[int, dict[int, Fraction], Fraction]] = []
+    coeffs: list[dict[int, int]] = []
+    rhs: list[int] = []
+    mults: list[dict[int, int]] = []
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)
+    for idx, row in enumerate(system.rows):
+        scale = lcm(row.rhs.denominator, *(v.denominator for v in row.coeffs.values()))
+        ints = {c: v.numerator * (scale // v.denominator) for c, v in row.coeffs.items() if v}
+        for c in ints:
+            col_rows[c].add(idx)
+        coeffs.append(ints)
+        rhs.append(row.rhs.numerator * (scale // row.rhs.denominator))
+        mults.append({idx: scale})
+
+    pivots: list[tuple[int, dict[int, int], int]] = []
+    pivot_rows: set[int] = set()
     for col in range(len(system.variables)):
-        pivot_pos = next(
-            (pos for pos, (_, coeffs, _, _) in enumerate(work) if coeffs.get(col)), None
-        )
-        if pivot_pos is None:
+        targets = col_rows.pop(col, None)
+        if not targets:
             continue
-        _, p_coeffs, p_rhs, p_mults = work.pop(pivot_pos)
-        scale = p_coeffs[col]
-        p_coeffs = {c: v / scale for c, v in p_coeffs.items()}
-        p_rhs = p_rhs / scale
-        p_mults = {r: v / scale for r, v in p_mults.items()}
-        for pos, (orig, coeffs, rhs, mults) in enumerate(work):
-            factor = coeffs.get(col)
-            if not factor:
-                continue
+        piv = min(targets)
+        targets.remove(piv)
+        p_coeffs, p_rhs, p_mults = coeffs[piv], rhs[piv], mults[piv]
+        for c in p_coeffs:
+            if c != col:
+                col_rows[c].discard(piv)
+        a = p_coeffs[col]
+        for r in targets:
+            row, row_mults = coeffs[r], mults[r]
+            f = row[col]
+            g = gcd(a, f)
+            ap, fp = a // g, f // g
+            if ap != 1:
+                for c in row:
+                    row[c] *= ap
+                for c in row_mults:
+                    row_mults[c] *= ap
+            del row[col]
             for c, v in p_coeffs.items():
-                new = coeffs.get(c, Fraction(0)) - factor * v
+                if c == col:
+                    continue
+                new = row.get(c, 0) - fp * v
                 if new:
-                    coeffs[c] = new
-                else:
-                    coeffs.pop(c, None)
-            for r, v in p_mults.items():
-                new = mults.get(r, Fraction(0)) - factor * v
+                    if c not in row:
+                        col_rows[c].add(r)
+                    row[c] = new
+                elif c in row:
+                    del row[c]
+                    col_rows[c].discard(r)
+            for c, v in p_mults.items():
+                new = row_mults.get(c, 0) - fp * v
                 if new:
-                    mults[r] = new
+                    row_mults[c] = new
                 else:
-                    mults.pop(r, None)
-            work[pos] = (orig, coeffs, rhs - factor * p_rhs, mults)
+                    row_mults.pop(c, None)
+            row_rhs = ap * rhs[r] - fp * p_rhs
+            content = gcd(row_rhs, *row.values(), *row_mults.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
+                for c in row_mults:
+                    row_mults[c] //= content
+                row_rhs //= content
+            rhs[r] = row_rhs
+        mults[piv] = {}  # no later step reads a pivot row's combination
+        pivot_rows.add(piv)
         pivots.append((col, p_coeffs, p_rhs))
 
-    leftovers = sorted(work, key=lambda item: item[0])
-    for _, coeffs, rhs, mults in leftovers:
-        if coeffs:
+    for idx in range(len(system.rows)):
+        if idx in pivot_rows:
+            continue
+        if coeffs[idx]:
             raise AssertionError("elimination left a nonempty row")
-        if rhs != 0:
+        if rhs[idx] != 0:
+            row_mults, row_rhs = mults[idx], rhs[idx]
             multipliers = tuple(
-                mults.get(r, Fraction(0)) / rhs for r in range(len(system.rows))
+                Fraction(row_mults.get(r, 0), row_rhs) for r in range(len(system.rows))
             )
             return Infeasible(Certificate(multipliers))
 
     solution = {col: Fraction(0) for col in range(len(system.variables))}
-    for col, coeffs, rhs in reversed(pivots):
-        value = rhs
-        for c, v in coeffs.items():
+    for col, p_coeffs, p_rhs in reversed(pivots):
+        num, den = p_rhs, 1  # the pivot row's residual num/den, over a common denominator
+        for c, v in p_coeffs.items():
             if c != col:
-                value -= v * solution[c]
-        solution[col] = value
+                value = solution[c]
+                d = value.denominator
+                if den % d:
+                    common = lcm(den, d)
+                    num *= common // den
+                    den = common
+                num -= v * value.numerator * (den // d)
+        solution[col] = Fraction(num, den * p_coeffs[col])
     table = PaymentTable(
         {system.variables[col]: value for col, value in solution.items()}
     )
@@ -190,6 +251,21 @@ def verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:
         for col, coeff in row.coeffs.items():
             combined[col] = combined.get(col, Fraction(0)) + mult * coeff
     return all(v == 0 for v in combined.values()) and rhs_total != 0
+
+
+def verify_assignment(system: LinearSystem, table: PaymentTable) -> bool:
+    """Exact re-check: the assignment satisfies every row.
+
+    A variable missing from the table is a failure, not a zero.
+    """
+    try:
+        values = [table.value(m) for m in system.variables]
+    except PaymentLookupError:
+        return False
+    return all(
+        sum(coeff * values[col] for col, coeff in row.coeffs.items()) == row.rhs
+        for row in system.rows
+    )
 
 
 # --- JSON encoding -----------------------------------------------------

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from imbalance import (
+    BidMultiset,
+    Feasible,
+    PaymentTable,
     bid_vector_from_json,
     build_balance_system,
     certificate_from_json,
@@ -16,6 +19,7 @@ from imbalance import (
     verify_certificate,
     vickrey_witness_set,
 )
+from imbalance import cli
 from imbalance.cli import main
 
 
@@ -188,6 +192,14 @@ class TestSolveSystem:
         path = write_json(tmp_path / "sys.json", {"rows": []})
         assert main(["solve-system", "--system", path]) == 2
 
+    def test_violating_assignment_is_a_solver_bug(self, tmp_path, monkeypatch, capsys):
+        obj = {"variables": [["1"]], "rows": [{"coeffs": {"0": "2"}, "rhs": "1"}]}
+        path = write_json(tmp_path / "sys.json", obj)
+        wrong = Feasible(PaymentTable({BidMultiset.of([1]): Fraction(1)}))
+        monkeypatch.setattr(cli, "solve_or_refute", lambda system: wrong)
+        with pytest.raises(AssertionError, match="violates a row"):
+            main(["solve-system", "--system", path])
+        assert capsys.readouterr().out == ""
 
 
 _INPUT_FLAG = {"eval": "--bids", "check-balance": "--witness", "solve-system": "--system"}

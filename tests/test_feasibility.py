@@ -14,6 +14,7 @@ from imbalance import (
     Infeasible,
     LinearRow,
     LinearSystem,
+    PaymentTable,
     bag_of,
     build_balance_system,
     certificate_from_json,
@@ -24,6 +25,7 @@ from imbalance import (
     solve_or_refute,
     system_from_json,
     system_to_json,
+    verify_assignment,
     verify_certificate,
     vickrey_vectors,
     vickrey_witness_set,
@@ -131,6 +133,24 @@ class TestVerifyCertificate:
         system = build_balance_system(vickrey_witness_set(1), NEG2)
         with pytest.raises(ValueError, match="mismatch"):
             verify_certificate(system, Certificate((Fraction(1),)))
+
+
+class TestVerifyAssignment:
+    def setup_method(self):
+        self.system = build_balance_system(vickrey_witness_set(2), get_rule("constant:5/2"))
+        self.values = dict(solve_or_refute(self.system).assignment.items())
+
+    def test_solver_assignment_accepted(self):
+        assert verify_assignment(self.system, PaymentTable(self.values))
+
+    def test_perturbed_value_rejected(self):
+        key = next(iter(self.values))
+        self.values[key] += Fraction(1, 7)
+        assert not verify_assignment(self.system, PaymentTable(self.values))
+
+    def test_missing_key_rejected(self):
+        del self.values[next(iter(self.values))]
+        assert not verify_assignment(self.system, PaymentTable(self.values))
 
 
 class TestSoundness:
