@@ -24,7 +24,7 @@ equations.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,13 +33,11 @@ from typing import Iterable
 from .bids import (
     BidMultiset,
     BidVector,
-    bag_of,
     bid_vector_from_json,
     bid_vector_to_json,
     canonical_id,
     multiset_from_json,
     multiset_to_json,
-    remove,
 )
 from .payments import PaymentLookupError, PaymentTable
 from .rationals import ensure_rational, format_rational
@@ -86,34 +84,53 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     The coefficient of P(m) in the row for b is the number of bidders i
     with bag(b - i) = m; the right-hand side is rule(b).  Variables are
     the distinct deletion multisets in canonical order, rows follow the
-    canonical vector order.
+    canonical vector order; equal vectors give one row, built from the
+    first one given.
+
+    Rank invariant: the distinct bids, keyed by (numerator, denominator),
+    are sorted once, and each bid is replaced by its position in that
+    order.  Ranks are injective and order-preserving, so a tuple of
+    ranks compares and hashes exactly as the tuple of bids it stands for:
+    (bidder, rank) pairs order vectors like ``BidVector.entries``, and
+    (size, ranks) orders multisets like ``BidMultiset.canonical_key``.
+    The build works on those integer keys, and builds one ``BidMultiset``
+    per variable at the end.
     """
-    vecs = sorted(set(vectors), key=lambda b: b.entries)
-    raw = []
-    seen: set[BidMultiset] = set()
+    vecs = list(vectors)
+    bids = {(v.numerator, v.denominator): v for vec in vecs for _, v in vec.entries}
+    values = sorted(bids.values())
+    rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
+    first: dict[tuple[tuple[int, int], ...], BidVector] = {}
     for vec in vecs:
+        first.setdefault(
+            tuple((i, rank[v.numerator, v.denominator]) for i, v in vec.entries), vec
+        )
+    raw = []
+    seen: set[tuple[int, ...]] = set()
+    for key in sorted(first):
+        vec = first[key]
         try:
             rhs = rule(vec)
         except (RuleArityError, RuleDomainError) as exc:
             raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
-        counts: dict[BidMultiset, int] = {}
-        for i in vec.dom:
-            m = bag_of(remove(vec, {i}))
-            counts[m] = counts.get(m, 0) + 1
+        ranks = sorted(r for _, r in key)
+        counts: dict[tuple[int, ...], int] = {}
+        for r, c in Counter(ranks).items():
+            j = ranks.index(r)
+            counts[tuple(ranks[:j] + ranks[j + 1:])] = c
         seen.update(counts)
         raw.append((vec, counts, rhs))
-    variables = tuple(sorted(seen, key=lambda m: m.canonical_key()))
-    index = {m: k for k, m in enumerate(variables)}
+    order = sorted(seen, key=lambda m: (len(m), m))
+    index = {m: k for k, m in enumerate(order)}
     rows = [
         LinearRow(
-            coeffs={index[m]: Fraction(c) for m, c in sorted(
-                counts.items(), key=lambda kv: index[kv[0]]
-            )},
+            coeffs=dict(sorted((index[m], Fraction(c)) for m, c in counts.items())),
             rhs=rhs,
             origin=vec,
         )
         for vec, counts, rhs in raw
     ]
+    variables = tuple(BidMultiset(tuple(values[r] for r in m)) for m in order)
     return LinearSystem(variables=variables, rows=rows)
 
 

@@ -20,13 +20,18 @@ from imbalance import (
     flat,
     forced_payment,
     forced_payment_sum,
+    fresh_bidders,
     get_rule,
     has_full_family_structure,
     is_adequate,
+    register_external,
     solve_or_refute,
+    verify_assignment,
+    verify_certificate,
     Feasible,
     Infeasible,
     LinearRow,
+    LinearSystem,
 )
 
 NEG2 = get_rule("neg-second-price")
@@ -160,6 +165,43 @@ class TestForcedPayment:
             LinearRow(coeffs={idx: Fraction(1)}, rhs=want + 1, origin=vec({}))
         )
         assert isinstance(solve_or_refute(pinned), Infeasible)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(st.integers(0, 6), rationals, max_size=3),
+        st.fractions(min_value=-10, max_value=10, max_denominator=8),
+        st.sampled_from(["neg-second-price", "second-price", "neg-first-price", "first-price",
+                         "constant:0", "constant:7/3", "external"]),
+        rationals,
+    )
+    def test_forced_value_matches_elimination(self, mapping, offset, name, constant):
+        # the value forced_payment reads off the closed form is the one value of
+        # P(bag(base) + {fill}) that the adequate set's own balance system admits
+        base = vec(mapping)
+        i1, i2 = fresh_bidders(base)
+        if name == "external" or name.startswith("constant:"):
+            fill = max(base.values(), default=Fraction(0)) + offset
+        else:  # a price rule is flat-invariant on the adequate set when fill tops the base
+            fill = max(base.values(), default=Fraction(0)) + abs(offset)
+        if name == "external":
+            members = build_adequate_set(base, fill, NEG2, i1, i2).members
+            rule = register_external("flat", {m: constant for m in members})
+        else:
+            rule = get_rule(name)
+        forced = forced_payment(base, fill, rule, i1, i2)
+        system = build_balance_system(build_adequate_set(base, fill, rule, i1, i2).members, rule)
+        target = system.variables.index(bag_of(base) + bag(fill))
+        for value, verdict in ((forced, Feasible), (forced + 1, Infeasible)):
+            pinned = LinearSystem(
+                system.variables,
+                system.rows + [LinearRow(coeffs={target: Fraction(1)}, rhs=value, origin=vec({}))],
+            )
+            result = solve_or_refute(pinned)
+            assert isinstance(result, verdict)
+            if verdict is Feasible:
+                assert verify_assignment(pinned, result.assignment)
+            else:
+                assert verify_certificate(pinned, result.certificate)
 
     @settings(max_examples=40)
     @given(
