@@ -18,6 +18,9 @@ operators the verification pipeline is assembled from:
 * ``full_family`` - one completion per sub-multiset of the vector's bag,
 * ``extend`` - union of a fixed set of pairs with each member of a family.
 
+``ParseMemo`` holds what one input file's texts parse to, so each distinct
+bidder key and bid text in a file is parsed once.
+
 Everything is immutable and enumerations come back in deterministic order,
 so downstream artifacts (witness files, reports) are reproducible byte for
 byte.  Sub-multiset enumeration is exponential in the number of entries;
@@ -217,39 +220,65 @@ def restrictions(vector: BidVector, multiset: BidMultiset) -> list[BidVector]:
     return out
 
 
+def _bid_groups(entries) -> dict[Fraction, list[int]]:
+    """Each distinct bid of ``entries`` with the positions holding it, in
+    bidder-id order."""
+    groups: dict[Fraction, list[int]] = {}
+    for pos, (_, v) in enumerate(entries):
+        groups.setdefault(v, []).append(pos)
+    return groups
+
+
+def _keep_first_holders(ids, bids, groups, counts, fill: Fraction) -> BidVector:
+    """Keep the first ``count`` positions of each group, fill the rest.
+
+    ``ids`` and ``bids`` are a vector's entries split into two tuples.
+    ``groups`` and ``counts`` are parallel: the positions holding one bid,
+    in bidder-id order, and how many of them to keep.  Keeping the first
+    holders of each bid gives the lexicographically smallest restriction
+    with those counts.
+    """
+    values = [fill] * len(ids)
+    for positions, count in zip(groups, counts):
+        for pos in positions[:count]:
+            values[pos] = bids[pos]
+    return BidVector(tuple(zip(ids, values)))
+
+
 def completion(vector: BidVector, multiset: BidMultiset, fill) -> BidVector:
     """Canonical completion: keep the first restriction, fill the rest.
 
     Same domain as ``vector``; agrees with the lexicographically smallest
     restriction realizing ``multiset`` and is constantly ``fill`` on the
     remaining bidders.  That restriction keeps, for each value, its first
-    ``count`` holders in bidder-id order, so it is built in one scan.
+    ``count`` holders in bidder-id order.
     """
-    remaining = multiset.counts()
-    keep = []
-    for _, v in vector.entries:
-        kept = remaining.get(v, 0) > 0
-        if kept:
-            remaining[v] -= 1
-        keep.append(kept)
-    if any(remaining.values()):
+    groups = _bid_groups(vector.entries)
+    counts = multiset.counts()
+    if any(c > len(groups.get(v, ())) for v, c in counts.items()):
         raise ValueError(f"not a sub-multiset: {multiset!r} of {bag_of(vector)!r}")
-    fill_bid = ensure_rational(fill)
-    return BidVector(
-        tuple((i, v if k else fill_bid) for (i, v), k in zip(vector.entries, keep))
-    )
+    return _keep_first_holders(tuple(vector), vector.values(), [groups[v] for v in counts],
+                               counts.values(), ensure_rational(fill))
 
 
 def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
     """The canonical full family: one ``fill``-completion of ``vector`` per
     sub-multiset of its bag.
 
-    Distinct sub-multisets yield the same vector when ``fill`` already
-    occurs among the base bids, so the family can have fewer members than
-    the bag has sub-multisets.
+    A sub-multiset is a tuple of counts, one per distinct bid, and its
+    completion keeps the first holders of each bid.  A holder of a bid
+    equal to ``fill`` reads the same kept or filled, so the counts of that
+    bid all give the same member: only the other bids' counts are
+    enumerated, and each count tuple gives a distinct member.  The family
+    can therefore have fewer members than the bag has sub-multisets.
     """
     fill_bid = ensure_rational(fill)
-    return frozenset(completion(vector, m, fill_bid) for m in sub_multisets(bag_of(vector)))
+    ids, bids = tuple(vector), vector.values()
+    varying = [g for v, g in _bid_groups(vector.entries).items() if v != fill_bid]
+    return frozenset(
+        _keep_first_holders(ids, bids, varying, counts, fill_bid)
+        for counts in itertools.product(*(range(len(g) + 1) for g in varying))
+    )
 
 
 def extend(pairs: BidVector, family: Iterable[BidVector]) -> frozenset[BidVector]:
@@ -257,11 +286,12 @@ def extend(pairs: BidVector, family: Iterable[BidVector]) -> frozenset[BidVector
 
     Domains must be disjoint so every union is again a function.
     """
+    taken = pairs.dom
     out = []
     for member in family:
-        clash = pairs.dom & member.dom
+        clash = [i for i, _ in member.entries if i in taken]
         if clash:
-            raise ValueError(f"domain clash on bidders {sorted(clash)}")
+            raise ValueError(f"domain clash on bidders {clash}")
         out.append(BidVector(tuple(sorted(pairs.entries + member.entries))))
     return frozenset(out)
 
@@ -282,20 +312,57 @@ def canonical_id(key: str, noun: str) -> int:
     return int(key)
 
 
-def bid_vector_from_json(obj) -> BidVector:
+class ParseMemo:
+    """What the texts of one input file parse to, each distinct text once.
+
+    Object keys (bidder ids, coefficient indices) and rational texts (bids,
+    coefficients, right-hand sides) live in separate tables, so a key never
+    answers for a text.  A key is stored only once ``canonical_id`` accepts
+    it, and its integer does not depend on the noun, so bidder ids and
+    coefficient indices can share a table.  Only ``str`` texts are stored:
+    any other JSON value goes through ``ensure_rational`` every time, which
+    keeps its exact error (``true`` would hit the slot of ``1``, and a list
+    cannot be hashed).  A failed parse raises and stores nothing.  A memo
+    serves one file; it is never shared across files.
+    """
+
+    def __init__(self):
+        self.keys: dict[str, int] = {}
+        self.texts: dict[str, Fraction] = {}
+
+    def key(self, key: str, noun: str) -> int:
+        value = self.keys.get(key)
+        if value is None:
+            value = self.keys[key] = canonical_id(key, noun)
+        return value
+
+    def rational(self, text) -> Fraction:
+        if not isinstance(text, str):
+            return ensure_rational(text)
+        value = self.texts.get(text)
+        if value is None:
+            value = self.texts[text] = ensure_rational(text)
+        return value
+
+
+def bid_vector_from_json(obj, memo: ParseMemo | None = None) -> BidVector:
+    """Parse ``{"bids": {"<id>": "<p/q>", ...}}``, with ``memo`` holding the
+    texts already parsed from the same file."""
     if not isinstance(obj, dict) or not isinstance(obj.get("bids"), dict):
         raise ValueError('bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}')
-    return BidVector.of({
-        canonical_id(key, "bidder ids"): ensure_rational(text)
-        for key, text in obj["bids"].items()
-    })
+    memo = ParseMemo() if memo is None else memo
+    entries = [(memo.key(key, "bidder ids"), memo.rational(text))
+               for key, text in obj["bids"].items()]
+    entries.sort()  # canonical ids are distinct, so only ids are compared
+    return BidVector(tuple(entries))
 
 
 def multiset_to_json(multiset: BidMultiset) -> list[str]:
     return [format_rational(v) for v in multiset.values]
 
 
-def multiset_from_json(obj) -> BidMultiset:
+def multiset_from_json(obj, memo: ParseMemo | None = None) -> BidMultiset:
     if not isinstance(obj, list):
         raise ValueError("multiset JSON must be an array of 'p/q' strings")
-    return BidMultiset.of(obj)
+    memo = ParseMemo() if memo is None else memo
+    return BidMultiset(tuple(sorted(memo.rational(v) for v in obj)))

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .bids import BidVector, bid_vector_from_json
+from .bids import BidVector, ParseMemo, bid_vector_from_json
 from .feasibility import (
     Feasible,
     LinearSystem,
@@ -62,8 +62,7 @@ def _max_dom() -> int:
     return cap
 
 
-def _check_dom(size: int, what: str) -> None:
-    cap = _max_dom()
+def _check_dom(size: int, what: str, cap: int) -> None:
     if size > cap:
         raise _UsageError(
             f"{what} has {size} bidders, above the IMBALANCE_MAX_DOM cap of {cap}"
@@ -91,20 +90,27 @@ def _load_json(path: str):
         raise _UsageError(f"invalid JSON in {path}: {exc}")
 
 
-def _parse_bid_vector(obj, path: str) -> BidVector:
+def _parse_bid_vector(obj, path: str, memo: ParseMemo) -> BidVector:
     try:
-        vector = bid_vector_from_json(obj)
+        return bid_vector_from_json(obj, memo)
     except (ValueError, TypeError) as exc:  # TypeError: a bid neither string nor integer
         raise _UsageError(f"bad bid vector in {path}: {exc}")
-    _check_dom(len(vector), f"bid vector in {path}")
-    return vector
 
 
 def _load_witness(path: str) -> list[BidVector]:
     obj = _load_json(path)
     if not isinstance(obj, list):
         raise _UsageError(f"witness file {path} must be a JSON array of bid vectors")
-    return [_parse_bid_vector(entry, path) for entry in obj]
+    memo = ParseMemo()
+    vectors = []
+    cap = None
+    for entry in obj:
+        vector = _parse_bid_vector(entry, path, memo)
+        if cap is None:  # read at the first vector, so an empty file never reads it
+            cap = _max_dom()
+        _check_dom(len(vector), f"bid vector in {path}", cap)
+        vectors.append(vector)
+    return vectors
 
 
 def _get_rule(name: str):
@@ -131,13 +137,14 @@ def _write_out(path: str | None, text: str) -> None:
 def _require_n(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError(f"--n must be a positive integer, got {args.n}")
-    _check_dom(args.n + 2, f"the instance for n={args.n}")
+    _check_dom(args.n + 2, f"the instance for n={args.n}", _max_dom())
     return args.n
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     rule = _get_rule(args.rule)
-    vector = _parse_bid_vector(_load_json(args.bids), args.bids)
+    vector = _parse_bid_vector(_load_json(args.bids), args.bids, ParseMemo())
+    _check_dom(len(vector), f"bid vector in {args.bids}", _max_dom())
     try:
         value = rule(vector)
     except (RuleArityError, RuleDomainError) as exc:

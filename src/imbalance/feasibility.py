@@ -33,9 +33,9 @@ from typing import Iterable
 from .bids import (
     BidMultiset,
     BidVector,
+    ParseMemo,
     bid_vector_from_json,
     bid_vector_to_json,
-    canonical_id,
     multiset_from_json,
     multiset_to_json,
 )
@@ -306,7 +306,8 @@ def system_to_json(system: LinearSystem) -> dict:
 def system_from_json(obj) -> LinearSystem:
     if not isinstance(obj, dict) or "variables" not in obj or "rows" not in obj:
         raise ValueError('linear system JSON must have "variables" and "rows"')
-    variables = tuple(multiset_from_json(m) for m in obj["variables"])
+    memo = ParseMemo()
+    variables = tuple(multiset_from_json(m, memo) for m in obj["variables"])
     if len(set(variables)) != len(variables):
         # one unknown per multiset: a repeated one would fold two columns into one
         raise ValueError("variables must be distinct multisets")
@@ -316,17 +317,17 @@ def system_from_json(obj) -> LinearSystem:
             raise ValueError('each row must be an object with "coeffs" and "rhs"')
         coeffs = {}
         for key, text in row["coeffs"].items():
-            col = canonical_id(key, "coefficient indices")
+            col = memo.key(key, "coefficient indices")
             if col >= len(variables):
                 raise ValueError(f"coefficient index {col} out of range")
-            value = ensure_rational(text)
+            value = memo.rational(text)
             if value:  # the solver reads a stored coefficient as nonzero
                 coeffs[col] = value
         rows.append(
             LinearRow(
                 coeffs=coeffs,
-                rhs=ensure_rational(row["rhs"]),
-                origin=bid_vector_from_json(row.get("origin", {"bids": {}})),
+                rhs=memo.rational(row["rhs"]),
+                origin=bid_vector_from_json(row.get("origin", {"bids": {}}), memo),
             )
         )
     return LinearSystem(variables=variables, rows=rows)

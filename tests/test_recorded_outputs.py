@@ -1,0 +1,57 @@
+"""Byte guard: CLI outputs must hash to what the benchmark recorded.
+
+``benchmarks/hashes.json`` holds the sha256 of every stdout and output
+file the benchmark workloads produce.  This test re-runs the smaller of
+those calls on witness files in canonical order (the order ``witness``
+writes) and requires the same hashes, so a change to any output byte
+fails here and not only in a benchmark run.  The file is read, never
+modified.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from imbalance.cli import main
+
+HASHES = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "hashes.json").read_text(encoding="utf-8")
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def default_cap(monkeypatch):
+    monkeypatch.delenv("IMBALANCE_MAX_DOM", raising=False)
+
+
+def run(argv, capsys, out: Path, code: int) -> dict[str, str]:
+    """Run one call; the hashes of its stdout and of the file it wrote."""
+    assert main(argv + ["--out", str(out)]) == code
+    return {"stdout": sha256(capsys.readouterr().out.encode("utf-8")),
+            "out": sha256(out.read_bytes())}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_witness_and_check_balance(n, tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    refute, control = HASHES["witness-refute"][f"k={n}"], HASHES["witness-control"][f"k={n}"]
+    got = run(["witness", "--n", str(n)], capsys, witness, 0)
+    assert got == {"stdout": refute["witness.stdout"], "out": refute["witness.out"]}
+    for rule, code, want in (("neg-second-price", 3, refute), ("constant:7/3", 0, control)):
+        got = run(["check-balance", "--witness", str(witness), "--rule", rule],
+                  capsys, tmp_path / "r.json", code)
+        assert got == {"stdout": want["check-balance.stdout"],
+                       "out": want["check-balance.out"]}, rule
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_theorem_trace(n, tmp_path, capsys):
+    want = HASHES["theorem-ladder"][f"n={n}"]
+    got = run(["theorem", "--n", str(n), "--trace"], capsys, tmp_path / "report.json", 0)
+    assert got == {"stdout": want["theorem.stdout"], "out": want["theorem.out"]}
