@@ -6,10 +6,11 @@ participants' bids.  Imposing the balance equation
     sum over i in dom(b) of P(bag(b - i))  =  rule(b)
 
 on a structured finite set of vectors pins P down on specific multisets.
-The structured sets are the *adequate sets*: take a full family of
-``fill``-completions of a base vector, adjoin two fresh bidders both
-bidding ``fill``, and require the rule to be flat-invariant on the result
-(it must equal its value on the all-``fill`` vector everywhere).  Balance
+The structured sets are the *adequate sets*: adjoin two fresh bidders
+bidding ``fill`` to a base vector, take the full family of
+``fill``-completions of that one vector (its fill-holders read ``fill`` in
+every member), and require the rule to be flat-invariant on the result (it
+must equal its value on the all-``fill`` vector everywhere).  Balance
 on such a set forces
 
     P(bag(base) + {fill})  =  rule(all-fill vector) / (2 + |dom(base)|),
@@ -23,7 +24,8 @@ independent oracle.
 
 from __future__ import annotations
 
-import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -31,8 +33,6 @@ from typing import Iterable, Mapping
 from .bids import (
     BidMultiset,
     BidVector,
-    bag_of,
-    extend,
     flat,
     full_family,
     multiset_to_json,
@@ -123,16 +123,19 @@ class IterationTrace:
 def build_adequate_set(
     base: BidVector, fill, rule: PriceRule, i1: int, i2: int
 ) -> AdequateSet:
-    """Adjoin fresh bidders i1, i2 at ``fill`` to the full completion family."""
+    """The full family of base + {i1: fill, i2: fill}: every fill-holder
+    reads ``fill`` in every member, so this is the family of ``base`` with
+    fresh bidders i1, i2 adjoined at ``fill``."""
     if i1 == i2 or i1 in base.dom or i2 in base.dom:
         raise ValueError(
             f"i1,i2 must be fresh and distinct: got {i1}, {i2} with base domain "
             f"{sorted(base.dom)}"
         )
     fill_bid = ensure_rational(fill)
-    members = extend(flat({i1, i2}, fill_bid), full_family(base, fill_bid))
+    holders = BidVector.of([*base.entries, (i1, fill_bid), (i2, fill_bid)])
+    members = full_family(holders, fill_bid)
     try:
-        invariant = check_flat_invariance(rule, members, base.dom | {i1, i2}, fill_bid)
+        invariant = check_flat_invariance(rule, members, holders.dom, fill_bid)
     except (RuleArityError, RuleDomainError):
         invariant = False
     return AdequateSet(
@@ -146,90 +149,37 @@ def build_adequate_set(
     )
 
 
-def _completions_realized(candidate: BidVector, base: BidVector, fill: Fraction):
-    """All sub-multisets m of bag(base) for which ``candidate`` is an
-    m-completion of ``base`` to ``fill``.
-
-    A vector can realize several m at once when ``fill`` occurs among the
-    base bids; it realizes none if it disagrees with both ``base`` and
-    ``fill`` somewhere.
-    """
-    if candidate.dom != base.dom:
-        return set()
-    forced: list[int] = []
-    optional: list[int] = []
-    for bidder in base.dom:
-        value = candidate[bidder]
-        if value == base[bidder]:
-            if value == fill:
-                optional.append(bidder)  # may count as kept or as filled
-            else:
-                forced.append(bidder)  # must be part of the kept restriction
-        elif value != fill:
-            return set()
-    realized = set()
-    for k in range(len(optional) + 1):
-        for chosen in itertools.combinations(optional, k):
-            kept = list(forced) + list(chosen)
-            realized.add(BidMultiset.of(base[i] for i in kept))
-    return realized
-
-
 def has_full_family_structure(
     members: Iterable[BidVector], base: BidVector, fill, i1: int, i2: int
 ) -> bool:
     """Whether ``members`` is exactly some full family extended by i1, i2.
 
-    Checks that each member carries ``fill`` on the fresh bidders, that
-    stripping those leaves vectors realizing sub-multisets of bag(base),
-    that every sub-multiset is realized, and that the members can be put
-    in one-to-one correspondence with (a subset of) the sub-multisets: a
-    set with more members than distinct roles cannot be a full family.
-    Meant for externally supplied sets, like ``is_adequate``.
+    A valid member reads ``fill`` on i1 and i2 and the base bid or
+    ``fill`` on each base bidder.  With K the bag of its kept non-fill
+    bids and c the number of base bids equal to ``fill``, it realizes the
+    sub-multisets K + {fill}^j of bag(base) for j = 0..c, so the matching
+    of members to sub-multiset roles splits into complete blocks of c + 1
+    roles, one per K.  Hence: every member valid, every K present (the
+    product of (multiplicity + 1) over non-fill base bids), and no K more
+    than c + 1 times.  Meant for externally supplied sets, like ``is_adequate``.
     """
-    member_list = sorted(set(members), key=lambda b: b.entries)
-    if not member_list:
-        return False
-    if i1 == i2 or i1 in base.dom or i2 in base.dom:
+    member_set = set(members)
+    if not member_set or i1 == i2 or i1 in base.dom or i2 in base.dom:
         return False
     fill_bid = ensure_rational(fill)
-    full_dom = base.dom | {i1, i2}
-    stripped = []
-    for member in member_list:
-        if member.dom != full_dom:
+    layout = dict(base.entries)
+    layout[i1] = layout[i2] = fill_bid
+    kept_bags: Counter[tuple[Fraction, ...]] = Counter()
+    for member in member_set:
+        if len(member) != len(layout) or any(
+            i not in layout or (v != fill_bid and v != layout[i]) for i, v in member.entries
+        ):
             return False
-        if member[i1] != fill_bid or member[i2] != fill_bid:
-            return False
-        stripped.append(remove(member, {i1, i2}))
-
-    targets = sub_multisets(bag_of(base))
-    index_of = {m: k for k, m in enumerate(targets)}
-    options = []
-    covered: set[int] = set()
-    for vec in stripped:
-        realized = _completions_realized(vec, base, fill_bid)
-        if not realized:
-            return False
-        slots = sorted(index_of[m] for m in realized)
-        options.append(slots)
-        covered.update(slots)
-    if len(covered) != len(targets):
-        return False
-
-    # Each member must play a distinct sub-multiset role (Kuhn matching).
-    assigned: dict[int, int] = {}
-
-    def assign(member_idx: int, seen: set[int]) -> bool:
-        for slot in options[member_idx]:
-            if slot in seen:
-                continue
-            seen.add(slot)
-            if slot not in assigned or assign(assigned[slot], seen):
-                assigned[slot] = member_idx
-                return True
-        return False
-
-    return all(assign(idx, set()) for idx in range(len(stripped)))
+        kept_bags[tuple(sorted(v for v in member.values() if v != fill_bid))] += 1
+    non_fill = Counter(v for v in base.values() if v != fill_bid)
+    roles_per_bag = len(base) - sum(non_fill.values()) + 1
+    return (len(kept_bags) == math.prod(m + 1 for m in non_fill.values())
+            and max(kept_bags.values()) <= roles_per_bag)
 
 
 def is_adequate(
@@ -263,8 +213,8 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
     offending member when flat-invariance fails.
     """
     adequate = build_adequate_set(base, fill, rule, i1, i2)
+    reference = flat(base.dom | {i1, i2}, adequate.fill)
     if not adequate.flat_invariant:
-        reference = flat(base.dom | {i1, i2}, adequate.fill)
         try:
             target = rule(reference)
             for member in sorted(adequate.members, key=lambda b: b.entries):
@@ -277,7 +227,6 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
         except (RuleArityError, RuleDomainError) as exc:
             raise AdequacyError(f"adequate-set hypotheses fail: {exc}") from exc
         raise AdequacyError("adequate-set hypotheses fail: rule not flat-invariant")
-    reference = flat(base.dom | {i1, i2}, adequate.fill)
     return rule(reference) / (2 + len(base))
 
 

@@ -104,12 +104,12 @@ def check_flat_invariance(
     Each vector must have domain exactly ``bidders``; the reference value
     is the rule applied to the constant vector at ``fill``.
     """
-    ids = frozenset(bidders)
+    order = tuple(sorted(frozenset(bidders)))
     vecs = list(vectors)
     for vec in vecs:
-        if vec.dom != ids:
+        if tuple(vec) != order:  # vector ids are sorted and distinct
             raise ValueError(
-                f"domain mismatch: expected bidders {sorted(ids)}, got {sorted(vec.dom)}"
+                f"domain mismatch: expected bidders {list(order)}, got {list(vec)}"
             )
-    target = rule(flat(ids, fill))
+    target = rule(flat(order, fill))
     return all(rule(vec) == target for vec in vecs)

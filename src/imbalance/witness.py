@@ -8,7 +8,8 @@ explicit set of bid vectors:
    such that exactly one of f, g changes value between the two vectors
    (``CounterexampleTriple`` / ``is_counterexample``);
 2. for each bidder and each vector, build the adequate set that forces
-   the payment on the corresponding deletion multiset;
+   the payment on the corresponding deletion multiset: the full family of
+   the vector with the bidder's bid set to its partner's, the fill;
 3. with every forced payment substituted, the residual
    f(vector) - (1/n) * sum of tagged rule values differs between the two
    vectors (``residual_check``), so balance cannot hold on both - the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .bids import BidVector, bid_vector_to_json, extend, flat, full_family, remove
+from .bids import BidVector, bid_vector_to_json, flat, full_family, remove
 from .payments import build_adequate_set
 from .rationals import format_rational
 from .rules import PriceRule, RuleArityError, RuleDomainError, get_rule
@@ -186,19 +187,19 @@ def vickrey_witness_set(n: int) -> frozenset[BidVector]:
     """The canonical finite set on which balance is already contradictory.
 
     For each of the two stock vectors and each bidder i with partner j(i)
-    named by ``default_selector``: the completion family of the vector
-    without i and j(i), filled at j(i)'s bid and extended by i and j(i)
-    at that bid.  Every non-top bidder is paired with the top bidder and
-    the top bidder with the runner-up.  The two stock vectors themselves
-    complete the set.  Duplicates merge under graph equality.
+    named by ``default_selector``: the full family, filled at j(i)'s bid,
+    of the vector with i's bid set to that fill, so i and j(i) read the
+    fill in every member.  Every non-top bidder is paired with the top
+    bidder and the top bidder with the runner-up.  The two stock vectors
+    themselves complete the set.  Duplicates merge under graph equality.
     """
     low, high = vickrey_vectors(n)
     out: set[BidVector] = {low, high}
     for vector in (low, high):
         for i, partner in default_selector(vector).items():
             fill = vector[partner]
-            family = full_family(remove(vector, {i, partner}), fill)
-            out |= extend(flat({i, partner}, fill), family)
+            holders = BidVector(tuple((b, fill if b == i else v) for b, v in vector.entries))
+            out |= full_family(holders, fill)
     return frozenset(out)
 
 

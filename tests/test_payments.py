@@ -17,10 +17,13 @@ from imbalance import (
     build_balance_system,
     build_payment_table,
     check_flat_invariance,
+    extend,
     flat,
     forced_payment,
+    format_rational,
     forced_payment_sum,
     fresh_bidders,
+    full_family,
     get_rule,
     has_full_family_structure,
     is_adequate,
@@ -35,6 +38,8 @@ from imbalance import (
 )
 
 NEG2 = get_rule("neg-second-price")
+# Few distinct bids, so repeats and fills equal to a base bid are common.
+FEW_BIDS = [Fraction(1), Fraction(2), Fraction(5, 2), Fraction(4)]
 
 
 def vec(mapping):
@@ -90,6 +95,30 @@ class TestBuildAdequateSet:
         # the member keeping both breaks flat-invariance
         aset = build_adequate_set(vec({3: 9, 4: 9}), 4, NEG2, 1, 2)
         assert not aset.flat_invariant
+
+    @settings(max_examples=80)
+    @given(
+        st.dictionaries(st.integers(0, 6), st.sampled_from(FEW_BIDS), max_size=4),
+        st.sampled_from(FEW_BIDS + [Fraction(7, 3)]),
+        st.sampled_from(["Fraction", "str", "int"]),
+        st.sampled_from([(7, 8), (8, 7), (10, 30)]),
+    )
+    def test_members_are_the_base_family_with_the_fill_holders_adjoined(
+        self, mapping, fill, spelling, ids
+    ):
+        # one vector's family, built with i1 and i2 at the fill, is the base's
+        # family with them adjoined: repeated bids, a fill equal to a base bid,
+        # an empty base, and the fill as int, str or Fraction
+        base = vec(mapping)
+        if spelling == "str":
+            given_fill = format_rational(fill)
+        elif spelling == "int" and fill.denominator == 1:
+            given_fill = int(fill)
+        else:
+            given_fill = fill
+        i1, i2 = ids
+        members = build_adequate_set(base, given_fill, NEG2, i1, i2).members
+        assert members == extend(flat({i1, i2}, fill), full_family(base, fill))
 
 
 class TestIsAdequate:

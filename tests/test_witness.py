@@ -227,7 +227,7 @@ class TestVerifyImbalance:
             assert NEG2(vector) - paid == want
 
     def test_witness_set_matches_canonical_construction(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5, 6):
             triple, j_low, j_high = vickrey_instance(n)
             report = verify_imbalance(NEG2, triple, j_low, j_high)
             assert report.witness_set == vickrey_witness_set(n)
