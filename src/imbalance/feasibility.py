@@ -13,9 +13,14 @@ rational multipliers that anyone can re-check independently of the solver
 substituting it into every row (``verify_assignment``).
 
 The pivot for each column is the row with the lowest original index whose
-reduced entry there is nonzero.  That rule alone fixes the certificate and
-the assignment byte for byte, so changing it (for example to Markowitz
-pivoting) changes recorded outputs.
+reduced entry there is nonzero.  That row rule makes the pivot rows the
+greedy row basis (each row independent of all lower-index rows) for any
+column order, so columns are visited in ascending order of how many rows
+hold them, which keeps fill-in low (the column half of Markowitz 1957).
+The certificate is the unique combination on that basis before the first
+inconsistent row, and the assignment is the unique solution that is zero
+on every column in the span of lower-index columns; neither depends on
+the column order.
 
 This is the package's independent route to the imbalance results: it
 never looks at adequate sets or forced closed forms, only at the raw
@@ -145,33 +150,41 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     nonzero entry there, so only those rows are touched.  Each working row
     carries its expression as an integer combination of original rows; a
     pivot row's combination is dropped once its column is eliminated.
+    Columns are visited once, in ascending order of how many rows hold
+    them, ties going to the higher index.
 
     Pivot invariant: the pivot for a column is the live row with the
-    lowest original index whose reduced entry there is nonzero.  Row
-    scaling never changes which reduced entries are nonzero, so this rule
-    alone fixes the pivot set, and with it the certificate (the first
-    leftover row, by original index, reduced to 0 = nonzero, scaled so the
-    combined right-hand side is 1) and the assignment.  Changing the rule
-    changes those bytes.
+    lowest original index whose reduced entry there is nonzero.  Every
+    update subtracts a pivot row from higher-index rows only, so a row
+    ends empty exactly when it lies in the span of lower-index rows, and
+    the pivot rows are the greedy row basis whatever the column order.
+    The certificate (the first leftover row, by original index, reduced to
+    0 = nonzero, scaled so the combined right-hand side is 1) is the unique
+    combination of that row with the basis rows below it.  The assignment
+    is the unique solution that is zero on every column in the span of
+    lower-index columns.  When each column holding an entry gets a pivot,
+    back-substitution gives it directly; otherwise one canonical step
+    shifts the back-substituted solution by null vectors onto it.
     """
     coeffs: list[dict[int, int]] = []
     rhs: list[int] = []
     mults: list[dict[int, int]] = []
     col_rows: defaultdict[int, set[int]] = defaultdict(set)
     for idx, row in enumerate(system.rows):
-        scale = lcm(row.rhs.denominator, *(v.denominator for v in row.coeffs.values()))
-        ints = {c: v.numerator * (scale // v.denominator) for c, v in row.coeffs.items() if v}
+        scale, ints, row_rhs = _scaled(row)
         for c in ints:
             col_rows[c].add(idx)
         coeffs.append(ints)
-        rhs.append(row.rhs.numerator * (scale // row.rhs.denominator))
+        rhs.append(row_rhs)
         mults.append({idx: scale})
 
     pivots: list[tuple[int, dict[int, int], int]] = []
     pivot_rows: set[int] = set()
-    for col in range(len(system.variables)):
-        targets = col_rows.pop(col, None)
+    unpivoted: list[int] = []
+    for col in sorted(col_rows, key=lambda c: (len(col_rows[c]), -c)):
+        targets = col_rows.pop(col)
         if not targets:
+            unpivoted.append(col)
             continue
         piv = min(targets)
         targets.remove(piv)
@@ -233,56 +246,116 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
             )
             return Infeasible(Certificate(multipliers))
 
-    solution = {col: Fraction(0) for col in range(len(system.variables))}
+    solution = _back_substitute(pivots, {}, with_rhs=True)
+    if unpivoted:
+        # Shift onto the solution that is zero on every column in the span of
+        # lower-index columns: those columns are exactly the highest indices
+        # of an echelon basis of the null space, reduced on descending index.
+        basis: dict[int, dict[int, Fraction]] = {}
+        for free in unpivoted:
+            vec = _back_substitute(pivots, {free: Fraction(1)}, with_rhs=False)
+            while vec:
+                top = max(vec)
+                if top not in basis:
+                    basis[top] = {c: v / vec[top] for c, v in vec.items()}
+                    break
+                vec = _axpy(vec, -vec[top], basis[top])
+        for top in sorted(basis, reverse=True):
+            if top in solution:
+                solution = _axpy(solution, -solution[top], basis[top])
+    table = PaymentTable(
+        {var: solution.get(col, Fraction(0)) for col, var in enumerate(system.variables)}
+    )
+    return Feasible(table)
+
+
+def _back_substitute(
+    pivots: list[tuple[int, dict[int, int], int]], solution: dict[int, Fraction], with_rhs: bool
+) -> dict[int, Fraction]:
+    """Fill in each pivot column from its row, the last pivot first.
+
+    ``solution`` holds the values of the columns without a pivot; a column
+    missing from it is zero, and only nonzero values are stored.  Without
+    ``with_rhs`` every right-hand side reads as zero, so the result is a
+    null vector of the system.
+    """
     for col, p_coeffs, p_rhs in reversed(pivots):
-        num, den = p_rhs, 1  # the pivot row's residual num/den, over a common denominator
+        num, den = (p_rhs if with_rhs else 0), 1  # the residual num/den, over a common denominator
         for c, v in p_coeffs.items():
-            if c != col:
-                value = solution[c]
+            value = solution.get(c)  # None for col itself, which is not set yet
+            if value:
                 d = value.denominator
                 if den % d:
                     common = lcm(den, d)
                     num *= common // den
                     den = common
                 num -= v * value.numerator * (den // d)
-        solution[col] = Fraction(num, den * p_coeffs[col])
-    table = PaymentTable(
-        {system.variables[col]: value for col, value in solution.items()}
-    )
-    return Feasible(table)
+        if num:
+            solution[col] = Fraction(num, den * p_coeffs[col])
+    return solution
+
+
+def _axpy(vec: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> dict[int, Fraction]:
+    """``vec + factor * other`` on sparse vectors, keeping only nonzero entries."""
+    out = dict(vec)
+    for c, v in other.items():
+        new = out.get(c, 0) + factor * v
+        if new:
+            out[c] = new
+        else:
+            out.pop(c, None)
+    return out
 
 
 def verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:
-    """Exact re-check: multipliers combine rows to zero but the rhs to nonzero."""
+    """Exact re-check: multipliers combine rows to zero but the rhs to nonzero.
+
+    Works in integers: row r times its scale s (``_scaled``) with
+    multiplier p/q contributes p*(D/(q*s)) times its integer entries, where
+    D is the lcm of q*s over the nonzero multipliers.
+    """
     if len(certificate.multipliers) != len(system.rows):
         raise ValueError(
             f"multiplier count mismatch: {len(certificate.multipliers)} multipliers "
             f"for {len(system.rows)} rows"
         )
-    combined: dict[int, Fraction] = {}
-    rhs_total = Fraction(0)
-    for mult, row in zip(certificate.multipliers, system.rows):
-        if mult == 0:
-            continue
-        rhs_total += mult * row.rhs
-        for col, coeff in row.coeffs.items():
-            combined[col] = combined.get(col, Fraction(0)) + mult * coeff
-    return all(v == 0 for v in combined.values()) and rhs_total != 0
+    terms = [(mult, _scaled(row)) for mult, row in zip(certificate.multipliers, system.rows) if mult]
+    denom = lcm(*(mult.denominator * scale for mult, (scale, _, _) in terms))
+    combined: defaultdict[int, int] = defaultdict(int)
+    rhs_total = 0
+    for mult, (scale, ints, row_rhs) in terms:
+        factor = mult.numerator * (denom // (mult.denominator * scale))
+        rhs_total += factor * row_rhs
+        for col, v in ints.items():
+            combined[col] += factor * v
+    return not any(combined.values()) and rhs_total != 0
 
 
 def verify_assignment(system: LinearSystem, table: PaymentTable) -> bool:
     """Exact re-check: the assignment satisfies every row.
 
-    A variable missing from the table is a failure, not a zero.
+    A variable missing from the table is a failure, not a zero.  The
+    values are brought to one denominator D once, so row r times its
+    scale s holds exactly when its integer entries dotted with the
+    integer values equal its integer rhs times D.
     """
     try:
         values = [table.value(m) for m in system.variables]
     except PaymentLookupError:
         return False
+    denom = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (denom // v.denominator) for v in values]
     return all(
-        sum(coeff * values[col] for col, coeff in row.coeffs.items()) == row.rhs
-        for row in system.rows
+        sum(v * ints[col] for col, v in coeffs.items()) == row_rhs * denom
+        for _, coeffs, row_rhs in map(_scaled, system.rows)
     )
+
+
+def _scaled(row: LinearRow) -> tuple[int, dict[int, int], int]:
+    """The row times s, the lcm of its denominators: s, integer coefficients, integer rhs."""
+    scale = lcm(row.rhs.denominator, *(v.denominator for v in row.coeffs.values()))
+    ints = {c: v.numerator * (scale // v.denominator) for c, v in row.coeffs.items() if v}
+    return scale, ints, row.rhs.numerator * (scale // row.rhs.denominator)
 
 
 # --- JSON encoding -----------------------------------------------------

@@ -1,11 +1,15 @@
 """Differential test: the integer solver against the Fraction elimination it replaced.
 
-``reference_solve_or_refute`` is the previous ``solve_or_refute``, kept
-here unchanged as the reference.  Both use the same pivot rule (lowest
-original row index with a nonzero reduced entry), so every certificate
-and every assignment must be equal value for value, in the same order.
+``reference_solve_or_refute`` is an earlier ``solve_or_refute``, kept
+here unchanged as the reference.  It visits columns in variable order;
+the current solver visits them in ascending order of row count.  Both
+use the same row rule (lowest original row index with a nonzero reduced
+entry), which fixes the certificate and the assignment whatever the
+column order, so every certificate and every assignment must be equal
+value for value, in the same order.
 """
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -26,6 +30,7 @@ from imbalance import (
     solve_or_refute,
     vickrey_witness_set,
 )
+from test_build_reference import GRID_RULES, grid
 
 
 def reference_solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
@@ -136,7 +141,65 @@ def test_random_systems_match_reference(system):
     assert_same_result(system)
 
 
-@pytest.mark.parametrize("rule", ["neg-second-price", "constant:7/3"])
-@pytest.mark.parametrize("n", range(1, 7))
-def test_witness_systems_match_reference(n, rule):
-    assert_same_result(build_balance_system(vickrey_witness_set(n), get_rule(rule)))
+WITNESS_RULES = ["neg-second-price", "constant:7/3"]
+
+
+@pytest.mark.parametrize("vectors,rule", [
+    *(pytest.param(n, rule, id=f"{n}-{rule}") for n in range(1, 7) for rule in WITNESS_RULES),
+    # one seeded 20-bit grid per bidder count, as in test_build_reference
+    *(pytest.param((k, b), rule, id=f"grid{k}x{b}-{rule}")
+      for k, b in [(3, 6), (4, 5)] for rule in GRID_RULES),
+])
+def test_witness_systems_match_reference(vectors, rule):
+    vectors = vickrey_witness_set(vectors) if isinstance(vectors, int) else grid(*vectors, seed=0)
+    assert_same_result(build_balance_system(vectors, get_rule(rule)))
+
+
+def rank_deficient_system(n_vars, rows, rhs_values):
+    return LinearSystem(
+        variables=tuple(BidMultiset.of([k]) for k in range(n_vars)),
+        rows=[LinearRow({c: Fraction(v) for c, v in coeffs.items()}, Fraction(value),
+                        BidVector.of({}))
+              for coeffs, value in zip(rows, rhs_values)],
+    )
+
+
+def test_count_order_leaves_another_column_unpivoted():
+    """Columns 0 and 1 are equal and held by one row each; column 2 by both rows.
+
+    Variable order pivots column 0 and leaves column 1 without a pivot;
+    ascending row count with ties to the higher index pivots column 1 and
+    leaves column 0.  Zero on column 1 is the canonical choice: x = (2, 0, 1).
+    """
+    system = rank_deficient_system(3, [{0: 1, 1: 1, 2: 1}, {2: 1}], [3, 1])
+    result = solve_or_refute(system)
+    assert [v for _, v in result.assignment.items()] == [2, 0, 1]
+    assert_same_result(system)
+
+
+@pytest.mark.parametrize("system", [
+    # variable order leaves columns 3 and 4 free, the count order 1 and 2,
+    # whose two null vectors share their top column 4
+    rank_deficient_system(5, [{0: 1, 1: 1, 3: "2/3"}, {1: 1, 2: 2, 4: 1}, {0: 1, 1: 1, 2: 1},
+                              {2: -1, 3: "2/3"}],
+                          ["1/3", 2, "-1/2", "5/6"]),
+    # a repeated row, and column 1 half of column 0: the count order leaves column 0 free
+    rank_deficient_system(4, [{0: 3, 1: "3/2", 3: 1}, {2: 1, 3: -1},
+                              {0: 3, 1: "3/2", 3: 1}, {0: -2, 1: -1, 2: 5}],
+                          [1, "7/5", 1, 0]),
+], ids=["two-free", "repeated-row"])
+def test_rank_deficient_feasible_systems_match_reference(system):
+    assert isinstance(reference_solve_or_refute(system), Feasible)
+    assert_same_result(system)
+
+
+@pytest.mark.parametrize("rule", WITNESS_RULES)
+@pytest.mark.parametrize("n", range(4, 7))
+def test_witness_subsets_with_more_unknowns_than_rows_match_reference(n, rule):
+    """Seeded subsets of the witness: wide systems, so columns are left without a pivot."""
+    vectors = sorted(vickrey_witness_set(n), key=lambda v: v.entries)
+    rng = random.Random(f"subset:{n}")
+    for _ in range(3):
+        system = build_balance_system(rng.sample(vectors, len(vectors) // 3), get_rule(rule))
+        assert len(system.variables) > len(system.rows)
+        assert_same_result(system)
