@@ -199,18 +199,27 @@ def _decide(system: LinearSystem) -> tuple[int, dict]:
     A FEASIBLE assignment that violates a row is a solver bug and raises;
     an INFEASIBLE certificate's re-check is printed on the verdict line.
     Returns the exit code and the result document, which holds the status
-    and either the assignment or the certificate.
+    and either the assignment or the certificate.  The document is built
+    before the verdict is printed, so a result that cannot be written
+    prints nothing.
     """
     result = solve_or_refute(system)
     if isinstance(result, Feasible):
         if not verify_assignment(system, result.assignment):
             raise AssertionError("elimination returned an assignment that violates a row")
-        print("FEASIBLE")
-        return EXIT_OK, {"status": "FEASIBLE", "assignment": result.assignment.to_json()}
-    verified = verify_certificate(system, result.certificate)
-    print(f"INFEASIBLE certificate-verified={str(verified).lower()}")
-    return EXIT_FINDING, {"status": "INFEASIBLE",
-                          "certificate": certificate_to_json(result.certificate)}
+        code, verdict = EXIT_OK, "FEASIBLE"
+    else:
+        verified = verify_certificate(system, result.certificate)
+        code, verdict = EXIT_FINDING, f"INFEASIBLE certificate-verified={str(verified).lower()}"
+    try:
+        if code == EXIT_OK:
+            document = {"status": "FEASIBLE", "assignment": result.assignment.to_json()}
+        else:
+            document = {"status": "INFEASIBLE", "certificate": certificate_to_json(result.certificate)}
+    except ValueError as exc:  # an integer past the interpreter's string conversion limit
+        raise _UsageError(f"cannot write the result: {exc}")
+    print(verdict)
+    return code, document
 
 
 def cmd_check_balance(args: argparse.Namespace) -> int:

@@ -4,23 +4,24 @@ Given any finite set of bid vectors, imposing the balance equation on each
 one yields a linear system over the unknown symmetric payments P(m), one
 unknown per deletion multiset.  This module builds that system and
 decides it by exact, fraction-free Gaussian elimination over Python
-integers (Bareiss 1968): each row is scaled once to integer entries, and
-a column index keeps elimination to the rows that have an entry in the
-pivot column.  When the system is infeasible the solver produces a
-combination of rows summing to the contradiction 0 = 1: a list of
-rational multipliers that anyone can re-check independently of the solver
-(``verify_certificate``).  A feasible assignment is re-checked by
-substituting it into every row (``verify_assignment``).
+integers (Bareiss 1968): each row is scaled once to integer entries and
+reduced against the pivot rows before it.  When the system is infeasible
+the solver produces a combination of rows summing to the contradiction
+0 = 1: a list of rational multipliers that anyone can re-check
+independently of the solver (``verify_certificate``).  A feasible
+assignment is re-checked by substituting it into every row
+(``verify_assignment``).
 
-The pivot for each column is the row with the lowest original index whose
-reduced entry there is nonzero.  That row rule makes the pivot rows the
-greedy row basis (each row independent of all lower-index rows) for any
-column order, so columns are visited in ascending order of how many rows
-hold them, which keeps fill-in low (the column half of Markowitz 1957).
-The certificate is the unique combination on that basis before the first
-inconsistent row, and the assignment is the unique solution that is zero
-on every column in the span of lower-index columns; neither depends on
-the column order.
+Rows are eliminated in their original order, so each pivot row is
+independent of all rows before it: the pivot rows are the greedy row
+basis, whichever column each one pivots on.  The first row that reduces
+to 0 = nonzero ends the solve: no later row is scaled or reduced.  The
+certificate is the unique combination of that row with the basis rows
+before it, rebuilt from the recorded elimination steps; the assignment
+is the unique solution that is zero on every column in the span of
+lower-index columns.  Neither depends on the pivot columns, so the
+choice of column (the one held by the fewest original rows) changes
+only the work, never the bytes.
 
 This is the package's independent route to the imbalance results: it
 never looks at adequate sets or forced closed forms, only at the raw
@@ -32,6 +33,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable
 
@@ -142,111 +144,87 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
 def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     """Decide the system exactly; free variables are fixed to zero.
 
-    Fraction-free elimination over ``int``: each row is scaled once by the
-    lcm of the denominators of its coefficients and right-hand side, then
-    updated as ``(a/g)*row - (f/g)*pivot`` (``a`` the pivot entry, ``f``
-    the row's entry, ``g`` their gcd) and divided by the gcd of all its
-    integers.  A column index maps each variable to the live rows with a
-    nonzero entry there, so only those rows are touched.  Each working row
-    carries its expression as an integer combination of original rows; a
-    pivot row's combination is dropped once its column is eliminated.
-    Columns are visited once, in ascending order of how many rows hold
-    them, ties going to the higher index.
+    Fraction-free elimination over ``int``, one row at a time in original
+    index order.  Each row is scaled once by the lcm of the denominators
+    of its coefficients and right-hand side (``_scaled``), then reduced
+    against the pivot rows accepted before it, in the order they were
+    accepted.  Each step is ``(a/g)*row - (f/g)*pivot`` (``a`` the pivot
+    entry, ``f`` the row's entry, ``g`` their gcd), divided by the content
+    (the gcd of all the row's integers), and is recorded as
+    ``(pivot number, a/g, f/g, content)``.  A pivot row is zero only at
+    the pivot columns accepted before it, so reducing by pivot p adds
+    entries at later pivots' columns only; a heap of the pivot numbers
+    the row holds applies them in order.  A row with entries left becomes
+    a pivot row on the column held by the fewest original rows, ties to
+    the higher index, so few later rows need that pivot; a row reduced to
+    0 = 0 is dropped.  Counting the holders reads every row's column
+    indices, and nothing else of a row before its turn.
 
-    Pivot invariant: the pivot for a column is the live row with the
-    lowest original index whose reduced entry there is nonzero.  Every
-    update subtracts a pivot row from higher-index rows only, so a row
-    ends empty exactly when it lies in the span of lower-index rows, and
-    the pivot rows are the greedy row basis whatever the column order.
-    The certificate (the first leftover row, by original index, reduced to
-    0 = nonzero, scaled so the combined right-hand side is 1) is the unique
-    combination of that row with the basis rows below it.  The assignment
-    is the unique solution that is zero on every column in the span of
-    lower-index columns.  When each column holding an entry gets a pivot,
-    back-substitution gives it directly; otherwise one canonical step
-    shifts the back-substituted solution by null vectors onto it.
+    Row invariant: a row reduces to nothing exactly when it lies in the
+    span of the rows before it, so the pivot rows are the greedy row basis
+    (each row independent of all lower-index rows), whichever column each
+    one pivots on.  The first row reduced to 0 = nonzero is the certificate
+    row, and the solve stops there: no later row is scaled or reduced.  The
+    certificate is the unique combination of that row with the basis rows
+    below it whose right-hand sides sum to 1; ``_certificate`` rebuilds it
+    from the recorded steps.  The assignment is the unique solution that
+    is zero on every column in the span of lower-index columns.  Both are
+    fixed by the system alone, so the pivot columns change only the work,
+    never the bytes.  When each column holding an entry gets a pivot,
+    back-substitution gives the assignment directly; otherwise one
+    canonical step shifts the back-substituted solution by null vectors
+    onto it.
     """
-    coeffs: list[dict[int, int]] = []
-    rhs: list[int] = []
-    mults: list[dict[int, int]] = []
-    col_rows: defaultdict[int, set[int]] = defaultdict(set)
+    pivots: list[tuple[int, dict[int, int], int]] = []
+    pivot_of: dict[int, int] = {}  # column -> number of the pivot row on it
+    reduced: list[tuple[int, int, list[tuple[int, int, int, int]]]] = []  # per pivot: row, scale, steps
+    held = Counter(c for row in system.rows for c in row.coeffs)  # column -> rows holding it
     for idx, row in enumerate(system.rows):
         scale, ints, row_rhs = _scaled(row)
-        for c in ints:
-            col_rows[c].add(idx)
-        coeffs.append(ints)
-        rhs.append(row_rhs)
-        mults.append({idx: scale})
-
-    pivots: list[tuple[int, dict[int, int], int]] = []
-    pivot_rows: set[int] = set()
-    unpivoted: list[int] = []
-    for col in sorted(col_rows, key=lambda c: (len(col_rows[c]), -c)):
-        targets = col_rows.pop(col)
-        if not targets:
-            unpivoted.append(col)
-            continue
-        piv = min(targets)
-        targets.remove(piv)
-        p_coeffs, p_rhs, p_mults = coeffs[piv], rhs[piv], mults[piv]
-        for c in p_coeffs:
-            if c != col:
-                col_rows[c].discard(piv)
-        a = p_coeffs[col]
-        for r in targets:
-            row, row_mults = coeffs[r], mults[r]
-            f = row[col]
+        steps: list[tuple[int, int, int, int]] = []
+        queue = [pivot_of[c] for c in ints if c in pivot_of]
+        heapify(queue)
+        while queue:
+            p = heappop(queue)
+            col, p_coeffs, p_rhs = pivots[p]
+            f = ints.get(col)
+            if f is None:  # cancelled, or eliminated under an earlier push of p
+                continue
+            a = p_coeffs[col]
             g = gcd(a, f)
             ap, fp = a // g, f // g
             if ap != 1:
-                for c in row:
-                    row[c] *= ap
-                for c in row_mults:
-                    row_mults[c] *= ap
-            del row[col]
+                for c in ints:
+                    ints[c] *= ap
+            del ints[col]
             for c, v in p_coeffs.items():
                 if c == col:
                     continue
-                new = row.get(c, 0) - fp * v
+                new = ints.get(c, 0) - fp * v
                 if new:
-                    if c not in row:
-                        col_rows[c].add(r)
-                    row[c] = new
-                elif c in row:
-                    del row[c]
-                    col_rows[c].discard(r)
-            for c, v in p_mults.items():
-                new = row_mults.get(c, 0) - fp * v
-                if new:
-                    row_mults[c] = new
-                else:
-                    row_mults.pop(c, None)
-            row_rhs = ap * rhs[r] - fp * p_rhs
-            content = gcd(row_rhs, *row.values(), *row_mults.values())
-            if content != 1:
-                for c in row:
-                    row[c] //= content
-                for c in row_mults:
-                    row_mults[c] //= content
+                    if c not in ints and c in pivot_of:
+                        heappush(queue, pivot_of[c])
+                    ints[c] = new
+                elif c in ints:
+                    del ints[c]
+            row_rhs = ap * row_rhs - fp * p_rhs
+            content = gcd(row_rhs, *ints.values())
+            if content > 1:
+                for c in ints:
+                    ints[c] //= content
                 row_rhs //= content
-            rhs[r] = row_rhs
-        mults[piv] = {}  # no later step reads a pivot row's combination
-        pivot_rows.add(piv)
-        pivots.append((col, p_coeffs, p_rhs))
-
-    for idx in range(len(system.rows)):
-        if idx in pivot_rows:
-            continue
-        if coeffs[idx]:
-            raise AssertionError("elimination left a nonempty row")
-        if rhs[idx] != 0:
-            row_mults, row_rhs = mults[idx], rhs[idx]
-            multipliers = tuple(
-                Fraction(row_mults.get(r, 0), row_rhs) for r in range(len(system.rows))
-            )
-            return Infeasible(Certificate(multipliers))
+            steps.append((p, ap, fp, content))
+        if ints:
+            col = min(ints, key=lambda c: (held[c], -c))
+            pivot_of[col] = len(pivots)
+            pivots.append((col, ints, row_rhs))
+            reduced.append((idx, scale, steps))
+        elif row_rhs:
+            reduced.append((idx, scale, steps))
+            return Infeasible(_certificate(len(system.rows), reduced, row_rhs))
 
     solution = _back_substitute(pivots, {}, with_rhs=True)
+    unpivoted = [c for c in held if c not in pivot_of]
     if unpivoted:
         # Shift onto the solution that is zero on every column in the span of
         # lower-index columns: those columns are exactly the highest indices
@@ -267,6 +245,51 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
         {var: solution.get(col, Fraction(0)) for col, var in enumerate(system.variables)}
     )
     return Feasible(table)
+
+
+def _certificate(
+    n_rows: int, reduced: list[tuple[int, int, list[tuple[int, int, int, int]]]], row_rhs: int
+) -> Certificate:
+    """Multipliers from the recorded steps of each pivot row, then of the certificate row.
+
+    ``reduced[p]`` holds the original index, the scale and the steps of
+    pivot row p; the last entry is the certificate row, reduced to
+    0 = ``row_rhs``.  A step ``(p, ap, fp, content)`` made its row
+    ``(ap*row - fp*pivot_p) / content``, so weight w on its result is
+    weight w*ap/content on the row before it and -w*fp/content on pivot
+    row p.  A pivot row comes before every row reduced by it, so one pass
+    in descending row index settles each row's weight before its own steps
+    are undone.  The weights are integers over one shared denominator,
+    raised only when a content does not divide a weight (ap and fp are
+    coprime, so content divides both w*ap and w*fp exactly when it divides
+    w).  The weight left on a row's scaled integers, times its scale, is
+    its multiplier times the denominator times ``row_rhs``.
+    """
+    den = 1
+    weights = {len(reduced) - 1: 1}  # position in ``reduced`` -> weight on that row
+    numerators: dict[int, int] = {}  # original index -> multiplier times den * row_rhs
+    for p in range(len(reduced) - 1, -1, -1):
+        w = weights.pop(p, 0)
+        if not w:
+            continue
+        idx, scale, steps = reduced[p]
+        for q, ap, fp, content in reversed(steps):
+            if w % content:
+                m = content // gcd(w, content)
+                w, den = w * m, den * m
+                for k in weights:
+                    weights[k] *= m
+                for k in numerators:
+                    numerators[k] *= m
+            w //= content
+            weights[q] = weights.get(q, 0) - w * fp
+            w *= ap
+        numerators[idx] = w * scale
+    den *= row_rhs
+    zero = Fraction(0)
+    return Certificate(tuple(
+        Fraction(numerators[r], den) if r in numerators else zero for r in range(n_rows)
+    ))
 
 
 def _back_substitute(

@@ -204,10 +204,18 @@ class TestSolveSystem:
 
 _INPUT_FLAG = {"eval": "--bids", "check-balance": "--witness", "solve-system": "--system"}
 
+# 4000-digit integers parse, but the certificate of A/C*x = 0, B*x = 1 holds
+# -B*C/A, whose 7998-digit numerator is past the str conversion limit
+_A = 10 ** 3999
+_PAST_STR_LIMIT = {
+    "variables": [["1"]],
+    "rows": [{"coeffs": {"0": f"{_A}/{_A - 1}"}, "rhs": "0"}, {"coeffs": {"0": str(_A + 1)}, "rhs": "1"}],
+}
+
 
 class TestBadInput:
-    """Malformed files end with exit 2 and an ``error:`` line, never a
-    traceback, and never lose data silently."""
+    """Malformed files, and results too long to write, end with exit 2 and
+    an ``error:`` line, never a traceback, and never lose data silently."""
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -235,6 +243,7 @@ class TestBadInput:
                     "rows": [{"coeffs": {"0": "1"}, "rhs": "1"}, {"coeffs": {"1": "1"}, "rhs": "2"}],
                 },
             ),
+            ("solve-system", _PAST_STR_LIMIT),
         ],
         ids=[
             "eval-float-bid",
@@ -251,6 +260,7 @@ class TestBadInput:
             "eval-not-utf8",
             "eval-deeply-nested",
             "repeated-variable",
+            "result-past-str-limit",
         ],
     )
     def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload):

@@ -82,6 +82,28 @@ class TestBuildBalanceSystem:
         assert len(system.rows) == 1
 
 
+class _IndicesOnly(dict):
+    """Coefficients whose column indices can be counted but whose values fail the test."""
+
+    def _fail(self, *args):
+        raise AssertionError("a value of a row after the first contradiction was read")
+
+    __getitem__ = get = items = values = _fail
+
+
+class _UnreducibleRow:
+    """A row whose coefficient values and right-hand side fail the test when read."""
+
+    origin = BidVector.of({})
+
+    def __init__(self, row):
+        self.coeffs = _IndicesOnly(dict.fromkeys(row.coeffs))
+
+    @property
+    def rhs(self):
+        self.coeffs._fail()
+
+
 class TestSolveOrRefute:
     def test_witness_system_is_infeasible_with_verified_certificate(self):
         system = build_balance_system(vickrey_witness_set(1), NEG2)
@@ -114,6 +136,21 @@ class TestSolveOrRefute:
             m * row.rhs for m, row in zip(result.certificate.multipliers, system.rows)
         )
         assert total == 1
+
+    def test_rows_after_the_first_contradiction_are_never_reduced(self):
+        grid = [vec({1: a, 2: b, 3: c}) for a, b, c in itertools.product([1, 2, 3, 4], repeat=3)]
+        system = build_balance_system(grid, NEG2)
+        certificate = solve_or_refute(system).certificate
+        # the first inconsistent row carries the highest-index nonzero multiplier
+        last = max(r for r, m in enumerate(certificate.multipliers) if m)
+        assert last < len(system.rows) - 1
+        cut = LinearSystem(
+            system.variables,
+            system.rows[:last + 1] + [_UnreducibleRow(row) for row in system.rows[last + 1:]],
+        )
+        result = solve_or_refute(cut)
+        assert result.certificate == certificate
+        assert verify_certificate(cut, result.certificate)
 
 
 class TestVerifyCertificate:

@@ -1,12 +1,13 @@
 """Differential test: the integer solver against the Fraction elimination it replaced.
 
 ``reference_solve_or_refute`` is an earlier ``solve_or_refute``, kept
-here unchanged as the reference.  It visits columns in variable order;
-the current solver visits them in ascending order of row count.  Both
-use the same row rule (lowest original row index with a nonzero reduced
-entry), which fixes the certificate and the assignment whatever the
-column order, so every certificate and every assignment must be equal
-value for value, in the same order.
+here unchanged as the reference.  It visits columns in variable order and
+pivots on the lowest-index row with a nonzero reduced entry; the current
+solver eliminates rows in index order and stops at the first
+contradiction.  Both make the pivot rows the greedy row basis, which
+fixes the certificate and the assignment whatever the pivot columns, so
+every certificate and every assignment must be equal value for value, in
+the same order.
 """
 
 import random
@@ -107,14 +108,23 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 nonzero = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 6))
 
 
+def row_lists(n_vars):
+    """Up to five rows over ``n_vars`` columns, as (coefficients, rhs) pairs."""
+    columns = st.integers(0, n_vars - 1) if n_vars else st.nothing()
+    entry = st.dictionaries(columns, nonzero, max_size=n_vars)
+    rhs = st.one_of(st.just(Fraction(0)), rationals)
+    return st.lists(st.tuples(entry, rhs), max_size=5)
+
+
+def linear_rows(rows):
+    return [LinearRow(dict(sorted(c.items())), v, BidVector.of({})) for c, v in rows]
+
+
 @st.composite
 def systems(draw):
     """Small systems with rational entries, zero rhs, empty, scaled, repeated and summed rows."""
     n_vars = draw(st.integers(0, 5))
-    columns = st.integers(0, n_vars - 1) if n_vars else st.nothing()
-    entry = st.dictionaries(columns, nonzero, max_size=n_vars)
-    rhs = st.one_of(st.just(Fraction(0)), rationals)
-    rows = draw(st.lists(st.tuples(entry, rhs), max_size=5))
+    rows = draw(row_lists(n_vars))
     for _ in range(draw(st.integers(0, 6)) if rows else 0):
         kind = draw(st.sampled_from(["scale", "repeat", "sum"]))
         coeffs, value = rows[draw(st.integers(0, len(rows) - 1))]
@@ -131,7 +141,7 @@ def systems(draw):
     rows = draw(st.permutations(rows))
     return LinearSystem(
         variables=tuple(BidMultiset.of([k]) for k in range(n_vars)),
-        rows=[LinearRow(dict(sorted(c.items())), v, BidVector.of({})) for c, v in rows],
+        rows=linear_rows(rows),
     )
 
 
@@ -139,6 +149,27 @@ def systems(draw):
 @given(systems())
 def test_random_systems_match_reference(system):
     assert_same_result(system)
+
+
+@settings(max_examples=120, deadline=None)
+@given(systems(), st.data())
+def test_appended_rows_only_pad_the_certificate(system, data):
+    """Rows after the first inconsistent row r* leave the certificate alone:
+    it is that of rows[:r*+1], padded with zeros."""
+    if isinstance(reference_solve_or_refute(system), Feasible):
+        # a copy of a row (or an empty row) with a shifted rhs contradicts a feasible system
+        coeffs, value = data.draw(st.sampled_from([(row.coeffs, row.rhs) for row in system.rows]
+                                                  or [({}, Fraction(0))]))
+        system.rows.append(linear_rows([(coeffs, value + data.draw(nonzero))])[0])
+    want = reference_solve_or_refute(system).certificate.multipliers
+    last = max(r for r, m in enumerate(want) if m)
+    extra = linear_rows(data.draw(row_lists(len(system.variables))))
+    padded = LinearSystem(system.variables, system.rows + extra)
+    zeros = (Fraction(0),) * len(extra)
+    assert reference_solve_or_refute(padded).certificate.multipliers == want + zeros
+    assert solve_or_refute(padded).certificate.multipliers == want + zeros
+    prefix = LinearSystem(system.variables, system.rows[:last + 1])
+    assert solve_or_refute(prefix).certificate.multipliers == want[:last + 1]
 
 
 WITNESS_RULES = ["neg-second-price", "constant:7/3"]
