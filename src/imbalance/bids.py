@@ -12,11 +12,10 @@ operators the verification pipeline is assembled from:
 * ``bag_of`` - range with multiplicities,
 * ``remove`` / ``flat`` - restriction, constant map,
 * ``sub_multisets`` - every sub-multiset, in a fixed canonical order,
-* ``restrictions`` / ``completion`` - sub-vectors realizing a multiset,
-  and the canonical vector agreeing with one of them and constantly equal
-  to a fill bid elsewhere,
-* ``full_family`` - one completion per sub-multiset of the vector's bag,
-* ``extend`` - union of a fixed set of pairs with each member of a family.
+* ``full_family`` - one completion per sub-multiset of the vector's bag.
+
+``restrictions``, ``completion`` and ``extend`` define the family and the
+adequate sets member by member; only tests and the benchmark tracer call them.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
 bidder key and bid text in a file is parsed once.
@@ -40,14 +39,10 @@ from .rationals import ensure_rational, format_rational
 
 @dataclass(frozen=True)
 class BidVector:
-    """Finite map bidder id -> bid, stored as its sorted graph."""
+    """Finite map bidder id -> bid, stored as its sorted graph: ids strictly
+    increase, which the raw constructor trusts and ``of`` establishes."""
 
     entries: tuple[tuple[int, Fraction], ...] = ()
-
-    def __post_init__(self):
-        ids = [i for i, _ in self.entries]
-        if ids != sorted(set(ids)):
-            raise ValueError("entries must be sorted by bidder id, without duplicates")
 
     @staticmethod
     def of(entries: Mapping[int, object] | Iterable[tuple[int, object]] | "BidVector") -> "BidVector":
@@ -61,6 +56,9 @@ class BidVector:
                 raise ValueError(f"bidder ids must be non-negative integers, got {bidder!r}")
             normalized.append((bidder, ensure_rational(bid)))
         normalized.sort(key=lambda entry: entry[0])
+        for (i, _), (j, _) in zip(normalized, normalized[1:]):
+            if i == j:
+                raise ValueError(f"bidder id {i} is repeated")
         return BidVector(tuple(normalized))
 
     @cached_property
@@ -99,13 +97,10 @@ class BidVector:
 
 @dataclass(frozen=True)
 class BidMultiset:
-    """Bag of rational bids, stored as a sorted tuple with repetition."""
+    """Bag of rational bids, stored as a sorted tuple with repetition: the
+    raw constructor trusts the order, ``of`` sorts."""
 
     values: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        if list(self.values) != sorted(self.values):
-            raise ValueError("multiset values must be sorted ascending")
 
     @staticmethod
     def of(values: Iterable[object]) -> "BidMultiset":

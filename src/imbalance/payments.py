@@ -60,9 +60,8 @@ class PaymentTable:
     """
 
     def __init__(self, values: Mapping[BidMultiset, object] | None = None):
-        self._values: dict[BidMultiset, Fraction] = {}
-        for key, val in (values or {}).items():
-            self.record(key, val)
+        pairs = (values or {}).items()
+        self._values: dict[BidMultiset, Fraction] = {k: ensure_rational(v) for k, v in pairs}
 
     def record(self, multiset: BidMultiset, value) -> None:
         val = ensure_rational(value)

@@ -12,11 +12,11 @@ explicit set of bid vectors:
    the vector with the bidder's bid set to its partner's, the fill;
 3. with every forced payment substituted, the residual
    f(vector) - (1/n) * sum of tagged rule values differs between the two
-   vectors (``residual_check``), so balance cannot hold on both - the
-   union of the adequate sets plus the two vectors is a finite witness.
+   vectors, so balance cannot hold on both - the union of the adequate
+   sets plus the two vectors is a finite witness.
 
-``verify_imbalance`` runs all hypothesis checks explicitly, logs each
-one, and reports both residuals; ``vickrey_vectors`` and
+``verify_imbalance`` runs the three steps in one pass, logs each
+hypothesis check, and reports both residuals; ``vickrey_vectors`` and
 ``vickrey_witness_set`` build the stock instance that refutes balance for
 the negated second-price rule.
 """
@@ -161,6 +161,8 @@ def vickrey_vectors(n: int) -> tuple[BidVector, BidVector]:
 def default_selector(vector: BidVector) -> dict[int, int]:
     """Partner map: everyone points at the top bidder, who points at the
     runner-up (ties broken by bidder id)."""
+    if len(vector) < 2:
+        raise ValueError(f"need at least 2 bidders to pick partners, got {len(vector)}")
     ranked = sorted(vector.entries, key=lambda e: (e[1], e[0]))
     top = ranked[-1][0]
     runner_up = ranked[-2][0]

@@ -1,25 +1,34 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import bid_vectors, bidder_ids, multisets, rationals
+from conftest import assert_canonical, bid_vectors, bidder_ids, multisets, rationals
 from imbalance import (
     BidMultiset,
     BidVector,
     bag_of,
     bid_vector_from_json,
     bid_vector_to_json,
+    build_adequate_set,
+    build_balance_system,
+    build_payment_table,
     completion,
     extend,
     flat,
+    format_rational,
+    fresh_bidders,
     full_family,
+    get_rule,
     multiset_from_json,
     multiset_to_json,
     remove,
     restrictions,
     sub_multisets,
+    system_from_json,
+    system_to_json,
+    vickrey_witness_set,
 )
 
 
@@ -45,6 +54,12 @@ class TestBidVector:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             vec({1: 0.5})
+
+    def test_rejects_repeated_ids(self):
+        with pytest.raises(ValueError, match="bidder id 1 is repeated"):
+            BidVector.of([(1, 2), (1, 3)])
+        with pytest.raises(ValueError, match="bidder id 4 is repeated"):
+            BidVector.of([(4, 2), (0, 1), (4, 2)])
 
     def test_lookup(self):
         b = vec({1: 1, 2: "2/3"})
@@ -247,3 +262,66 @@ class TestExtend:
 @given(st.sets(st.integers(0, 10), max_size=6), rationals)
 def test_bag_of_flat(ids, value):
     assert bag_of(flat(ids, value)) == BidMultiset.of([value] * len(ids))
+
+
+class TestConstructorsKeepCanonicalOrder:
+    """The raw constructors check nothing: every constructor that builds a
+    vector or multiset must hand them ids in strictly increasing order and
+    values in ascending order, whatever order its input comes in."""
+
+    @given(st.lists(st.tuples(bidder_ids, rationals), max_size=6))
+    def test_of_sorts_pairs_or_rejects_a_repeated_id(self, pairs):
+        ids = [i for i, _ in pairs]
+        if len(set(ids)) < len(ids):
+            with pytest.raises(ValueError, match="is repeated"):
+                BidVector.of(pairs)
+        else:
+            assert_canonical(BidVector.of(pairs))
+
+    @given(bid_vectors(max_size=5), bid_vectors(max_size=4), rationals,
+           st.sets(bidder_ids, max_size=4), st.data())
+    def test_vector_operators(self, b, other, fill, gone, data):
+        m = data.draw(st.sampled_from(sub_multisets(bag_of(b))))
+        pairs = remove(other, b.dom)  # disjoint from b, ids interleaved with b's
+        entries = data.draw(st.permutations(b.entries))
+        as_json = {"bids": {str(i): format_rational(v) for i, v in entries}}
+        family = full_family(b, fill)
+        assert_canonical([
+            remove(b, gone),
+            flat(gone, fill),
+            completion(b, m, fill),
+            bid_vector_from_json(as_json),
+            *family,
+            *restrictions(b, m),
+            *extend(pairs, family),
+        ])
+        i1, i2 = fresh_bidders(b)
+        adequate = build_adequate_set(b, fill, get_rule("constant:1"), i1, i2)
+        assert_canonical(adequate.members)
+
+    @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=3), rationals)
+    def test_multiset_operators(self, raw, extras, fill):
+        m, other = BidMultiset.of(raw), BidMultiset.of(extras)
+        assert_canonical([
+            m,
+            m + other,
+            multiset_from_json([format_rational(v) for v in raw]),
+            bag_of(BidVector.of(dict(enumerate(raw)))),
+            *sub_multisets(m),
+            *(m.remove_one(v) for v in m.distinct()),
+        ])
+        table, trace = build_payment_table(len(extras) + 2, fill, extras, get_rule("constant:1"))
+        assert_canonical([key for key, _ in table.items()])
+        assert_canonical([shape for shape, _ in trace.steps])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.lists(bid_vectors(min_size=1, max_size=4), max_size=6))
+    def test_witness_sets_and_balance_systems(self, k, extra):
+        witness = vickrey_witness_set(k)
+        assert_canonical(witness)
+        system = build_balance_system([*witness, *extra], get_rule("constant:7/3"))
+        assert_canonical(system.variables)
+        assert_canonical(row.origin for row in system.rows)
+        parsed = system_from_json(system_to_json(system))
+        assert_canonical(parsed.variables)
+        assert_canonical(row.origin for row in parsed.rows)

@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import assert_canonical
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -94,6 +95,8 @@ def assert_same_build(vectors, rule, as_generator=False):
         assert str(got.value) == str(exc)
         return
     got = build()
+    assert_canonical(got.variables)
+    assert_canonical(row.origin for row in got.rows)
     assert got.variables == want.variables
     assert len(got.rows) == len(want.rows)
     for new, ref in zip(got.rows, want.rows):

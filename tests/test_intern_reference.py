@@ -34,6 +34,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import assert_canonical
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -120,6 +121,7 @@ def typed(vector: BidVector) -> tuple:
     """The entries with their types: int ids and Fraction bids compare
     equal to a Fraction id or an int bid, so equality alone would miss a
     value taken from the wrong memo table."""
+    assert_canonical(vector)
     return tuple((type(i), i, type(v), v) for i, v in vector.entries)
 
 
@@ -129,9 +131,10 @@ def parse_each(parse, entries):
     out = []
     for pos, entry in enumerate(entries):
         try:
-            out.append(typed(parse(entry)))
+            vector = parse(entry)
         except Exception as exc:
             return out, (pos, type(exc), str(exc))
+        out.append(typed(vector))  # outside the try: a broken order must fail, not compare
     return out, None
 
 
@@ -212,6 +215,7 @@ systems = st.fixed_dictionaries({
 
 
 def system_summary(system: LinearSystem) -> tuple:
+    assert_canonical(system.variables)
     return (
         tuple(tuple((type(v), v) for v in m.values) for m in system.variables),
         tuple((tuple((c, type(v), v) for c, v in row.coeffs.items()),
@@ -224,9 +228,10 @@ def system_summary(system: LinearSystem) -> tuple:
 def test_systems_parse_like_reference(obj):
     def outcome(parse):
         try:
-            return system_summary(parse(obj))
+            system = parse(obj)
         except Exception as exc:
             return type(exc), str(exc)
+        return system_summary(system)
 
     assert outcome(system_from_json) == outcome(reference_system_from_json)
 

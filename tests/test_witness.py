@@ -320,3 +320,8 @@ class TestDefaultSelector:
     def test_points_at_top_and_runner_up(self):
         low, _ = vickrey_vectors(1)
         assert default_selector(low) == {1: 3, 2: 3, 3: 2}
+
+    @pytest.mark.parametrize("bids", [{1: 5}, {}])
+    def test_fewer_than_two_bidders_rejected(self, bids):
+        with pytest.raises(ValueError, match=f"at least 2 bidders.*got {len(bids)}"):
+            default_selector(vec(bids))
