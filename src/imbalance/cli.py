@@ -3,9 +3,12 @@ verification, and balance refutation with certificates.
 
 Exit codes are stable across commands: 0 for an affirmative result, 3 for
 a refutation or unmet hypotheses (a finding, not a failure), 2 for usage
-or parse errors.  All output is deterministic byte for byte.  The
-environment variable IMBALANCE_MAX_DOM (default 10) caps bid-vector
-domains to guard against accidental exponential enumeration.
+or parse errors.  All output is deterministic byte for byte.  Handlers
+return their exit code and stdout text, which ``main`` writes after any
+``--out`` file, so an exit 2 prints nothing on stdout.  IMBALANCE_MAX_DOM
+(default 10) caps the bidders of the ``theorem``/``witness`` instance,
+whose completion families grow exponentially, and of each ``eval`` and
+``check-balance`` input vector.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .feasibility import (
     verify_assignment,
     verify_certificate,
 )
-from .payments import build_payment_table
+from .payments import AdequacyError, build_payment_table
 from .rationals import format_rational
 from .rules import RuleArityError, RuleDomainError, get_rule
 from .witness import (
@@ -124,14 +127,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_out(path: str | None, text: str) -> None:
-    if path:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _UsageError(f"cannot write {path}: {exc.strerror or exc}")
-    else:
-        sys.stdout.write(text)
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _require_n(args: argparse.Namespace) -> int:
@@ -141,7 +141,7 @@ def _require_n(args: argparse.Namespace) -> int:
     return args.n
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     rule = _get_rule(args.rule)
     vector = _parse_bid_vector(_load_json(args.bids), args.bids, ParseMemo())
     _check_dom(len(vector), f"bid vector in {args.bids}", _max_dom())
@@ -149,68 +149,65 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = rule(vector)
     except (RuleArityError, RuleDomainError) as exc:
         raise _UsageError(str(exc))
-    print(format_rational(value))
-    return EXIT_OK
+    return EXIT_OK, format_rational(value) + "\n"
 
 
-def cmd_theorem(args: argparse.Namespace) -> int:
+def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
     n = _require_n(args)
     rule = _get_rule(args.rule)
     g = _get_rule(args.g)
     triple, selector_low, selector_high = vickrey_instance(n, g=g)
     report = verify_imbalance(rule, triple, selector_low, selector_high)
 
+    lines = []
     if args.trace:
         for check in report.hypotheses:
             status = "PASS" if check.passed else "FAIL"
             suffix = f" ({check.detail})" if check.detail else ""
-            print(f"HYP {check.name} {status}{suffix}")
+            lines.append(f"HYP {check.name} {status}{suffix}\n")
         try:
-            _, trace = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), rule)
-            for j, (shape, coeff) in enumerate(trace.steps):
+            _, iteration = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), rule)
+        except AdequacyError as exc:  # trace is diagnostic only
+            lines.append(f"iteration trace unavailable: {exc}\n")
+        else:
+            for j, (shape, coeff) in enumerate(iteration.steps):
                 values = ",".join(format_rational(v) for v in shape.values)
-                print(f"k_{j} = {format_rational(coeff)} @ [{values}]")
-        except Exception as exc:  # trace is diagnostic only
-            print(f"iteration trace unavailable: {exc}")
+                lines.append(f"k_{j} = {format_rational(coeff)} @ [{values}]\n")
 
     if args.out:
         _write_out(args.out, _dump(report.to_json()))
 
-    if report.hypotheses_met and report.holds:
-        print(f"HOLDS lhs={format_rational(report.lhs)} rhs={format_rational(report.rhs)}")
-        return EXIT_OK
-    if report.hypotheses_met:
-        print("HYPOTHESES MET BUT RESIDUALS EQUAL")
-        return EXIT_FINDING
-    print("HYPOTHESES NOT MET")
-    return EXIT_FINDING
+    text = "".join(lines)
+    if not report.hypotheses_met:
+        return EXIT_FINDING, text + "HYPOTHESES NOT MET\n"
+    if not report.holds:
+        return EXIT_FINDING, text + "HYPOTHESES MET BUT RESIDUALS EQUAL\n"
+    lhs, rhs = format_rational(report.lhs), format_rational(report.rhs)
+    return EXIT_OK, text + f"HOLDS lhs={lhs} rhs={rhs}\n"
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
-    n = _require_n(args)
-    vectors = vickrey_witness_set(n)
-    _write_out(args.out, _dump(witness_set_to_json(vectors)))
-    return EXIT_OK
+def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
+    text = _dump(witness_set_to_json(vickrey_witness_set(_require_n(args))))
+    if args.out:
+        _write_out(args.out, text)
+    return EXIT_OK, "" if args.out else text
 
 
-def _decide(system: LinearSystem) -> tuple[int, dict]:
-    """Solve, re-check the result, and print the verdict line.
+def _decide(system: LinearSystem) -> tuple[int, str, dict]:
+    """Solve and re-check: the exit code, the verdict line, and the result
+    document (the status with the assignment or the certificate).
 
     A FEASIBLE assignment that violates a row is a solver bug and raises;
-    an INFEASIBLE certificate's re-check is printed on the verdict line.
-    Returns the exit code and the result document, which holds the status
-    and either the assignment or the certificate.  The document is built
-    before the verdict is printed, so a result that cannot be written
-    prints nothing.
+    an INFEASIBLE certificate's re-check is reported on the verdict line.
     """
     result = solve_or_refute(system)
     if isinstance(result, Feasible):
         if not verify_assignment(system, result.assignment):
             raise AssertionError("elimination returned an assignment that violates a row")
-        code, verdict = EXIT_OK, "FEASIBLE"
+        code, verdict = EXIT_OK, "FEASIBLE\n"
     else:
         verified = verify_certificate(system, result.certificate)
-        code, verdict = EXIT_FINDING, f"INFEASIBLE certificate-verified={str(verified).lower()}"
+        code, verdict = EXIT_FINDING, f"INFEASIBLE certificate-verified={str(verified).lower()}\n"
     try:
         if code == EXIT_OK:
             document = {"status": "FEASIBLE", "assignment": result.assignment.to_json()}
@@ -218,42 +215,32 @@ def _decide(system: LinearSystem) -> tuple[int, dict]:
             document = {"status": "INFEASIBLE", "certificate": certificate_to_json(result.certificate)}
     except ValueError as exc:  # an integer past the interpreter's string conversion limit
         raise _UsageError(f"cannot write the result: {exc}")
-    print(verdict)
-    return code, document
+    return code, verdict, document
 
 
-def cmd_check_balance(args: argparse.Namespace) -> int:
+def cmd_check_balance(args: argparse.Namespace) -> tuple[int, str]:
     rule = _get_rule(args.rule)
     vectors = _load_witness(args.witness)
     try:
         system = build_balance_system(vectors, rule)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    code, result = _decide(system)
+    code, verdict, result = _decide(system)
     if args.out:
         _write_out(args.out, _dump(result))
     elif code == EXIT_FINDING:
-        print(json.dumps(result["certificate"], sort_keys=True))
-    return code
+        verdict += json.dumps(result["certificate"], sort_keys=True) + "\n"
+    return code, verdict
 
 
-def cmd_solve_system(args: argparse.Namespace) -> int:
+def cmd_solve_system(args: argparse.Namespace) -> tuple[int, str]:
     try:
         system = system_from_json(_load_json(args.system))
     except (ValueError, TypeError) as exc:  # TypeError: a value neither string nor integer
         raise _UsageError(f"bad system in {args.system}: {exc}")
-    code, result = _decide(system)
-    print(json.dumps(result["assignment" if code == EXIT_OK else "certificate"], sort_keys=True))
-    return code
-
-
-_HANDLERS = {
-    "eval": cmd_eval,
-    "theorem": cmd_theorem,
-    "witness": cmd_witness,
-    "check-balance": cmd_check_balance,
-    "solve-system": cmd_solve_system,
-}
+    code, verdict, result = _decide(system)
+    answer = result["assignment" if code == EXIT_OK else "certificate"]
+    return code, verdict + json.dumps(answer, sort_keys=True) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a price rule on a bid vector")
     p_eval.add_argument("--rule", required=True)
     p_eval.add_argument("--bids", required=True, help="bid vector JSON file")
+    p_eval.set_defaults(handler=cmd_eval)
 
     p_theorem = sub.add_parser("theorem", help="verify the imbalance criterion")
     p_theorem.add_argument("--n", type=int, required=True)
@@ -273,33 +261,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_theorem.add_argument("--g", default="neg-first-price")
     p_theorem.add_argument("--out", help="write the report JSON here")
     p_theorem.add_argument("--trace", action="store_true")
+    p_theorem.set_defaults(handler=cmd_theorem)
 
     p_witness = sub.add_parser("witness", help="emit the canonical witness set")
     p_witness.add_argument("--n", type=int, required=True)
     p_witness.add_argument("--out", help="write the witness JSON here (default stdout)")
+    p_witness.set_defaults(handler=cmd_witness)
 
     p_check = sub.add_parser("check-balance", help="decide balance over a witness file")
     p_check.add_argument("--witness", required=True)
     p_check.add_argument("--rule", required=True)
     p_check.add_argument("--out", help="write the result JSON here")
+    p_check.set_defaults(handler=cmd_check_balance)
 
     p_solve = sub.add_parser("solve-system", help="decide a raw linear system file")
     p_solve.add_argument("--system", required=True)
+    p_solve.set_defaults(handler=cmd_solve_system)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        code, stdout = args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -244,6 +244,7 @@ def build_payment_table(
         m + {fill repeated N - 1 - |m|}   for every m <= bag(extras),
 
     and the trace records the per-step coefficients, which all equal 1/N.
+    A rule undefined on a visited vector fails that check as AdequacyError.
     """
     if n_bidders < 2:
         raise ValueError("need at least 2 bidders")
@@ -254,8 +255,6 @@ def build_payment_table(
         )
     fill_bid = ensure_rational(fill)
     ids = tuple(range(1, n_bidders + 1))
-    flat_value = rule(flat(ids, fill_bid))
-
     coefficients = [Fraction(1, n_bidders)]
     for size in range(1, len(extra_bids) + 1):
         coefficients.append((1 - size * coefficients[size - 1]) / (n_bidders - size))
@@ -263,24 +262,29 @@ def build_payment_table(
     table = PaymentTable()
     lattice = sub_multisets(BidMultiset.of(extra_bids))
     lattice.sort(key=lambda m: m.canonical_key())
-    for m in lattice:
-        assigned = list(m.values)
-        visited = BidVector.of(
-            {i: (assigned[i - 1] if i - 1 < len(assigned) else fill_bid) for i in ids}
-        )
-        if rule(visited) != flat_value:
-            raise AdequacyError(
-                f"flat-invariance fails at iteration step {m!r}: "
-                f"{rule.name!r} gives {format_rational(rule(visited))} there but "
-                f"{format_rational(flat_value)} on the flat vector"
+    try:
+        flat_value = rule(flat(ids, fill_bid))
+        for m in lattice:
+            assigned = list(m.values)
+            visited = BidVector.of(
+                {i: (assigned[i - 1] if i - 1 < len(assigned) else fill_bid) for i in ids}
             )
-        n_fill = n_bidders - len(m)
-        remainder = flat_value
-        for v in m.distinct():
-            smaller = m.remove_one(v) + BidMultiset.of([fill_bid] * n_fill)
-            remainder -= m.count(v) * table.value(smaller)
-        shape = m + BidMultiset.of([fill_bid] * (n_fill - 1))
-        table.record(shape, remainder / n_fill)
+            value = rule(visited)
+            if value != flat_value:
+                raise AdequacyError(
+                    f"flat-invariance fails at iteration step {m!r}: "
+                    f"{rule.name!r} gives {format_rational(value)} there but "
+                    f"{format_rational(flat_value)} on the flat vector"
+                )
+            n_fill = n_bidders - len(m)
+            remainder = flat_value
+            for v in m.distinct():
+                smaller = m.remove_one(v) + BidMultiset.of([fill_bid] * n_fill)
+                remainder -= m.count(v) * table.value(smaller)
+            shape = m + BidMultiset.of([fill_bid] * (n_fill - 1))
+            table.record(shape, remainder / n_fill)
+    except (RuleArityError, RuleDomainError) as exc:
+        raise AdequacyError(f"flat-invariance fails: {exc}") from exc
 
     steps = []
     for j in range(len(extra_bids) + 1):

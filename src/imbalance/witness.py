@@ -271,14 +271,15 @@ def verify_imbalance(
             tag = triple.h.get(i)
             try:
                 eta[i] = rule(flat(vector.dom, vector[partner]))
-                tagged_value = (rule if tag == RULE_F else triple.g)(vector)
-                ok = tag in (RULE_F, RULE_G) and eta[i] == tagged_value
-                detail = (
-                    ""
-                    if ok
-                    else f"flat value {format_rational(eta[i])} differs from "
-                    f"tagged value {format_rational(tagged_value)}"
-                )
+                if tag not in (RULE_F, RULE_G):
+                    ok, detail = False, f"invalid tag {tag!r}, expected {RULE_F!r} or {RULE_G!r}"
+                else:
+                    tagged_value = (rule if tag == RULE_F else triple.g)(vector)
+                    ok = eta[i] == tagged_value
+                    detail = "" if ok else (
+                        f"flat value {format_rational(eta[i])} differs from "
+                        f"tagged value {format_rational(tagged_value)}"
+                    )
             except (RuleArityError, RuleDomainError) as exc:
                 ok, detail = False, str(exc)
             eta_checks.append(HypothesisCheck(f"eta[{label},{i}]", ok, detail))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from imbalance import (
+    AdequacyError,
     BidMultiset,
     Feasible,
     PaymentTable,
@@ -93,6 +94,27 @@ class TestTheorem:
         assert "HYP counterexample PASS" in out
         assert "k_0 = 1/3 @ [4,4]" in out
         assert "k_1 = 1/3 @ [1,4]" in out
+
+    def test_trace_unavailable_when_iteration_hypotheses_fail(self, monkeypatch, capsys):
+        def fail(*args):
+            raise AdequacyError("flat-invariance fails: stub")
+
+        monkeypatch.setattr(cli, "build_payment_table", fail)
+        assert main(["theorem", "--n", "1", "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert "k_0" not in out
+        assert out.endswith(
+            "iteration trace unavailable: flat-invariance fails: stub\nHOLDS lhs=4/3 rhs=2/3\n"
+        )
+
+    def test_trace_bug_propagates_with_empty_stdout(self, monkeypatch, capsys):
+        def bug(*args):
+            raise TypeError("stub")
+
+        monkeypatch.setattr(cli, "build_payment_table", bug)
+        with pytest.raises(TypeError, match="stub"):
+            main(["theorem", "--n", "1", "--trace"])
+        assert capsys.readouterr().out == ""
 
     def test_unknown_rule(self, capsys):
         assert main(["theorem", "--n", "1", "--rule", "nth-price"]) == 2
@@ -274,19 +296,28 @@ class TestBadInput:
         assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ["eval", "--rule", "constant:0", "--bids", "{tmp}"],
-            ["witness", "--n", "1", "--out", "{tmp}/missing/w.json"],
-            ["theorem", "--n", "1", "--out", "{tmp}/missing/r.json"],
+            (["eval", "--rule", "constant:0", "--bids", "{tmp}"], "error: cannot read"),
+            (["witness", "--n", "1", "--out", "{tmp}/missing/w.json"], "error: cannot write"),
+            (["theorem", "--n", "1", "--out", "{tmp}/missing/r.json"], "error: cannot write"),
+            (["theorem", "--n", "1", "--trace", "--out", "{tmp}/missing/r.json"], "error: cannot write"),
+            (["check-balance", "--witness", "{tmp}/w.json", "--rule", "neg-second-price",
+              "--out", "{tmp}/missing/r.json"], "error: cannot write"),
+            (["check-balance", "--witness", "{tmp}/w.json", "--rule", "constant:7/3",
+              "--out", "{tmp}/missing/r.json"], "error: cannot write"),
         ],
-        ids=["directory-as-input", "witness-unwritable-out", "theorem-unwritable-out"],
+        ids=["directory-as-input", "witness-unwritable-out", "theorem-unwritable-out",
+             "theorem-trace-unwritable-out", "check-balance-infeasible-unwritable-out",
+             "check-balance-feasible-unwritable-out"],
     )
-    def test_unusable_path_exits_2(self, tmp_path, capsys, argv):
+    def test_unusable_path_exits_2(self, tmp_path, capsys, argv, error):
+        """Also when the command has its result: nothing reaches stdout."""
+        assert main(["witness", "--n", "1", "--out", str(tmp_path / "w.json")]) == 0
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(error)
 
 
 _json_keys = st.sampled_from(

@@ -12,6 +12,7 @@ from imbalance import (
     BidVector,
     PaymentLookupError,
     PaymentTable,
+    PriceRule,
     bag_of,
     build_adequate_set,
     build_balance_system,
@@ -271,6 +272,23 @@ class TestBuildPaymentTable:
     def test_flat_invariance_failure_names_step(self):
         with pytest.raises(AdequacyError, match="flat-invariance fails at iteration step"):
             build_payment_table(4, 4, [9, 9], NEG2)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            register_external("t", {flat(range(1, 4), 5): -5}),
+            register_external("t", {vec({1: 1, 2: 5, 3: 5}): -5}),
+            PriceRule("wide", 4, lambda b: Fraction(0)),
+        ],
+        ids=["undefined-on-visited-vector", "undefined-on-flat-vector", "undefined-on-arity"],
+    )
+    def test_undefined_rule_is_an_adequacy_failure(self, rule):
+        # as in forced_payment, a rule undefined where the hypotheses are
+        # checked fails them instead of escaping as a rule error
+        with pytest.raises(AdequacyError, match="rule undefined"):
+            build_payment_table(3, 5, [1], rule)
+        with pytest.raises(AdequacyError, match="rule undefined"):
+            forced_payment(vec({3: 1}), 5, rule, 1, 2)
 
     def test_all_coefficients_equal_reciprocal_bidders(self):
         rng = random.Random(7)

@@ -298,6 +298,15 @@ class TestVerifyImbalance:
         assert relabeled_report.eta_low == {perm[i]: v for i, v in report.eta_low.items()}
         assert relabeled_report.eta_high == {perm[i]: v for i, v in report.eta_high.items()}
 
+    def test_invalid_tag_is_named(self):
+        triple, j_low, j_high = vickrey_instance(1, g=get_rule("constant:-4"))
+        tagged = CounterexampleTriple(triple.b_low, triple.b_high, {**triple.h, 1: "X"}, triple.g)
+        report = verify_imbalance(NEG2, tagged, j_low, j_high)
+        failed = {c.name: c.detail for c in report.hypotheses if not c.passed}
+        assert failed["eta[low,1]"] == "invalid tag 'X', expected 'F' or 'G'"
+        assert failed["eta[high,1]"] == "invalid tag 'X', expected 'F' or 'G'"
+        assert report.holds is None
+
     def test_constant_rules_fail_hypotheses(self):
         zero = get_rule("constant:0")
         triple, j_low, j_high = vickrey_instance(1, g=zero)
