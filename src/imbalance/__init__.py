@@ -16,7 +16,6 @@ from .bids import (
     completion,
     extend,
     flat,
-    fresh_bidders,
     full_family,
     multiset_from_json,
     multiset_to_json,
@@ -42,7 +41,6 @@ from .feasibility import (
 from .payments import (
     AdequacyError,
     AdequateSet,
-    IterationTrace,
     PaymentLookupError,
     PaymentTable,
     build_adequate_set,
@@ -74,7 +72,6 @@ from .witness import (
     ImbalanceReport,
     default_selector,
     is_counterexample,
-    residual_check,
     verify_imbalance,
     vickrey_instance,
     vickrey_vectors,

@@ -170,13 +170,6 @@ def flat(bidders: Iterable[int], value) -> BidVector:
     return BidVector.of({i: bid for i in bidders})
 
 
-def fresh_bidders(vector: BidVector, count: int = 2) -> tuple[int, ...]:
-    """``count`` distinct ids outside the vector's domain, allocated as
-    max(dom)+1, max(dom)+2, ..."""
-    start = max(vector.dom, default=0) + 1
-    return tuple(range(start, start + count))
-
-
 def sub_multisets(multiset: BidMultiset) -> list[BidMultiset]:
     """Every sub-multiset, each exactly once, in canonical order.
 

@@ -5,17 +5,16 @@ Exit codes are stable across commands: 0 for an affirmative result, 3 for
 a refutation or unmet hypotheses (a finding, not a failure), 2 for usage
 or parse errors.  All output is deterministic byte for byte.  Handlers
 return their exit code and stdout text, which ``main`` writes after any
-``--out`` file, so an exit 2 prints nothing on stdout.  IMBALANCE_MAX_DOM
-(default 10) caps the bidders of the ``theorem``/``witness`` instance,
-whose completion families grow exponentially, and of each ``eval`` and
-``check-balance`` input vector.
+``--out`` file, so an exit 2 prints nothing on stdout.  ``MAX_DOM`` (10)
+caps the bidders of the ``theorem``/``witness`` instance, whose completion
+families grow exponentially, and of each ``eval`` and ``check-balance``
+input vector.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -45,31 +44,16 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FINDING = 3
 
-DEFAULT_MAX_DOM = 10
+MAX_DOM = 10
 
 
 class _UsageError(Exception):
     pass
 
 
-def _max_dom() -> int:
-    raw = os.environ.get("IMBALANCE_MAX_DOM")
-    if raw is None:
-        return DEFAULT_MAX_DOM
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"IMBALANCE_MAX_DOM must be an integer, got {raw!r}")
-    if cap < 1:
-        raise _UsageError(f"IMBALANCE_MAX_DOM must be positive, got {cap}")
-    return cap
-
-
-def _check_dom(size: int, what: str, cap: int) -> None:
-    if size > cap:
-        raise _UsageError(
-            f"{what} has {size} bidders, above the IMBALANCE_MAX_DOM cap of {cap}"
-        )
+def _check_dom(size: int, what: str) -> None:
+    if size > MAX_DOM:
+        raise _UsageError(f"{what} has {size} bidders, above the cap of {MAX_DOM}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -106,12 +90,9 @@ def _load_witness(path: str) -> list[BidVector]:
         raise _UsageError(f"witness file {path} must be a JSON array of bid vectors")
     memo = ParseMemo()
     vectors = []
-    cap = None
     for entry in obj:
         vector = _parse_bid_vector(entry, path, memo)
-        if cap is None:  # read at the first vector, so an empty file never reads it
-            cap = _max_dom()
-        _check_dom(len(vector), f"bid vector in {path}", cap)
+        _check_dom(len(vector), f"bid vector in {path}")
         vectors.append(vector)
     return vectors
 
@@ -137,14 +118,14 @@ def _write_out(path: str, text: str) -> None:
 def _require_n(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError(f"--n must be a positive integer, got {args.n}")
-    _check_dom(args.n + 2, f"the instance for n={args.n}", _max_dom())
+    _check_dom(args.n + 2, f"the instance for n={args.n}")
     return args.n
 
 
 def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     rule = _get_rule(args.rule)
     vector = _parse_bid_vector(_load_json(args.bids), args.bids, ParseMemo())
-    _check_dom(len(vector), f"bid vector in {args.bids}", _max_dom())
+    _check_dom(len(vector), f"bid vector in {args.bids}")
     try:
         value = rule(vector)
     except (RuleArityError, RuleDomainError) as exc:
@@ -166,11 +147,11 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
             suffix = f" ({check.detail})" if check.detail else ""
             lines.append(f"HYP {check.name} {status}{suffix}\n")
         try:
-            _, iteration = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), rule)
+            _, steps = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), rule)
         except AdequacyError as exc:  # trace is diagnostic only
             lines.append(f"iteration trace unavailable: {exc}\n")
         else:
-            for j, (shape, coeff) in enumerate(iteration.steps):
+            for j, (shape, coeff) in enumerate(steps):
                 values = ",".join(format_rational(v) for v in shape.values)
                 lines.append(f"k_{j} = {format_rational(coeff)} @ [{values}]\n")
 

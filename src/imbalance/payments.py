@@ -91,32 +91,15 @@ class PaymentTable:
 
 @dataclass(frozen=True)
 class AdequateSet:
-    """Completion family with two fresh fill bidders, plus the quintuple.
+    """Completion family with two fresh fill bidders.
 
     ``flat_invariant`` records whether the rule is constant at its flat
     value across the members; it is checked at build time, never assumed.
     """
 
     members: frozenset[BidVector]
-    base: BidVector
     fill: Fraction
-    rule: PriceRule
-    i1: int
-    i2: int
     flat_invariant: bool
-
-
-@dataclass(frozen=True)
-class IterationTrace:
-    """Per-step record of the all-equal-bids elimination.
-
-    ``steps`` pairs the multiset shape reached after introducing each
-    extra bid with its elimination coefficient (the payment divided by
-    the rule's flat value).  Every coefficient equals 1/N.
-    """
-
-    n_bidders: int
-    steps: tuple[tuple[BidMultiset, Fraction], ...]
 
 
 def build_adequate_set(
@@ -137,15 +120,7 @@ def build_adequate_set(
         invariant = check_flat_invariance(rule, members, holders.dom, fill_bid)
     except (RuleArityError, RuleDomainError):
         invariant = False
-    return AdequateSet(
-        members=members,
-        base=base,
-        fill=fill_bid,
-        rule=rule,
-        i1=i1,
-        i2=i2,
-        flat_invariant=invariant,
-    )
+    return AdequateSet(members=members, fill=fill_bid, flat_invariant=invariant)
 
 
 def has_full_family_structure(
@@ -231,7 +206,7 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
 
 def build_payment_table(
     n_bidders: int, fill, extras: Iterable[object], rule: PriceRule
-) -> tuple[PaymentTable, IterationTrace]:
+) -> tuple[PaymentTable, tuple[tuple[BidMultiset, Fraction], ...]]:
     """Payment table from the all-equal-bids iteration.
 
     Starting from the vector where all ``n_bidders`` bid ``fill``, balance
@@ -243,8 +218,10 @@ def build_payment_table(
 
         m + {fill repeated N - 1 - |m|}   for every m <= bag(extras),
 
-    and the trace records the per-step coefficients, which all equal 1/N.
-    A rule undefined on a visited vector fails that check as AdequacyError.
+    and the steps pair the shape reached after introducing each extra bid
+    with its elimination coefficient (the payment divided by the rule's
+    flat value); every coefficient equals 1/N.  A rule undefined on a
+    visited vector fails that check as AdequacyError.
     """
     if n_bidders < 2:
         raise ValueError("need at least 2 bidders")
@@ -291,7 +268,7 @@ def build_payment_table(
         prefix = BidMultiset.of(extra_bids[:j])
         shape = prefix + BidMultiset.of([fill_bid] * (n_bidders - 1 - j))
         steps.append((shape, coefficients[j]))
-    return table, IterationTrace(n_bidders=n_bidders, steps=tuple(steps))
+    return table, tuple(steps)
 
 
 def forced_payment_sum(

@@ -123,29 +123,6 @@ def is_counterexample(triple: CounterexampleTriple, rule: PriceRule) -> bool:
     return 0 in diffs and diffs != {Fraction(0)}
 
 
-def residual_check(
-    triple: CounterexampleTriple, rule: PriceRule
-) -> tuple[Fraction, Fraction, bool]:
-    """Both residuals f(b) - (1/n) * sum of tagged rule values, and whether
-    they differ (they always do on a valid counterexample triple)."""
-    n = len(triple.b_low)
-    if n < 2:
-        raise ValueError(f"need at least 2 bidders, got {n}")
-    if not is_counterexample(triple, rule):
-        raise ValueError("not a counterexample triple for the given rule")
-
-    def side(vector: BidVector) -> Fraction:
-        tagged = sum(
-            ((rule if triple.h[i] == RULE_F else triple.g)(vector) for i in sorted(vector.dom)),
-            Fraction(0),
-        )
-        return rule(vector) - tagged / n
-
-    lhs = side(triple.b_low)
-    rhs = side(triple.b_high)
-    return lhs, rhs, lhs != rhs
-
-
 def vickrey_vectors(n: int) -> tuple[BidVector, BidVector]:
     """The stock pair on bidders 1..n+2: bids 1..n+1 then n+3, and the
     same with the (n+1)-th bid raised to n+2."""

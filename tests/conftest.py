@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from imbalance import BidMultiset, BidVector
+from imbalance import RULE_F, BidMultiset, BidVector
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=20)
 
@@ -40,3 +40,11 @@ def assert_canonical(obj):
 def random_rational(rng, lo=-50, hi=50, max_den=12) -> Fraction:
     """Seeded rational generator for counted randomized acceptance runs."""
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def tag_residual(rule, triple, vector) -> Fraction:
+    """rule(b) - (1/n) * sum over bidders of the rule each one's tag names,
+    evaluated at b: the residual the forced payments leave, read directly
+    off the triple's tags."""
+    tagged = sum((rule if triple.h[i] == RULE_F else triple.g)(vector) for i in vector.dom)
+    return rule(vector) - Fraction(tagged) / len(vector)

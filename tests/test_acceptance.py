@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rational
+from conftest import random_rational, tag_residual
 from imbalance import (
     BidVector,
     CounterexampleTriple,
@@ -25,16 +25,16 @@ from imbalance import (
     build_balance_system,
     build_payment_table,
     check_flat_invariance,
+    default_selector,
     forced_payment,
-    fresh_bidders,
     get_rule,
     has_full_family_structure,
     is_adequate,
     is_counterexample,
     register_external,
-    residual_check,
     solve_or_refute,
     verify_certificate,
+    verify_imbalance,
     vickrey_witness_set,
 )
 from imbalance.cli import main
@@ -78,8 +78,7 @@ def test_criterion_2_closed_form_payment(capsys):
             base = BidVector.of({i: random_rational(rng) for i in ids})
             top = max(base.values(), default=Fraction(0))
             fill = top + Fraction(rng.randint(0, 12), rng.randint(1, 6))
-            i1, i2 = fresh_bidders(base)
-            got = forced_payment(base, fill, NEG2, i1, i2)
+            got = forced_payment(base, fill, NEG2, 28, 29)  # ids outside the sampled ones
             assert got == -fill / (2 + len(base))
 
 
@@ -93,8 +92,8 @@ def test_criterion_3_iterative_matches_closed_form(capsys):
                     fill - abs(random_rational(rng, lo=0, hi=20))
                     for _ in range(rng.randint(0, n_bidders - 2))
                 ]
-                table, trace = build_payment_table(n_bidders, fill, extras, NEG2)
-                assert trace.steps[0][1] == Fraction(1, n_bidders)
+                table, steps = build_payment_table(n_bidders, fill, extras, NEG2)
+                assert steps[0][1] == Fraction(1, n_bidders)
                 for shape, value in table.items():
                     base_values = shape.remove_one(fill).values
                     base = BidVector.of({3 + k: v for k, v in enumerate(base_values)})
@@ -158,7 +157,7 @@ def test_criterion_7_adequacy_mutations(capsys):
             top = max(base.values(), default=Fraction(0))
             # strictly above every base bid so all completions stay distinct
             fill = top + Fraction(rng.randint(1, 10), rng.randint(1, 4))
-            i1, i2 = fresh_bidders(base)
+            i1, i2 = 18, 19  # ids outside the sampled ones
             aset = build_adequate_set(base, fill, NEG2, i1, i2)
             assert aset.flat_invariant
             assert is_adequate(aset.members, base, fill, NEG2, i1, i2)
@@ -188,7 +187,8 @@ def test_criterion_8_counterexample_and_residuals(capsys):
         h = {1: RULE_G, 2: RULE_G, 3: RULE_F}
         triple = CounterexampleTriple(low, high, h, get_rule("neg-first-price"))
         assert is_counterexample(triple, NEG2)
-        assert residual_check(triple, NEG2) == (Fraction(4, 3), Fraction(2, 3), True)
+        report = verify_imbalance(NEG2, triple, default_selector(low), default_selector(high))
+        assert (report.lhs, report.rhs, report.holds) == (Fraction(4, 3), Fraction(2, 3), True)
 
         rng = random.Random(31337)
         for _ in range(500):
@@ -216,5 +216,4 @@ def test_criterion_8_counterexample_and_residuals(capsys):
             tags[ids[0]], tags[ids[1]] = RULE_F, RULE_G
             generated = CounterexampleTriple(b_low, b_high, tags, g)
             assert is_counterexample(generated, f)
-            lhs, rhs, distinct = residual_check(generated, f)
-            assert distinct and lhs != rhs
+            assert tag_residual(f, generated, b_low) != tag_residual(f, generated, b_high)

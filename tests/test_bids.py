@@ -18,7 +18,6 @@ from imbalance import (
     extend,
     flat,
     format_rational,
-    fresh_bidders,
     full_family,
     get_rule,
     multiset_from_json,
@@ -122,14 +121,6 @@ class TestFlat:
 
     def test_singleton(self):
         assert flat({5}, Fraction(-1, 2)) == vec({5: Fraction(-1, 2)})
-
-
-class TestFreshBidders:
-    def test_allocates_above_max(self):
-        from imbalance import fresh_bidders
-
-        assert fresh_bidders(vec({3: 1, 7: 2})) == (8, 9)
-        assert fresh_bidders(vec({}), count=3) == (1, 2, 3)
 
 
 class TestSubMultisets:
@@ -295,8 +286,8 @@ class TestConstructorsKeepCanonicalOrder:
             *restrictions(b, m),
             *extend(pairs, family),
         ])
-        i1, i2 = fresh_bidders(b)
-        adequate = build_adequate_set(b, fill, get_rule("constant:1"), i1, i2)
+        # 13 and 14 lie above every id that bidder_ids draws
+        adequate = build_adequate_set(b, fill, get_rule("constant:1"), 13, 14)
         assert_canonical(adequate.members)
 
     @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=3), rationals)
@@ -310,9 +301,9 @@ class TestConstructorsKeepCanonicalOrder:
             *sub_multisets(m),
             *(m.remove_one(v) for v in m.distinct()),
         ])
-        table, trace = build_payment_table(len(extras) + 2, fill, extras, get_rule("constant:1"))
+        table, steps = build_payment_table(len(extras) + 2, fill, extras, get_rule("constant:1"))
         assert_canonical([key for key, _ in table.items()])
-        assert_canonical([shape for shape, _ in trace.steps])
+        assert_canonical([shape for shape, _ in steps])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.lists(bid_vectors(min_size=1, max_size=4), max_size=6))

@@ -376,13 +376,20 @@ class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
 
-    def test_max_dom_cap(self, monkeypatch, capsys):
-        monkeypatch.setenv("IMBALANCE_MAX_DOM", "4")
-        assert main(["theorem", "--n", "3"]) == 2
-        assert "IMBALANCE_MAX_DOM" in capsys.readouterr().err
-        monkeypatch.setenv("IMBALANCE_MAX_DOM", "5")
-        assert main(["theorem", "--n", "3"]) == 0
+    def test_max_dom_cap(self, tmp_path, capsys):
+        assert cli.MAX_DOM == 10
+        assert main(["theorem", "--n", "8"]) == 0  # n + 2 = 10 bidders
+        capsys.readouterr()
+        assert main(["theorem", "--n", "9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "has 11 bidders, above the cap of 10" in err
+        eleven = {"bids": {str(i): str(i) for i in range(1, 12)}}
+        bids = write_json(tmp_path / "eleven.json", eleven)
+        assert main(["eval", "--rule", "second-price", "--bids", bids]) == 2
+        witness = write_json(tmp_path / "witness.json", [eleven])
+        assert main(["check-balance", "--witness", witness, "--rule", "constant:7/3"]) == 2
 
-    def test_bad_cap_value(self, monkeypatch):
-        monkeypatch.setenv("IMBALANCE_MAX_DOM", "many")
-        assert main(["witness", "--n", "1"]) == 2
+    def test_cap_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setenv("IMBALANCE_MAX_DOM", "4")
+        assert main(["theorem", "--n", "3"]) == 0

@@ -22,9 +22,8 @@ Mutants these tests catch (each checked on a broken copy of the package):
 * keeping the last holders of a bid instead of the first;
 * enumerating counts ``0..m-1`` instead of ``0..m``;
 * a fill that is not coerced, so a ``str`` fill lands in the vectors;
-* reading ``IMBALANCE_MAX_DOM`` before the first vector, so an empty
-  witness file fails on a bad value, or after every vector's parse, so a
-  bad bid in vector 1 hides vector 0's cap error.
+* checking the domain cap after every vector's parse, so a bad bid in
+  vector 1 hides vector 0's cap error.
 """
 
 import json
@@ -279,29 +278,25 @@ def test_completion_matches_reference(base, multiset, fill):
     assert outcome(completion) == outcome(reference_completion)
 
 
-# --- the CLI reads the domain cap once per file, where it did before ------
+# --- the CLI checks each vector's domain cap right after that vector parses --
+
+ELEVEN = {"bids": {str(i): str(i) for i in range(1, 12)}}
+
 
 @pytest.mark.parametrize(
-    "cap, vectors, code, err",
+    "vectors, err",
     [
         # vector 0 is over the cap; vector 1's bad bid is never reached
-        ("2", [{"bids": {"1": "1", "2": "2", "3": "3"}}, {"bids": {"1": 1.5}}], 2,
-         "error: bid vector in {path} has 3 bidders, above the IMBALANCE_MAX_DOM cap of 2\n"),
-        # a bad cap fails at the first vector, after it parses
-        ("many", [{"bids": {"1": "1"}}, {"bids": {"1": 1.5}}], 2,
-         "error: IMBALANCE_MAX_DOM must be an integer, got 'many'\n"),
-        ("many", [{"bids": {"1": 1.5}}], 2,
+        ([ELEVEN, {"bids": {"1": 1.5}}],
+         "error: bid vector in {path} has 11 bidders, above the cap of 10\n"),
+        # vector 0's bad bid is reported before vector 1's cap
+        ([{"bids": {"1": 1.5}}, ELEVEN],
          "error: bad bid vector in {path}: exact rational expected, got float\n"),
-        # an empty file never reads the cap
-        ("many", [], 0, ""),
-        ("0", [], 0, ""),
     ],
-    ids=["over-cap-before-bad-bid", "bad-cap-at-first-vector", "bad-bid-before-bad-cap",
-         "empty-file-bad-cap", "empty-file-zero-cap"],
+    ids=["over-cap-before-bad-bid", "bad-bid-before-bad-cap"],
 )
-def test_cap_is_checked_where_it_was(tmp_path, monkeypatch, capsys, cap, vectors, code, err):
+def test_cap_is_checked_where_it_was(tmp_path, capsys, vectors, err):
     path = tmp_path / "w.json"
     path.write_text(json.dumps(vectors), encoding="utf-8")
-    monkeypatch.setenv("IMBALANCE_MAX_DOM", cap)
-    assert main(["check-balance", "--witness", str(path), "--rule", "constant:7/3"]) == code
+    assert main(["check-balance", "--witness", str(path), "--rule", "constant:7/3"]) == 2
     assert capsys.readouterr().err == err.format(path=path)

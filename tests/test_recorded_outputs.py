@@ -45,11 +45,6 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(autouse=True)
-def default_cap(monkeypatch):
-    monkeypatch.delenv("IMBALANCE_MAX_DOM", raising=False)
-
-
 def run(argv, capsys, out: Path, code: int) -> dict[str, str]:
     """Run one call; the hashes of its stdout and of the file it wrote."""
     assert main(argv + ["--out", str(out)]) == code

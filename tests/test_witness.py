@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rational
+from conftest import tag_residual
 from imbalance import (
     BidVector,
     CounterexampleTriple,
@@ -17,7 +17,6 @@ from imbalance import (
     is_counterexample,
     register_external,
     remove,
-    residual_check,
     solve_or_refute,
     verify_imbalance,
     vickrey_instance,
@@ -77,64 +76,19 @@ class TestIsCounterexample:
 
 class TestResidualCheck:
     def test_stock_values(self):
-        triple, _, _ = stock_triple()
+        triple, j_low, j_high = stock_triple()
         assert triple.h == {1: RULE_G, 2: RULE_G, 3: RULE_F}
-        assert residual_check(triple, NEG2) == (Fraction(4, 3), Fraction(2, 3), True)
+        report = verify_imbalance(NEG2, triple, j_low, j_high)
+        assert (report.lhs, report.rhs, report.holds) == (Fraction(4, 3), Fraction(2, 3), True)
 
     def test_scaled_instance(self):
         triple, _, _ = stock_triple()
-        doubled = CounterexampleTriple(
-            vec({i: 2 * v for i, v in triple.b_low.items()}),
-            vec({i: 2 * v for i, v in triple.b_high.items()}),
-            triple.h,
-            triple.g,
-        )
-        assert residual_check(doubled, NEG2) == (Fraction(8, 3), Fraction(4, 3), True)
-
-    def test_arity_precondition(self):
-        g = register_external("tiny", {vec({1: 1}): 0, vec({1: 2}): 0})
-        f = register_external("tinyf", {vec({1: 1}): 0, vec({1: 2}): 1})
-        tiny = CounterexampleTriple(vec({1: 1}), vec({1: 2}), {1: RULE_G}, g)
-        with pytest.raises(ValueError, match="at least 2"):
-            residual_check(tiny, f)
-
-    def test_rejects_invalid_triples(self):
-        triple, _, _ = stock_triple()
-        zero = get_rule("constant:0")
-        bad = CounterexampleTriple(triple.b_low, triple.b_high, triple.h, zero)
-        with pytest.raises(ValueError, match="not a counterexample"):
-            residual_check(bad, zero)
-
-    def test_always_true_on_generated_triples(self):
-        rng = random.Random(99)
-        for _ in range(120):
-            lhs, rhs, distinct = residual_check(*_random_triple(rng))
-            assert distinct and lhs != rhs
-
-
-def _random_triple(rng):
-    """Triple built from table-backed rules meeting the counterexample
-    conditions: one of the two rules keeps its value, the other moves."""
-    size = rng.randint(2, 6)
-    ids = rng.sample(range(16), size)
-    low = vec({i: random_rational(rng) for i in ids})
-    high = vec({i: low[i] + (random_rational(rng) if rng.random() < 0.5 else 0) for i in ids})
-    if low == high:
-        bump = ids[0]
-        high = vec({i: (low[i] + 1 if i == bump else high[i]) for i in ids})
-    f_low, g_low = random_rational(rng), random_rational(rng)
-    shift = random_rational(rng)
-    while shift == 0:
-        shift = random_rational(rng)
-    if rng.random() < 0.5:
-        f_high, g_high = f_low, g_low + shift  # f keeps its value
-    else:
-        f_high, g_high = f_low + shift, g_low  # g keeps its value
-    f = register_external("f", {low: f_low, high: f_high})
-    g = register_external("g", {low: g_low, high: g_high})
-    tags = {i: (RULE_F if rng.random() < 0.5 else RULE_G) for i in ids}
-    tags[ids[0]], tags[ids[1]] = RULE_F, RULE_G  # both rules must appear
-    return CounterexampleTriple(low, high, tags, g), f
+        low = vec({i: 2 * v for i, v in triple.b_low.items()})
+        high = vec({i: 2 * v for i, v in triple.b_high.items()})
+        doubled = CounterexampleTriple(low, high, triple.h, triple.g)
+        report = verify_imbalance(NEG2, doubled, default_selector(low), default_selector(high))
+        assert report.hypotheses_met
+        assert (report.lhs, report.rhs, report.holds) == (Fraction(8, 3), Fraction(4, 3), True)
 
 
 class TestVickreyVectors:
@@ -207,24 +161,34 @@ class TestVerifyImbalance:
     def test_residuals_agree_with_direct_check(self, n):
         triple, j_low, j_high = vickrey_instance(n)
         report = verify_imbalance(NEG2, triple, j_low, j_high)
-        lhs, rhs, distinct = residual_check(triple, NEG2)
-        assert (report.lhs, report.rhs, report.holds) == (lhs, rhs, distinct)
+        lhs, rhs = (tag_residual(NEG2, triple, b) for b in (triple.b_low, triple.b_high))
+        assert (report.lhs, report.rhs, report.holds) == (lhs, rhs, lhs != rhs)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_residuals_against_linear_solver_oracle(self, n):
+    @staticmethod
+    def check_against_linear_solver(f, g, n):
         # independent route: solve the balance equations over the adequate
         # sets alone (base vectors excluded), read off the forced payments,
         # and recompute both residuals from the solution
-        triple, j_low, j_high = vickrey_instance(n)
-        report = verify_imbalance(NEG2, triple, j_low, j_high)
+        triple, j_low, j_high = vickrey_instance(n, g=g)
+        report = verify_imbalance(f, triple, j_low, j_high)
+        assert report.hypotheses_met
         members = report.witness_set - {triple.b_low, triple.b_high}
-        result = solve_or_refute(build_balance_system(members, NEG2))
+        result = solve_or_refute(build_balance_system(members, f))
         assert isinstance(result, Feasible)
         for vector, want in ((triple.b_low, report.lhs), (triple.b_high, report.rhs)):
             paid = sum(
                 result.assignment.value(bag_of(remove(vector, {i}))) for i in vector.dom
             )
-            assert NEG2(vector) - paid == want
+            assert f(vector) - paid == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_residuals_against_linear_solver_oracle(self, n):
+        self.check_against_linear_solver(NEG2, NEG1, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_second_price_residuals_against_linear_solver_oracle(self, n):
+        # the other rule pair the stock instance holds for
+        self.check_against_linear_solver(get_rule("second-price"), get_rule("first-price"), n)
 
     def test_witness_set_matches_canonical_construction(self):
         for n in (1, 2, 3, 4, 5, 6):
