@@ -11,9 +11,9 @@ operators the verification pipeline is assembled from:
 
 * ``bag_of`` - range with multiplicities,
 * ``remove`` / ``flat`` - restriction, constant map,
-* ``sub_multisets`` - every sub-multiset, in a fixed canonical order,
 * ``full_family`` - one completion per sub-multiset of the vector's bag.
 
+``sub_multisets`` lists every sub-multiset in a fixed canonical order, and
 ``restrictions``, ``completion`` and ``extend`` define the family and the
 adequate sets member by member; only tests and the benchmark tracer call them.
 
@@ -40,9 +40,20 @@ from .rationals import ensure_rational, format_rational
 @dataclass(frozen=True)
 class BidVector:
     """Finite map bidder id -> bid, stored as its sorted graph: ids strictly
-    increase, which the raw constructor trusts and ``of`` establishes."""
+    increase, which the raw constructor trusts and ``of`` establishes.
+
+    The hash is the one the dataclass would compute, kept in the instance
+    after the first time it is asked for, so a vector that keys several
+    lookups hashes its ``Fraction`` bids once.
+    """
 
     entries: tuple[tuple[int, Fraction], ...] = ()
+
+    def __hash__(self) -> int:
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash((self.entries,))
+        return value
 
     @staticmethod
     def of(entries: Mapping[int, object] | Iterable[tuple[int, object]] | "BidVector") -> "BidVector":

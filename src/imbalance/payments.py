@@ -24,6 +24,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ from .bids import (
     full_family,
     multiset_to_json,
     remove,
-    sub_multisets,
 )
 from .rationals import ensure_rational, format_rational
 from .rules import PriceRule, RuleArityError, RuleDomainError, check_flat_invariance
@@ -222,6 +222,16 @@ def build_payment_table(
     with its elimination coefficient (the payment divided by the rule's
     flat value); every coefficient equals 1/N.  A rule undefined on a
     visited vector fails that check as AdequacyError.
+
+    The iteration runs on count tuples c over the sorted distinct extras
+    v_1 < v_2 < ...; with n_fill = N - |c| bidders left at ``fill``,
+
+        P(c) = (flat value - sum over j of c_j * P(c - e_j)) / n_fill,
+
+    each earlier P looked up by its int tuple.  Tuples are visited in the
+    key order (|c|, -c), which is the canonical order of the multisets
+    they count, so the steps and the first one to fail keep that order.
+    Each shape's ``BidMultiset`` is built once, for the table.
     """
     if n_bidders < 2:
         raise ValueError("need at least 2 bidders")
@@ -236,38 +246,38 @@ def build_payment_table(
     for size in range(1, len(extra_bids) + 1):
         coefficients.append((1 - size * coefficients[size - 1]) / (n_bidders - size))
 
+    values = sorted(set(extra_bids))
+    lattice = sorted(
+        itertools.product(*(range(extra_bids.count(v) + 1) for v in values)),
+        key=lambda c: (sum(c), tuple(-x for x in c)),
+    )
     table = PaymentTable()
-    lattice = sub_multisets(BidMultiset.of(extra_bids))
-    lattice.sort(key=lambda m: m.canonical_key())
+    by_counts: dict[tuple[int, ...], Fraction] = {}
     try:
         flat_value = rule(flat(ids, fill_bid))
-        for m in lattice:
-            assigned = list(m.values)
-            visited = BidVector.of(
-                {i: (assigned[i - 1] if i - 1 < len(assigned) else fill_bid) for i in ids}
-            )
-            value = rule(visited)
+        for counts in lattice:
+            kept = [v for v, c in zip(values, counts) for _ in range(c)]
+            n_fill = n_bidders - len(kept)
+            value = rule(BidVector(tuple(zip(ids, kept + [fill_bid] * n_fill))))
             if value != flat_value:
                 raise AdequacyError(
-                    f"flat-invariance fails at iteration step {m!r}: "
+                    f"flat-invariance fails at iteration step {BidMultiset(tuple(kept))!r}: "
                     f"{rule.name!r} gives {format_rational(value)} there but "
                     f"{format_rational(flat_value)} on the flat vector"
                 )
-            n_fill = n_bidders - len(m)
             remainder = flat_value
-            for v in m.distinct():
-                smaller = m.remove_one(v) + BidMultiset.of([fill_bid] * n_fill)
-                remainder -= m.count(v) * table.value(smaller)
-            shape = m + BidMultiset.of([fill_bid] * (n_fill - 1))
-            table.record(shape, remainder / n_fill)
+            for j, c in enumerate(counts):
+                if c:
+                    remainder -= c * by_counts[counts[:j] + (c - 1,) + counts[j + 1:]]
+            payment = by_counts[counts] = remainder / n_fill
+            table.record(BidMultiset(tuple(sorted(kept + [fill_bid] * (n_fill - 1)))), payment)
     except (RuleArityError, RuleDomainError) as exc:
         raise AdequacyError(f"flat-invariance fails: {exc}") from exc
 
     steps = []
     for j in range(len(extra_bids) + 1):
-        prefix = BidMultiset.of(extra_bids[:j])
-        shape = prefix + BidMultiset.of([fill_bid] * (n_bidders - 1 - j))
-        steps.append((shape, coefficients[j]))
+        shape = sorted(extra_bids[:j] + [fill_bid] * (n_bidders - 1 - j))
+        steps.append((BidMultiset(tuple(shape)), coefficients[j]))
     return table, tuple(steps)
 
 

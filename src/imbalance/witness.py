@@ -23,6 +23,7 @@ the negated second-price rule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -198,12 +199,15 @@ def verify_imbalance(
     candidate instance does not qualify.
 
     One pass over (vector, bidder) builds each adequate set once and
-    reads adequacy from its recorded flat-invariance.  The flat value the
-    eta check evaluates is the bidder's forced term, so when a vector's
-    sets are all adequate its residual is rule(vector) minus the mean of
-    those flat values.  When all hypotheses pass, the residuals must
-    differ.
+    reads adequacy from its recorded flat-invariance.  Adequate sets
+    share most of their members, so the rule's values are cached for the
+    call and each distinct vector is evaluated once; an error is not
+    cached and recurs on every evaluation.  The flat value the eta check
+    evaluates is the bidder's forced term, so when a vector's sets are
+    all adequate its residual is rule(vector) minus the mean of those
+    flat values.  When all hypotheses pass, the residuals must differ.
     """
+    rule = PriceRule(rule.name, rule.min_arity, functools.cache(rule.fn))
     dom = triple.b_low.dom
     counter_ok = is_counterexample(triple, rule) and len(dom) >= 2
     counter = HypothesisCheck(
@@ -225,8 +229,8 @@ def verify_imbalance(
         eta: dict[int, Fraction] = {}
         for i in sorted(vector.dom):
             partner = selector.get(i)
-            known = partner is not None and partner in vector.dom
-            if known and partner != i:
+            valid = partner is not None and partner != i and partner in vector.dom
+            if valid:
                 fill = vector[partner]
                 adequate = build_adequate_set(
                     remove(vector, {i, partner}), fill, rule, i, partner
@@ -240,7 +244,7 @@ def verify_imbalance(
             adequacy_checks.append(HypothesisCheck(f"adequate[{label},{i}]", ok, detail))
             adequate_all = adequate_all and ok
 
-            if not known:
+            if not valid:
                 eta_checks.append(
                     HypothesisCheck(f"eta[{label},{i}]", False, "no valid partner")
                 )

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -71,6 +73,23 @@ class TestBidVector:
         b = vec({1: Fraction(-5, 4), 3: 10})
         assert bid_vector_to_json(b) == {"bids": {"1": "-5/4", "3": "10"}}
         assert bid_vector_from_json(bid_vector_to_json(b)) == b
+
+    def test_kept_hash_is_the_dataclass_hash(self):
+        text, exact = vec({1: "2/4", 3: -2}), vec({1: Fraction(1, 2), 3: Fraction(-2)})
+        assert text == exact
+        for b in (text, exact):
+            assert hash(b) == hash((b.entries,))
+            assert hash(b) == hash(b)  # the kept value on the second ask
+        assert hash(text) == hash(exact)
+
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_copies_keep_equality_and_hash(self, hashed_first):
+        b = vec({2: "7/3", 5: 1})
+        if hashed_first:
+            hash(b)
+        for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert twin == b and twin.entries == b.entries
+            assert hash(twin) == hash(b) == hash((b.entries,))
 
 
 class TestBidMultiset:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from imbalance import (
     Feasible,
     RULE_F,
     RULE_G,
+    PriceRule,
     bag_of,
     build_balance_system,
     default_selector,
+    flat,
     get_rule,
     is_counterexample,
     register_external,
@@ -233,6 +236,48 @@ class TestVerifyImbalance:
         assert (report.lhs, report.eta_low, report.holds) == (None, {}, None)
         assert report.rhs == Fraction(3, 4)
         assert report.eta_high == {1: -5, 2: -5, 3: -5, 4: -4}
+
+    def test_self_partner_has_no_valid_partner(self):
+        triple, j_low, j_high = vickrey_instance(1)
+        report = verify_imbalance(NEG2, triple, {**j_low, 1: 1}, j_high)
+        failed = {c.name: c.detail for c in report.hypotheses if not c.passed}
+        assert failed == {"adequate[low,1]": "invalid partner 1",
+                          "eta[low,1]": "no valid partner"}
+
+    def test_each_distinct_vector_is_evaluated_once_per_call(self):
+        seen = Counter()
+
+        def counting(vector):
+            seen[vector] += 1
+            return NEG2.fn(vector)
+
+        rule = PriceRule(NEG2.name, NEG2.min_arity, counting)
+        triple, j_low, j_high = vickrey_instance(3)
+        first = verify_imbalance(rule, triple, j_low, j_high)
+        assert first.holds and set(seen.values()) == {1}
+        assert first.to_json() == verify_imbalance(NEG2, triple, j_low, j_high).to_json()
+        verify_imbalance(rule, triple, j_low, j_high)  # the cache ends with its call
+        assert set(seen.values()) == {2}
+
+    def test_rule_errors_are_not_cached(self):
+        triple, j_low, j_high = vickrey_instance(2)
+        top_flat = flat(triple.b_low.dom, triple.b_low[4])
+        table = {b: NEG2(b) for b in vickrey_witness_set(2) if b != top_flat}
+        asked = Counter()
+        lookup = register_external("gap", table)
+
+        def counting(vector):
+            asked[vector] += 1
+            return lookup.fn(vector)
+
+        rule = PriceRule(lookup.name, lookup.min_arity, counting)
+        reports = [verify_imbalance(rule, triple, j_low, j_high) for _ in range(3)]
+        assert reports[0].hypotheses == reports[1].hypotheses == reports[2].hypotheses
+        failed = {c.name: c.detail for c in reports[0].hypotheses if not c.passed}
+        assert "rule undefined at this bid vector" in failed["eta[low,1]"]
+        # the missing vector is asked for on every evaluation; each other once a call
+        assert asked[top_flat] > 3 * 2
+        assert {count for b, count in asked.items() if b != top_flat} == {3}
 
     def test_relabeling_invariance(self):
         rng = random.Random(4)
