@@ -101,42 +101,49 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     (bidder, rank) pairs order vectors like ``BidVector.entries``, and
     (size, ranks) orders multisets like ``BidMultiset.canonical_key``.
     The build works on those integer keys, and builds one ``BidMultiset``
-    per variable at the end.
+    per variable at the end.  Each distinct bid object is ranked once, by
+    its id: equal bid texts of one input file parse to one object.
+
+    Bag invariant: a row's coefficients depend only on the bag of its
+    vector, the sorted tuple of its ranks, never on which bidder holds
+    which bid.  So the map from "bag minus one r" to the multiplicity of r,
+    and the sorted coefficient dict built from it, are computed once per
+    distinct bag, and each row gets its own copy of its bag's dict.  The
+    rule still runs once per distinct vector, on its first-seen
+    representative, since a table rule need not be symmetric.
     """
     vecs = list(vectors)
-    bids = {(v.numerator, v.denominator): v for vec in vecs for _, v in vec.entries}
+    objs = {id(v): v for vec in vecs for _, v in vec.entries}  # keeps each id alive
+    bids = {(v.numerator, v.denominator): v for v in objs.values()}
     values = sorted(bids.values())
     rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
+    rank_of = {i: rank[v.numerator, v.denominator] for i, v in objs.items()}
     first: dict[tuple[tuple[int, int], ...], BidVector] = {}
     for vec in vecs:
-        first.setdefault(
-            tuple((i, rank[v.numerator, v.denominator]) for i, v in vec.entries), vec
-        )
+        first.setdefault(tuple([(i, rank_of[id(v)]) for i, v in vec.entries]), vec)
     raw = []
-    seen: set[tuple[int, ...]] = set()
+    maps: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}  # bag -> its deletion counts
     for key in sorted(first):
         vec = first[key]
         try:
             rhs = rule(vec)
         except (RuleArityError, RuleDomainError) as exc:
             raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
-        ranks = sorted(r for _, r in key)
-        counts: dict[tuple[int, ...], int] = {}
-        for r, c in Counter(ranks).items():
-            j = ranks.index(r)
-            counts[tuple(ranks[:j] + ranks[j + 1:])] = c
-        seen.update(counts)
-        raw.append((vec, counts, rhs))
-    order = sorted(seen, key=lambda m: (len(m), m))
+        bag = tuple(sorted([r for _, r in key]))
+        if bag not in maps:
+            counts = maps[bag] = {}
+            for r, c in Counter(bag).items():
+                j = bag.index(r)
+                counts[bag[:j] + bag[j + 1:]] = c
+        raw.append((vec, bag, rhs))
+    order = sorted({m for counts in maps.values() for m in counts}, key=lambda m: (len(m), m))
     index = {m: k for k, m in enumerate(order)}
-    rows = [
-        LinearRow(
-            coeffs=dict(sorted((index[m], Fraction(c)) for m, c in counts.items())),
-            rhs=rhs,
-            origin=vec,
-        )
-        for vec, counts, rhs in raw
-    ]
+    as_fraction = {c: Fraction(c) for counts in maps.values() for c in counts.values()}
+    coeffs = {
+        bag: dict(sorted((index[m], as_fraction[c]) for m, c in counts.items()))
+        for bag, counts in maps.items()
+    }
+    rows = [LinearRow(coeffs=dict(coeffs[bag]), rhs=rhs, origin=vec) for vec, bag, rhs in raw]
     variables = tuple(BidMultiset(tuple(values[r] for r in m)) for m in order)
     return LinearSystem(variables=variables, rows=rows)
 

@@ -51,8 +51,21 @@ class PriceRule:
 
 
 def _second_price(vector: BidVector) -> Fraction:
-    ranked = sorted(v for _, v in vector.entries)
-    return ranked[-2]
+    """The second highest bid, counted with multiplicity, in one pass.
+
+    ``top`` and ``second`` are the two largest bids seen so far, so a bid
+    equal to the maximum still becomes ``second``.
+    """
+    (_, top), (_, second), *rest = vector.entries
+    if second > top:
+        top, second = second, top
+    for _, v in rest:
+        if v > second:
+            if v > top:
+                top, second = v, top
+            else:
+                second = v
+    return second
 
 
 def _first_price(vector: BidVector) -> Fraction:

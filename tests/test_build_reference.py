@@ -3,10 +3,11 @@
 ``reference_build_balance_system`` is the previous ``build_balance_system``,
 kept here unchanged as the reference.  It sorts and hashes the bids as
 ``Fraction`` values for every (vector, bidder) pair; the current build ranks
-the distinct bids once and works on integer keys.  Both must give the same
-variables, the same rows in the same order with the same coefficient
-insertion order, the same origin objects, the same JSON bytes and the same
-errors.
+the distinct bids once, works on integer keys and builds one coefficient map
+per distinct bag.  Both must give the same variables, the same rows in the
+same order with the same coefficient insertion order, the same origin
+objects, the same JSON bytes and the same errors, and no two rows of the
+current build may share a coefficient dict.
 """
 
 import itertools
@@ -95,6 +96,7 @@ def assert_same_build(vectors, rule, as_generator=False):
         assert str(got.value) == str(exc)
         return
     got = build()
+    assert len({id(row.coeffs) for row in got.rows}) == len(got.rows)  # no aliasing
     assert_canonical(got.variables)
     assert_canonical(row.origin for row in got.rows)
     assert got.variables == want.variables
@@ -130,6 +132,36 @@ def vector_lists(draw):
 @given(vector_lists(), st.sampled_from(RULES), st.booleans())
 def test_random_vector_lists_match_reference(vectors, rule, as_generator):
     assert_same_build(vectors, get_rule(rule), as_generator)
+
+
+@st.composite
+def shared_bag_lists(draw):
+    """Vectors in which each bag recurs under several bidder permutations and spellings."""
+    vectors = []
+    for bag in draw(st.lists(st.lists(st.sampled_from(BIDS), min_size=1, max_size=4),
+                             min_size=1, max_size=4)):
+        ids = draw(st.lists(st.integers(0, 5), min_size=len(bag), max_size=len(bag), unique=True))
+        for _ in range(draw(st.integers(2, 4))):
+            vectors.append(BidVector.of({
+                i: RESPELL.get(v, v) if draw(st.booleans()) else v
+                for i, v in zip(ids, draw(st.permutations(bag)))
+            }))
+    return draw(st.permutations(vectors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_bag_lists(), st.data())
+def test_shared_bags_match_reference(vectors, data):
+    for rule in RULES:
+        assert_same_build(vectors, get_rule(rule))
+    distinct = list(dict.fromkeys(vectors))
+    # its own value per vector pins each row's rhs to its own vector, not to its bag
+    assert_same_build(vectors, register_external("own", {v: n for n, v in enumerate(distinct)}))
+    # one vector left out pins the "undefined on" error; the filler keeps the table nonempty
+    omitted = data.draw(st.sampled_from(distinct))
+    table = {v: n for n, v in enumerate(distinct) if v != omitted}
+    table[BidVector.of({9: 0})] = 0
+    assert_same_build(vectors, register_external("omit", table))
 
 
 def test_unnormalized_int_bid_shares_a_variable_with_its_fraction():

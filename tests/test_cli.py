@@ -393,3 +393,27 @@ class TestUsage:
     def test_cap_ignores_the_environment(self, monkeypatch):
         monkeypatch.setenv("IMBALANCE_MAX_DOM", "4")
         assert main(["theorem", "--n", "3"]) == 0
+
+    def test_one_parser_per_process_behaves_as_a_fresh_one(self, bids_file, monkeypatch, capsys):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        calls = [
+            (["eval", "--rule", "second-price", "--bids", bids_file], 0),
+            (["theorem", "--n", "x"], 2),
+            (["--help"], 0),
+            (["theorem", "--n", "1"], 0),
+            (["frobnicate"], 2),
+            (["check-balance", "--help"], 0),
+            (["eval", "--rule", "second-price"], 2),
+            (["theorem", "--n", "0"], 2),
+            (["eval", "--rule", "first-price", "--bids", bids_file], 0),
+        ]
+        for argv, code in calls * 2:
+            assert main(argv) == code, argv
+            cached = capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parser", cli.build_parser)
+                assert main(argv) == code, argv
+            assert capsys.readouterr() == cached, argv
+            if code == 2:
+                assert cached.out == "" and cached.err, argv

@@ -3,10 +3,10 @@
 ``benchmarks/hashes.json`` holds the sha256 of every stdout and output
 file the benchmark workloads produce.  This test re-runs the smaller of
 those calls on witness files in canonical order (the order ``witness``
-writes), and the k = 3 grid calls on the seed-0 grid files that
-``benchmarks/workloads.py`` itself writes, and requires the same hashes,
-so a change to any output byte fails here and not only in a benchmark
-run.  The benchmark files are read, never modified.
+writes), and every grid call (k = 3 and 4, B = 4..6) on the seed-0 grid
+files that ``benchmarks/workloads.py`` itself writes, and requires the
+same hashes, so a change to any output byte fails here and not only in a
+benchmark run.  The benchmark files are read, never modified.
 """
 
 import hashlib
@@ -79,9 +79,15 @@ def grid_sweep(tmp_path_factory):
     return {instance.name: instance for instance in workload.instances}
 
 
-@pytest.mark.parametrize("b", (4, 5, 6))
-def test_grid_sweep(b, grid_sweep, capsys):
-    name = f"k=3,B={b}"
+# k = 4 grids repeat each bag under the most vectors; k = 3 ids are the bare B
+GRIDS = [pytest.param(3, b, id=str(b)) for b in (4, 5, 6)] + [
+    pytest.param(4, b, id=f"k=4,B={b}") for b in (4, 5, 6)
+]
+
+
+@pytest.mark.parametrize("k,b", GRIDS)
+def test_grid_sweep(k, b, grid_sweep, capsys):
+    name = f"k={k},B={b}"
     want = HASHES["grid-sweep"]["0"][name]
     for call in grid_sweep[name].calls:
         assert main(call.argv) == call.exit, call.label

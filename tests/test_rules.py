@@ -109,6 +109,16 @@ def test_permutation_symmetry(name, b, rnd):
     assert bag_of(relabeled) == bag_of(b)
 
 
+# few distinct values, so ties at the top are common; "2/4" respells "1/2"
+TIED_BIDS = st.sampled_from([-3, "-3/2", "-6/4", 0, "1/2", "2/4", 1, "7/3", "14/6", 5, "10/2"])
+
+
+@given(st.lists(st.one_of(TIED_BIDS, rationals), min_size=2, max_size=10))
+def test_second_price_is_second_of_sorted(bids):
+    b = vec(dict(enumerate(bids, 1)))
+    assert get_rule("second-price")(b) == sorted(v for _, v in b.entries)[-2]
+
+
 @given(bid_vectors(min_size=2, max_size=6))
 def test_second_price_at_most_first_price(b):
     assert get_rule("second-price")(b) <= get_rule("first-price")(b)
