@@ -137,24 +137,10 @@ class BidMultiset:
             out[v] = out.get(v, 0) + 1
         return out
 
-    def __add__(self, other: "BidMultiset") -> "BidMultiset":
-        """Multiset sum: multiplicities add."""
-        return BidMultiset(tuple(sorted(self.values + other.values)))
-
     def __le__(self, other: "BidMultiset") -> bool:
         """Sub-multiset order: every multiplicity bounded by the other's."""
         theirs = other.counts()
         return all(theirs.get(v, 0) >= c for v, c in self.counts().items())
-
-    def remove_one(self, value) -> "BidMultiset":
-        """Drop a single occurrence of ``value``."""
-        needle = ensure_rational(value)
-        vals = list(self.values)
-        try:
-            vals.remove(needle)
-        except ValueError:
-            raise ValueError(f"{format_rational(needle)} not in multiset") from None
-        return BidMultiset(tuple(vals))
 
     def canonical_key(self) -> tuple:
         """Sort key: by size, then by the sorted value tuple."""

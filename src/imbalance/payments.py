@@ -15,9 +15,11 @@ on such a set forces
 
     P(bag(base) + {fill})  =  rule(all-fill vector) / (2 + |dom(base)|),
 
-which this module computes directly (``forced_payment``), via the
-all-equal-bids iteration (``build_payment_table``), and summed per bidder
-for a whole vector (``forced_payment_sum``).  The linear-feasibility
+which this module computes directly (``forced_payment``) and summed per
+bidder for a whole vector (``forced_payment_sum``).  Along the
+all-equal-bids iteration (``build_payment_table``) every forced value
+is the same closed form f / N, once the rule is checked to keep its
+flat value f on each N-bidder vector visited.  The linear-feasibility
 module re-derives the same values from the raw equations as an
 independent oracle.
 """
@@ -62,16 +64,6 @@ class PaymentTable:
     def __init__(self, values: Mapping[BidMultiset, object] | None = None):
         pairs = (values or {}).items()
         self._values: dict[BidMultiset, Fraction] = {k: ensure_rational(v) for k, v in pairs}
-
-    def record(self, multiset: BidMultiset, value) -> None:
-        val = ensure_rational(value)
-        old = self._values.get(multiset)
-        if old is not None and old != val:
-            raise ValueError(
-                f"conflicting payment for {multiset!r}: "
-                f"{format_rational(old)} vs {format_rational(val)}"
-            )
-        self._values[multiset] = val
 
     def value(self, multiset: BidMultiset) -> Fraction:
         try:
@@ -207,31 +199,31 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
 def build_payment_table(
     n_bidders: int, fill, extras: Iterable[object], rule: PriceRule
 ) -> tuple[PaymentTable, tuple[tuple[BidMultiset, Fraction], ...]]:
-    """Payment table from the all-equal-bids iteration.
+    """Payment table from the all-equal-bids iteration, in closed form.
 
-    Starting from the vector where all ``n_bidders`` bid ``fill``, balance
-    gives P on the (N-1)-fold {fill} bag with coefficient 1/N.  Replacing
-    bids by the ``extras`` one at a time and re-imposing balance
-    eliminates the known payments and pins each new shape in turn; the
-    rule must keep its flat value on every vector visited (checked at
-    each step).  The table covers every multiset
+    Starting from the vector where all N = ``n_bidders`` bid ``fill``,
+    the iteration replaces bids by the ``extras`` one at a time and
+    re-imposes balance, which pins each new shape in turn; the rule must
+    keep its flat value f on every vector visited (checked at each step).
+    The table covers every multiset
 
         m + {fill repeated N - 1 - |m|}   for every m <= bag(extras),
 
-    and the steps pair the shape reached after introducing each extra bid
-    with its elimination coefficient (the payment divided by the rule's
-    flat value); every coefficient equals 1/N.  A rule undefined on a
-    visited vector fails that check as AdequacyError.
+    and every one of them is pinned to f / N.  By induction on |m|: on
+    the vector keeping m, the N - |m| fill bidders each see the shape of
+    m, and each of the |m| others the shape of m less its own bid,
+    already f / N, so balance reads (N - |m|) * P + |m| * f / N = f,
+    and P = f / N.  The steps pair the shape reached after introducing
+    each extra bid with its elimination coefficient (the payment divided
+    by f), 1/N every time.  ``tests/test_payment_table_reference.py``
+    keeps the iteration itself as the reference this closed form must
+    match.
 
-    The iteration runs on count tuples c over the sorted distinct extras
-    v_1 < v_2 < ...; with n_fill = N - |c| bidders left at ``fill``,
-
-        P(c) = (flat value - sum over j of c_j * P(c - e_j)) / n_fill,
-
-    each earlier P looked up by its int tuple.  Tuples are visited in the
-    key order (|c|, -c), which is the canonical order of the multisets
-    they count, so the steps and the first one to fail keep that order.
-    Each shape's ``BidMultiset`` is built once, for the table.
+    Visited vectors are indexed by count tuples c over the sorted distinct
+    extras, in the key order (|c|, -c), which is the canonical order of
+    the multisets they count, so the first vector to fail keeps that
+    order.  A rule undefined on a visited vector fails the check as
+    AdequacyError.
     """
     if n_bidders < 2:
         raise ValueError("need at least 2 bidders")
@@ -242,17 +234,12 @@ def build_payment_table(
         )
     fill_bid = ensure_rational(fill)
     ids = tuple(range(1, n_bidders + 1))
-    coefficients = [Fraction(1, n_bidders)]
-    for size in range(1, len(extra_bids) + 1):
-        coefficients.append((1 - size * coefficients[size - 1]) / (n_bidders - size))
-
     values = sorted(set(extra_bids))
     lattice = sorted(
         itertools.product(*(range(extra_bids.count(v) + 1) for v in values)),
         key=lambda c: (sum(c), tuple(-x for x in c)),
     )
-    table = PaymentTable()
-    by_counts: dict[tuple[int, ...], Fraction] = {}
+    shapes = []
     try:
         flat_value = rule(flat(ids, fill_bid))
         for counts in lattice:
@@ -265,20 +252,18 @@ def build_payment_table(
                     f"{rule.name!r} gives {format_rational(value)} there but "
                     f"{format_rational(flat_value)} on the flat vector"
                 )
-            remainder = flat_value
-            for j, c in enumerate(counts):
-                if c:
-                    remainder -= c * by_counts[counts[:j] + (c - 1,) + counts[j + 1:]]
-            payment = by_counts[counts] = remainder / n_fill
-            table.record(BidMultiset(tuple(sorted(kept + [fill_bid] * (n_fill - 1)))), payment)
+            shapes.append(BidMultiset(tuple(sorted(kept + [fill_bid] * (n_fill - 1)))))
     except (RuleArityError, RuleDomainError) as exc:
         raise AdequacyError(f"flat-invariance fails: {exc}") from exc
 
-    steps = []
-    for j in range(len(extra_bids) + 1):
-        shape = sorted(extra_bids[:j] + [fill_bid] * (n_bidders - 1 - j))
-        steps.append((BidMultiset(tuple(shape)), coefficients[j]))
-    return table, tuple(steps)
+    table = PaymentTable(dict.fromkeys(shapes, flat_value / n_bidders))
+    coefficient = Fraction(1, n_bidders)
+    steps = tuple(
+        (BidMultiset(tuple(sorted(extra_bids[:j] + [fill_bid] * (n_bidders - 1 - j)))),
+         coefficient)
+        for j in range(len(extra_bids) + 1)
+    )
+    return table, steps
 
 
 def forced_payment_sum(

@@ -1,17 +1,20 @@
-"""Differential test: the count-tuple payment iteration against the one it replaced.
+"""Differential test: the closed-form payment table against the iteration.
 
-``reference_build_payment_table`` is the previous ``build_payment_table``,
-kept here unchanged as the reference.  It builds, sorts and hashes a
-``BidMultiset`` for every lookup of an earlier step; the current iteration
-keys its earlier values by count tuples over the sorted distinct extras.
-Both must give the same table, the same steps, the same rule evaluations in
-the same order, and the same errors.
+``reference_build_payment_table`` is the all-equal-bids iteration itself,
+as ``build_payment_table`` ran it before it keyed earlier values by count
+tuples and then read every value off the closed form f / N.  It builds,
+sorts and hashes a ``BidMultiset`` for every lookup of an earlier step and
+eliminates the known payments one balance equation at a time.  Both must
+give the same table, the same steps, the same rule evaluations in the
+same order, and the same errors.  Other tests import the reference to
+compare the iterated table with ``forced_payment``.
 """
 
 from fractions import Fraction
 from typing import Iterable
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from imbalance import (
@@ -66,7 +69,7 @@ def reference_build_payment_table(
     for size in range(1, len(extra_bids) + 1):
         coefficients.append((1 - size * coefficients[size - 1]) / (n_bidders - size))
 
-    table = PaymentTable()
+    table: dict[BidMultiset, Fraction] = {}
     lattice = sub_multisets(BidMultiset.of(extra_bids))
     lattice.sort(key=lambda m: m.canonical_key())
     try:
@@ -86,19 +89,21 @@ def reference_build_payment_table(
             n_fill = n_bidders - len(m)
             remainder = flat_value
             for v in m.distinct():
-                smaller = m.remove_one(v) + BidMultiset.of([fill_bid] * n_fill)
-                remainder -= m.count(v) * table.value(smaller)
-            shape = m + BidMultiset.of([fill_bid] * (n_fill - 1))
-            table.record(shape, remainder / n_fill)
+                others = list(m.values)
+                others.remove(v)
+                smaller = BidMultiset.of(others + [fill_bid] * n_fill)
+                remainder -= m.count(v) * table[smaller]
+            shape = BidMultiset.of(list(m.values) + [fill_bid] * (n_fill - 1))
+            payment = remainder / n_fill
+            assert table.setdefault(shape, payment) == payment, f"conflicting payment for {shape!r}"
     except (RuleArityError, RuleDomainError) as exc:
         raise AdequacyError(f"flat-invariance fails: {exc}") from exc
 
     steps = []
     for j in range(len(extra_bids) + 1):
-        prefix = BidMultiset.of(extra_bids[:j])
-        shape = prefix + BidMultiset.of([fill_bid] * (n_bidders - 1 - j))
+        shape = BidMultiset.of(extra_bids[:j] + [fill_bid] * (n_bidders - 1 - j))
         steps.append((shape, coefficients[j]))
-    return table, tuple(steps)
+    return PaymentTable(table), tuple(steps)
 
 
 def outcome(build, n_bidders, fill, extras, rule):
@@ -180,3 +185,25 @@ class TestAgainstReference:
         collect()
         assert {"returned", "AdequacyError", "ValueError", "fill among extras",
                 "undefined"} <= reached
+
+
+def off_mid_lattice(n):
+    """A table rule over the vectors ``theorem --trace`` visits at size n:
+    the flat value everywhere but at the middle step of the lattice."""
+    visited = visited_vectors(n + 2, Fraction(n + 3), [Fraction(e) for e in range(1, n + 1)])
+    table = dict.fromkeys(visited, Fraction(1))
+    lattice = visited[1:]
+    table[lattice[len(lattice) // 2]] = Fraction(2)
+    return register_external("off-mid-lattice", table)
+
+
+@pytest.mark.parametrize("name", [*RULES, "off-mid-lattice"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cli_sizes_match_reference(n, name):
+    # the exact arguments of ``theorem --n n --trace``, past the 7 bidders
+    # the strategy above reaches
+    rule = off_mid_lattice(n) if name == "off-mid-lattice" else get_rule(name)
+    args = (n + 2, n + 3, list(range(1, n + 1)), rule)
+    want = outcome(reference_build_payment_table, *args)
+    assert want[:2] == ("raised", AdequacyError) if name == "off-mid-lattice" else want[0] == "returned"
+    assert outcome(build_payment_table, *args) == want
