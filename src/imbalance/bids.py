@@ -17,6 +17,10 @@ operators the verification pipeline is assembled from:
 ``restrictions``, ``completion`` and ``extend`` define the family and the
 adequate sets member by member; only tests and the benchmark tracer call them.
 
+A vector hashes as the tuple of its (bidder, hash(bid)) pairs and keeps
+that hash.  ``full_family`` builds its members from shared pairs, with
+their hashes set from one hash per distinct bid object.
+
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
 bidder key and bid text in a file is parsed once.
 
@@ -42,9 +46,10 @@ class BidVector:
     """Finite map bidder id -> bid, stored as its sorted graph: ids strictly
     increase, which the raw constructor trusts and ``of`` establishes.
 
-    The hash is the one the dataclass would compute, kept in the instance
-    after the first time it is asked for, so a vector that keys several
-    lookups hashes its ``Fraction`` bids once.
+    The hash is that of the tuple of (bidder, hash(bid)) pairs, so equal
+    vectors hash equal, an ``int`` bid like its ``Fraction``.  It is kept
+    in the instance once asked for, or set when ``full_family`` builds the
+    vector, so a vector that keys several lookups hashes its bids once.
     """
 
     entries: tuple[tuple[int, Fraction], ...] = ()
@@ -52,7 +57,7 @@ class BidVector:
     def __hash__(self) -> int:
         value = self.__dict__.get("_hash")
         if value is None:
-            value = self.__dict__["_hash"] = hash((self.entries,))
+            value = self.__dict__["_hash"] = hash(tuple([(i, hash(v)) for i, v in self.entries]))
         return value
 
     @staticmethod
@@ -256,14 +261,38 @@ def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
     bid all give the same member: only the other bids' counts are
     enumerated, and each count tuple gives a distinct member.  The family
     can therefore have fewer members than the bag has sub-multisets.
+
+    Members are built from shared pairs: each position's kept pair is the
+    vector's own, and its filled pair and both (bidder, hash) pairs are
+    built once, from one hash per distinct bid object.  The pair lists
+    grow one bid group at a time, each list so far copied with the
+    group's first 1, 2, ... holders kept.  Each member gets its hash when
+    it is built, and families of vectors that share bid objects share
+    them too, so their equal members compare equal by identity.
     """
     fill_bid = ensure_rational(fill)
-    ids, bids = tuple(vector), vector.values()
-    varying = [g for v, g in _bid_groups(vector.entries).items() if v != fill_bid]
-    return frozenset(
-        _keep_first_holders(ids, bids, varying, counts, fill_bid)
-        for counts in itertools.product(*(range(len(g) + 1) for g in varying))
-    )
+    hashes = {id(fill_bid): hash(fill_bid)}
+    for _, v in vector.entries:
+        if id(v) not in hashes:
+            hashes[id(v)] = hash(v)
+    kept = vector.entries
+    kept_hashes = [(i, hashes[id(v)]) for i, v in kept]
+    rows = [([(i, fill_bid) for i, _ in kept], [(i, hashes[id(fill_bid)]) for i, _ in kept])]
+    for positions in [g for v, g in _bid_groups(kept).items() if v != fill_bid]:
+        grown = []
+        for pairs, pair_hashes in rows:
+            grown.append((pairs, pair_hashes))
+            for pos in positions:
+                pairs, pair_hashes = pairs[:], pair_hashes[:]
+                pairs[pos], pair_hashes[pos] = kept[pos], kept_hashes[pos]
+                grown.append((pairs, pair_hashes))
+        rows = grown
+    members = []
+    for pairs, pair_hashes in rows:
+        member = BidVector(tuple(pairs))
+        member.__dict__["_hash"] = hash(tuple(pair_hashes))
+        members.append(member)
+    return frozenset(members)
 
 
 def extend(pairs: BidVector, family: Iterable[BidVector]) -> frozenset[BidVector]:

@@ -126,13 +126,15 @@ def is_counterexample(triple: CounterexampleTriple, rule: PriceRule) -> bool:
 
 def vickrey_vectors(n: int) -> tuple[BidVector, BidVector]:
     """The stock pair on bidders 1..n+2: bids 1..n+1 then n+3, and the
-    same with the (n+1)-th bid raised to n+2."""
+    same with the (n+1)-th bid raised to n+2.  Both hold one ``Fraction``
+    object per value, so their families' members compare by identity."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    low = {i: i for i in range(1, n + 2)}
-    low[n + 2] = n + 3
+    bid = [Fraction(v) for v in range(n + 4)]
+    low = {i: bid[i] for i in range(1, n + 2)}
+    low[n + 2] = bid[n + 3]
     high = dict(low)
-    high[n + 1] = n + 2
+    high[n + 1] = bid[n + 2]
     return BidVector.of(low), BidVector.of(high)
 
 
@@ -292,5 +294,16 @@ def verify_imbalance(
 
 
 def witness_set_to_json(vectors: frozenset[BidVector]) -> list[dict]:
-    """Canonically sorted JSON array of bid vectors."""
-    return [bid_vector_to_json(v) for v in sorted(vectors, key=lambda b: b.entries)]
+    """JSON array of bid vectors, sorted by ``entries``.
+
+    Each distinct bid object is ranked once, by its id, and equal values,
+    keyed by (numerator, denominator), share a rank.  So the tuple of
+    (bidder, rank) pairs orders vectors exactly as their entries do, with
+    integer compares and no bid hashed.
+    """
+    objs = {id(v): v for vec in vectors for _, v in vec.entries}  # keeps each id alive
+    values = sorted({(v.numerator, v.denominator): v for v in objs.values()}.values())
+    rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
+    rank_of = {i: rank[v.numerator, v.denominator] for i, v in objs.items()}
+    ordered = sorted(vectors, key=lambda vec: tuple([(i, rank_of[id(v)]) for i, v in vec.entries]))
+    return [bid_vector_to_json(v) for v in ordered]

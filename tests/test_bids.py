@@ -74,13 +74,16 @@ class TestBidVector:
         assert bid_vector_to_json(b) == {"bids": {"1": "-5/4", "3": "10"}}
         assert bid_vector_from_json(bid_vector_to_json(b)) == b
 
-    def test_kept_hash_is_the_dataclass_hash(self):
+    def test_kept_hash_is_the_hash_of_bid_hashes(self):
         text, exact = vec({1: "2/4", 3: -2}), vec({1: Fraction(1, 2), 3: Fraction(-2)})
-        assert text == exact
-        for b in (text, exact):
-            assert hash(b) == hash((b.entries,))
+        raw_int = BidVector(((1, Fraction(1, 2)), (3, -2)))  # an int bid next to its Fraction
+        assert text == exact == raw_int
+        for b in (text, exact, raw_int):
+            assert hash(b) == hash(((1, hash(Fraction(1, 2))), (3, hash(-2))))
             assert hash(b) == hash(b)  # the kept value on the second ask
-        assert hash(text) == hash(exact)
+            assert b.__dict__["_hash"] == hash(b)
+        assert hash(text) == hash(exact) == hash(raw_int)
+        assert hash(vec({})) == hash(())
 
     @pytest.mark.parametrize("hashed_first", [False, True])
     def test_copies_keep_equality_and_hash(self, hashed_first):
@@ -89,7 +92,8 @@ class TestBidVector:
             hash(b)
         for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
             assert twin == b and twin.entries == b.entries
-            assert hash(twin) == hash(b) == hash((b.entries,))
+            assert hash(twin) == hash(b) == hash(((2, hash(Fraction(7, 3))), (5, hash(1))))
+            assert hash(twin) == hash(BidVector(twin.entries))  # fresh, nothing kept
 
 
 class TestBidMultiset:

@@ -1,14 +1,17 @@
-"""Differential tests: interned parsing and rank-based completion families
-against the code they replaced.
+"""Differential tests: interned parsing, rank-based completion families
+and the rank-keyed witness writer against the code they replaced.
 
 The ``reference_*`` functions are the previous ``bid_vector_from_json``,
-``system_from_json``, ``completion`` and ``full_family``, kept here
-unchanged.  The old parsers coerce every entry on its own (a bid went
-through ``ensure_rational`` twice, the second time in ``BidVector.of``);
-the new ones parse each distinct text of a file once through a
-``ParseMemo``.  The old family builds a ``BidMultiset`` and a
-``Fraction``-keyed count dict per sub-multiset; the new one enumerates
-count tuples over bid groups and skips the group equal to the fill.
+``system_from_json``, ``completion``, ``full_family`` and
+``witness_set_to_json``, kept here unchanged.  The old parsers coerce
+every entry on its own (a bid went through ``ensure_rational`` twice, the
+second time in ``BidVector.of``); the new ones parse each distinct text of
+a file once through a ``ParseMemo``.  The old family builds a
+``BidMultiset`` and a ``Fraction``-keyed count dict per sub-multiset; the
+new one enumerates count tuples over bid groups, skips the group equal to
+the fill, and gives each member the hash it would compute, built from one
+hash per distinct bid object.  The old writer sorts by ``entries``; the
+new one sorts by (bidder, rank) pairs.
 
 Both routes must give equal results, with bids as ``Fraction`` and ids as
 ``int``, or the same exception type and message raised at the same entry.
@@ -22,6 +25,7 @@ Mutants these tests catch (each checked on a broken copy of the package):
 * keeping the last holders of a bid instead of the first;
 * enumerating counts ``0..m-1`` instead of ``0..m``;
 * a fill that is not coerced, so a ``str`` fill lands in the vectors;
+* a member's kept hash that uses the fill's hash at a kept position;
 * checking the domain cap after every vector's parse, so a bad bid in
   vector 1 hides vector 0's cap error.
 """
@@ -46,9 +50,10 @@ from imbalance import (
     sub_multisets,
     system_from_json,
 )
-from imbalance.bids import ParseMemo, bid_vector_from_json, canonical_id
+from imbalance.bids import ParseMemo, bid_vector_from_json, bid_vector_to_json, canonical_id
 from imbalance.cli import main
-from imbalance.rationals import ensure_rational
+from imbalance.rationals import ensure_rational, format_rational
+from imbalance.witness import vickrey_witness_set, witness_set_to_json
 
 
 # --- the replaced code, verbatim ---------------------------------------
@@ -112,6 +117,10 @@ def reference_full_family(vector: BidVector, fill) -> frozenset[BidVector]:
     return frozenset(
         reference_completion(vector, m, fill_bid) for m in sub_multisets(bag_of(vector))
     )
+
+
+def reference_witness_set_to_json(vectors: frozenset[BidVector]) -> list[dict]:
+    return [bid_vector_to_json(v) for v in sorted(vectors, key=lambda b: b.entries)]
 
 
 # --- helpers -----------------------------------------------------------
@@ -245,12 +254,23 @@ fills = st.sampled_from(POOL + [Fraction(7)]).flatmap(
 )
 
 
+def assert_kept_hashes(family):
+    """Each member holds its hash from the build, and it is the hash of a
+    fresh vector on the same entries and of one built by ``BidVector.of``
+    from equal but distinct bid objects."""
+    for member in family:
+        kept = member.__dict__["_hash"]
+        assert kept == hash(BidVector(member.entries))
+        assert kept == hash(BidVector.of({i: format_rational(v) for i, v in member.entries}))
+
+
 @settings(max_examples=300, deadline=None)
 @given(bases, fills)
 def test_full_family_matches_reference(base, fill):
     got = full_family(base, fill)
     assert got == reference_full_family(base, fill)
     assert {typed(v) for v in got} == {typed(v) for v in reference_full_family(base, fill)}
+    assert_kept_hashes(got)
 
 
 @pytest.mark.parametrize("fill", [5, "5", Fraction(5), "10/2"])
@@ -259,11 +279,81 @@ def test_fill_equal_to_a_repeated_base_bid(fill):
     family = full_family(base, fill)
     assert family == reference_full_family(base, fill)
     assert len(family) == 3  # only the two 3-holders vary
+    assert_kept_hashes(family)
 
 
 @pytest.mark.parametrize("fill", [0, "0", Fraction(0)])
 def test_empty_base(fill):
-    assert full_family(BidVector.of({}), fill) == reference_full_family(BidVector.of({}), fill)
+    family = full_family(BidVector.of({}), fill)
+    assert family == reference_full_family(BidVector.of({}), fill)
+    assert_kept_hashes(family)
+
+
+# --- the witness writer ------------------------------------------------
+
+# ints next to equal Fractions; each Fraction is built afresh per draw, so
+# equal values are held by distinct objects
+VALUES = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(7, 3)]
+bid_objects = st.sampled_from(VALUES) | st.sampled_from(VALUES).map(Fraction)
+raw_vectors = st.dictionaries(st.integers(0, 6), bid_objects, max_size=5).map(
+    lambda bids: BidVector(tuple(sorted(bids.items())))  # keeps int bids as ints
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(raw_vectors, max_size=12))
+def test_witness_writer_matches_reference(vectors):
+    assert witness_set_to_json(vectors) == reference_witness_set_to_json(vectors)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_witness_writer_matches_reference_on_stock_sets(n):
+    vectors = vickrey_witness_set(n)
+    assert witness_set_to_json(vectors) == reference_witness_set_to_json(vectors)
+
+
+# --- cost guard: bids hashed per distinct bid, never per member ----------
+
+@pytest.fixture
+def fraction_hashes(monkeypatch):
+    """A list that grows by one on every ``Fraction.__hash__`` call."""
+    calls = []
+    original = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    return calls
+
+
+# Ten bids each time.  A call hashes each bid once to group the bids, and
+# each distinct bid object, the fill's included, once more: at most
+# 2 * 10 + 1, whatever the family's size.
+@pytest.mark.parametrize(
+    "bids, size, hashes",
+    [
+        # ten distinct values, one equal to the fill: the largest family
+        ({i: Fraction(i) for i in range(1, 11)}, 512, 10 + 11),
+        # one object equal to the fill, held ten times: a single member
+        (dict.fromkeys(range(1, 11), Fraction(1)), 1, 10 + 2),
+        # ten distinct objects of one value other than the fill
+        ({i: Fraction(3) for i in range(1, 11)}, 11, 10 + 11),
+    ],
+    ids=["distinct", "all-fill", "repeated"],
+)
+def test_full_family_hashes_each_bid_object_once(bids, size, hashes, fraction_hashes):
+    family = full_family(BidVector(tuple(bids.items())), Fraction(1))
+    assert len(family) == size
+    assert len(fraction_hashes) == hashes
+
+
+def test_witness_writer_hashes_no_bid(fraction_hashes):
+    vectors = vickrey_witness_set(8)
+    fraction_hashes.clear()
+    assert len(witness_set_to_json(vectors)) == 1280
+    assert fraction_hashes == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,7 +3,8 @@
 ``benchmarks/hashes.json`` holds the sha256 of every stdout and output
 file the benchmark workloads produce.  This test re-runs the smaller of
 those calls on witness files in canonical order (the order ``witness``
-writes), and every grid call (k = 3 and 4, B = 4..6) on the seed-0 grid
+writes), the ``witness`` call alone at the two larger sizes, and every
+grid call (k = 3 and 4, B = 4..6) on the seed-0 grid
 files that ``benchmarks/workloads.py`` itself writes, and requires the
 same hashes, so a change to any output byte fails here and not only in a
 benchmark run.  The benchmark files are read, never modified.
@@ -63,6 +64,13 @@ def test_witness_and_check_balance(n, tmp_path, capsys):
                   capsys, tmp_path / "r.json", code)
         assert got == {"stdout": want["check-balance.stdout"],
                        "out": want["check-balance.out"]}, rule
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_witness(n, tmp_path, capsys):
+    want = HASHES["witness-refute"][f"k={n}"]
+    got = run(["witness", "--n", str(n)], capsys, tmp_path / "w.json", 0)
+    assert got == {"stdout": want["witness.stdout"], "out": want["witness.out"]}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
