@@ -19,7 +19,8 @@ adequate sets member by member; only tests and the benchmark tracer call them.
 
 A vector hashes as the tuple of its (bidder, hash(bid)) pairs and keeps
 that hash.  ``full_family`` builds its members from shared pairs, with
-their hashes set from one hash per distinct bid object.
+their hashes set from one hash per distinct bid object, and ``flat`` sets
+its vector's hash from the one hash of its bid.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
 bidder key and bid text in a file is parsed once.
@@ -48,8 +49,9 @@ class BidVector:
 
     The hash is that of the tuple of (bidder, hash(bid)) pairs, so equal
     vectors hash equal, an ``int`` bid like its ``Fraction``.  It is kept
-    in the instance once asked for, or set when ``full_family`` builds the
-    vector, so a vector that keys several lookups hashes its bids once.
+    in the instance once asked for, or set when ``full_family`` or ``flat``
+    builds the vector, so a vector that keys several lookups hashes its
+    bids once.
     """
 
     entries: tuple[tuple[int, Fraction], ...] = ()
@@ -167,9 +169,15 @@ def remove(vector: BidVector, bidders: Iterable[int]) -> BidVector:
 
 
 def flat(bidders: Iterable[int], value) -> BidVector:
-    """Constant vector: every id in ``bidders`` maps to ``value``."""
+    """Constant vector: every id in ``bidders`` maps to ``value``.
+
+    Its hash is set from one hash of the bid, as ``full_family`` does.
+    """
     bid = ensure_rational(value)
-    return BidVector.of({i: bid for i in bidders})
+    vector = BidVector.of({i: bid for i in bidders})
+    bid_hash = hash(bid)
+    vector.__dict__["_hash"] = hash(tuple([(i, bid_hash) for i, _ in vector.entries]))
+    return vector
 
 
 def sub_multisets(multiset: BidMultiset) -> list[BidMultiset]:

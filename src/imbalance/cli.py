@@ -148,7 +148,7 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
             suffix = f" ({check.detail})" if check.detail else ""
             lines.append(f"HYP {check.name} {status}{suffix}\n")
         try:
-            _, steps = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), rule)
+            steps = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), rule)
         except AdequacyError as exc:  # trace is diagnostic only
             lines.append(f"iteration trace unavailable: {exc}\n")
         else:

@@ -19,9 +19,10 @@ which this module computes directly (``forced_payment``) and summed per
 bidder for a whole vector (``forced_payment_sum``).  Along the
 all-equal-bids iteration (``build_payment_table``) every forced value
 is the same closed form f / N, once the rule is checked to keep its
-flat value f on each N-bidder vector visited.  The linear-feasibility
+flat value f on each N-bidder vector visited, so that function returns
+only the iteration's steps and records no values.  The linear-feasibility
 module re-derives the same values from the raw equations as an
-independent oracle.
+independent oracle, and reports them as a ``PaymentTable``.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def is_adequate(
         return False
     try:
         return check_flat_invariance(rule, member_set, base.dom | {i1, i2}, fill)
-    except (RuleArityError, RuleDomainError, ValueError):
+    except (RuleArityError, RuleDomainError):
         return False
 
 
@@ -198,14 +199,14 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
 
 def build_payment_table(
     n_bidders: int, fill, extras: Iterable[object], rule: PriceRule
-) -> tuple[PaymentTable, tuple[tuple[BidMultiset, Fraction], ...]]:
-    """Payment table from the all-equal-bids iteration, in closed form.
+) -> tuple[tuple[BidMultiset, Fraction], ...]:
+    """Steps of the all-equal-bids iteration, in closed form.
 
     Starting from the vector where all N = ``n_bidders`` bid ``fill``,
     the iteration replaces bids by the ``extras`` one at a time and
     re-imposes balance, which pins each new shape in turn; the rule must
     keep its flat value f on every vector visited (checked at each step).
-    The table covers every multiset
+    The shapes pinned are
 
         m + {fill repeated N - 1 - |m|}   for every m <= bag(extras),
 
@@ -213,11 +214,11 @@ def build_payment_table(
     the vector keeping m, the N - |m| fill bidders each see the shape of
     m, and each of the |m| others the shape of m less its own bid,
     already f / N, so balance reads (N - |m|) * P + |m| * f / N = f,
-    and P = f / N.  The steps pair the shape reached after introducing
-    each extra bid with its elimination coefficient (the payment divided
-    by f), 1/N every time.  ``tests/test_payment_table_reference.py``
-    keeps the iteration itself as the reference this closed form must
-    match.
+    and P = f / N.  The returned steps pair the shape reached after
+    introducing each extra bid with its elimination coefficient (the
+    payment divided by f), 1/N every time.
+    ``tests/test_payment_table_reference.py`` keeps the iteration itself,
+    with its payment table, as the reference this closed form must match.
 
     Visited vectors are indexed by count tuples c over the sorted distinct
     extras, in the key order (|c|, -c), which is the canonical order of
@@ -239,7 +240,6 @@ def build_payment_table(
         itertools.product(*(range(extra_bids.count(v) + 1) for v in values)),
         key=lambda c: (sum(c), tuple(-x for x in c)),
     )
-    shapes = []
     try:
         flat_value = rule(flat(ids, fill_bid))
         for counts in lattice:
@@ -252,18 +252,15 @@ def build_payment_table(
                     f"{rule.name!r} gives {format_rational(value)} there but "
                     f"{format_rational(flat_value)} on the flat vector"
                 )
-            shapes.append(BidMultiset(tuple(sorted(kept + [fill_bid] * (n_fill - 1)))))
     except (RuleArityError, RuleDomainError) as exc:
         raise AdequacyError(f"flat-invariance fails: {exc}") from exc
 
-    table = PaymentTable(dict.fromkeys(shapes, flat_value / n_bidders))
     coefficient = Fraction(1, n_bidders)
-    steps = tuple(
+    return tuple(
         (BidMultiset(tuple(sorted(extra_bids[:j] + [fill_bid] * (n_bidders - 1 - j)))),
          coefficient)
         for j in range(len(extra_bids) + 1)
     )
-    return table, steps
 
 
 def forced_payment_sum(

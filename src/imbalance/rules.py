@@ -54,22 +54,34 @@ def _second_price(vector: BidVector) -> Fraction:
     """The second highest bid, counted with multiplicity, in one pass.
 
     ``top`` and ``second`` are the two largest bids seen so far, so a bid
-    equal to the maximum still becomes ``second``.
+    equal to the maximum still becomes ``second``.  Bids are compared as
+    ``a.numerator * b.denominator > b.numerator * a.denominator``, exact
+    because denominators are positive (an ``int`` has denominator 1).
     """
     (_, top), (_, second), *rest = vector.entries
-    if second > top:
-        top, second = second, top
+    tn, td, sn, sd = top.numerator, top.denominator, second.numerator, second.denominator
+    if sn * td > tn * sd:
+        top, tn, td, second, sn, sd = second, sn, sd, top, tn, td
     for _, v in rest:
-        if v > second:
-            if v > top:
-                top, second = v, top
+        vn, vd = v.numerator, v.denominator
+        if vn * sd > sn * vd:
+            if vn * td > tn * vd:
+                top, tn, td, second, sn, sd = v, vn, vd, top, tn, td
             else:
-                second = v
+                second, sn, sd = v, vn, vd
     return second
 
 
 def _first_price(vector: BidVector) -> Fraction:
-    return max(v for _, v in vector.entries)
+    """The first maximal bid in bidder order, as ``max`` picks it, compared
+    as integers like ``_second_price``."""
+    (_, top), *rest = vector.entries
+    tn, td = top.numerator, top.denominator
+    for _, v in rest:
+        vn, vd = v.numerator, v.denominator
+        if vn * td > tn * vd:
+            top, tn, td = v, vn, vd
+    return top
 
 
 def get_rule(name: str) -> PriceRule:
@@ -114,15 +126,12 @@ def check_flat_invariance(
 ) -> bool:
     """Whether the rule takes its flat value on every vector.
 
-    Each vector must have domain exactly ``bidders``; the reference value
-    is the rule applied to the constant vector at ``fill``.
+    The reference value is the rule applied to the constant vector at
+    ``fill`` on ``bidders``.  Precondition, not checked here: each vector
+    has domain exactly ``bidders``.  ``build_adequate_set`` passes
+    ``full_family`` members, which keep the holders' ids by construction,
+    and ``is_adequate`` calls this only once ``has_full_family_structure``
+    has accepted every member's domain.
     """
-    order = tuple(sorted(frozenset(bidders)))
-    vecs = list(vectors)
-    for vec in vecs:
-        if tuple(vec) != order:  # vector ids are sorted and distinct
-            raise ValueError(
-                f"domain mismatch: expected bidders {list(order)}, got {list(vec)}"
-            )
-    target = rule(flat(order, fill))
-    return all(rule(vec) == target for vec in vecs)
+    target = rule(flat(bidders, fill))
+    return all(rule(vec) == target for vec in vectors)

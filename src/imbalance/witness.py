@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .bids import BidVector, bid_vector_to_json, flat, full_family, remove
+from .bids import BidVector, flat, full_family, remove
 from .payments import build_adequate_set
 from .rationals import format_rational
 from .rules import PriceRule, RuleArityError, RuleDomainError, get_rule
@@ -299,11 +299,16 @@ def witness_set_to_json(vectors: frozenset[BidVector]) -> list[dict]:
     Each distinct bid object is ranked once, by its id, and equal values,
     keyed by (numerator, denominator), share a rank.  So the tuple of
     (bidder, rank) pairs orders vectors exactly as their entries do, with
-    integer compares and no bid hashed.
+    integer compares and no bid hashed.  Each rank's text and each bidder
+    id's key are formatted once; every ``{"bids": ...}`` object is
+    assembled from those, as ``bid_vector_to_json`` would write it.
     """
     objs = {id(v): v for vec in vectors for _, v in vec.entries}  # keeps each id alive
     values = sorted({(v.numerator, v.denominator): v for v in objs.values()}.values())
     rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
     rank_of = {i: rank[v.numerator, v.denominator] for i, v in objs.items()}
     ordered = sorted(vectors, key=lambda vec: tuple([(i, rank_of[id(v)]) for i, v in vec.entries]))
-    return [bid_vector_to_json(v) for v in ordered]
+    texts = [format_rational(v) for v in values]
+    text_of = {i: texts[r] for i, r in rank_of.items()}
+    key_of = {i: str(i) for i in {i for vec in vectors for i, _ in vec.entries}}
+    return [{"bids": {key_of[i]: text_of[id(v)] for i, v in vec.entries}} for vec in ordered]

@@ -53,6 +53,7 @@ from imbalance import (
 from imbalance.bids import ParseMemo, bid_vector_from_json, bid_vector_to_json, canonical_id
 from imbalance.cli import main
 from imbalance.rationals import ensure_rational, format_rational
+from imbalance import witness
 from imbalance.witness import vickrey_witness_set, witness_set_to_json
 
 
@@ -354,6 +355,19 @@ def test_witness_writer_hashes_no_bid(fraction_hashes):
     fraction_hashes.clear()
     assert len(witness_set_to_json(vectors)) == 1280
     assert fraction_hashes == []
+
+
+def test_witness_writer_formats_each_value_once(monkeypatch):
+    # 12,800 entries over the 11 values 1..9, 10 and 11
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return format_rational(value)
+
+    monkeypatch.setattr(witness, "format_rational", counted)
+    assert len(witness_set_to_json(vickrey_witness_set(8))) == 1280
+    assert sorted(calls) == [Fraction(v) for v in range(1, 12)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,12 +1,14 @@
-"""Differential test: the closed-form payment table against the iteration.
+"""Differential test: the closed-form iteration steps against the iteration.
 
 ``reference_build_payment_table`` is the all-equal-bids iteration itself,
 as ``build_payment_table`` ran it before it keyed earlier values by count
-tuples and then read every value off the closed form f / N.  It builds,
-sorts and hashes a ``BidMultiset`` for every lookup of an earlier step and
-eliminates the known payments one balance equation at a time.  Both must
-give the same table, the same steps, the same rule evaluations in the
-same order, and the same errors.  Other tests import the reference to
+tuples, then read every value off the closed form f / N, and then stopped
+recording the values at all.  It builds, sorts and hashes a ``BidMultiset``
+for every lookup of an earlier step and eliminates the known payments one
+balance equation at a time.  Both must give the same steps, the same rule
+evaluations in the same order, and the same errors; the reference's own
+table must hold f / N on every shape, the closed form that lets
+``build_payment_table`` skip it.  Other tests import the reference to
 compare the iterated table with ``forced_payment``.
 """
 
@@ -106,8 +108,14 @@ def reference_build_payment_table(
     return PaymentTable(table), tuple(steps)
 
 
+def reference_steps(n_bidders, fill, extras, rule):
+    """The reference iteration's steps, its table dropped."""
+    return reference_build_payment_table(n_bidders, fill, extras, rule)[1]
+
+
 def outcome(build, n_bidders, fill, extras, rule):
-    """What one build returns or raises, and every vector the rule saw."""
+    """The steps one build returns, or the type and message of what it
+    raises, and every vector the rule saw."""
     seen = []
 
     def recording(vector):
@@ -116,10 +124,10 @@ def outcome(build, n_bidders, fill, extras, rule):
 
     watched = PriceRule(rule.name, rule.min_arity, recording)
     try:
-        table, steps = build(n_bidders, fill, extras, watched)
+        steps = build(n_bidders, fill, extras, watched)
     except Exception as exc:
         return ("raised", type(exc), str(exc), seen)
-    return ("returned", table.items(), steps, seen)
+    return ("returned", steps, seen)
 
 
 def visited_vectors(n_bidders, fill, extras):
@@ -161,8 +169,8 @@ def iteration_inputs(draw):
 class TestAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(iteration_inputs())
-    def test_same_table_steps_evaluations_and_errors(self, inputs):
-        want = outcome(reference_build_payment_table, *inputs)
+    def test_same_steps_evaluations_and_errors(self, inputs):
+        want = outcome(reference_steps, *inputs)
         got = outcome(build_payment_table, *inputs)
         assert got == want
 
@@ -175,7 +183,7 @@ class TestAgainstReference:
         @given(iteration_inputs())
         def collect(inputs):
             n_bidders, fill, extras, _ = inputs
-            kind, *rest = outcome(reference_build_payment_table, *inputs)
+            kind, *rest = outcome(reference_steps, *inputs)
             reached.add(kind if kind == "returned" else rest[0].__name__)
             if kind == "returned" and fill in extras:
                 reached.add("fill among extras")
@@ -204,6 +212,22 @@ def test_cli_sizes_match_reference(n, name):
     # the strategy above reaches
     rule = off_mid_lattice(n) if name == "off-mid-lattice" else get_rule(name)
     args = (n + 2, n + 3, list(range(1, n + 1)), rule)
-    want = outcome(reference_build_payment_table, *args)
+    want = outcome(reference_steps, *args)
     assert want[:2] == ("raised", AdequacyError) if name == "off-mid-lattice" else want[0] == "returned"
     assert outcome(build_payment_table, *args) == want
+
+
+@pytest.mark.parametrize("name", RULES)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reference_table_is_the_closed_form(n, name):
+    # at the arguments of ``theorem --n n --trace``: the iterated table
+    # pins every shape m + {fill}^(N - 1 - |m|), m <= bag(extras), and
+    # nothing else, to f / N
+    rule = get_rule(name)
+    n_bidders, fill, extras = n + 2, Fraction(n + 3), [Fraction(e) for e in range(1, n + 1)]
+    table, _ = reference_build_payment_table(n_bidders, fill, extras, rule)
+    shapes = [BidMultiset.of([*m.values, *[fill] * (n_bidders - 1 - len(m))])
+              for m in sub_multisets(BidMultiset.of(extras))]
+    f = rule(flat(range(1, n_bidders + 1), fill))
+    assert table.items() == sorted(((shape, f / n_bidders) for shape in shapes),
+                                   key=lambda kv: kv[0].canonical_key())

@@ -241,19 +241,21 @@ class TestForcedPayment:
 
 class TestBuildPaymentTable:
     def test_flat_start(self):
-        table, steps = build_payment_table(3, 4, [], NEG2)
-        assert table.value(bag(4, 4)) == Fraction(-4, 3)
-        assert steps[0] == (bag(4, 4), Fraction(1, 3))
+        steps = build_payment_table(3, 4, [], NEG2)
+        assert steps == ((bag(4, 4), Fraction(1, 3)),)
+        # the payment that step pins: its coefficient times the flat value
+        assert steps[0][1] * NEG2(flat(range(1, 4), 4)) == Fraction(-4, 3)
 
     def test_one_extra(self):
-        table, steps = build_payment_table(3, 4, [1], NEG2)
-        assert table.value(bag(1, 4)) == Fraction(-4, 3)
-        assert table.value(bag(1, 4)) == forced_payment(vec({9: 1}), 4, NEG2, 1, 2)
-        assert [k for _, k in steps] == [Fraction(1, 3), Fraction(1, 3)]
+        steps = build_payment_table(3, 4, [1], NEG2)
+        assert steps == ((bag(4, 4), Fraction(1, 3)), (bag(1, 4), Fraction(1, 3)))
+        pinned = steps[1][1] * NEG2(flat(range(1, 4), 4))
+        assert pinned == forced_payment(vec({9: 1}), 4, NEG2, 1, 2)
 
     def test_constant_zero_rule(self):
-        table, _ = build_payment_table(4, 2, [1, 1], get_rule("constant:0"))
-        assert all(v == 0 for _, v in table.items())
+        steps = build_payment_table(4, 2, [1, 1], get_rule("constant:0"))
+        assert steps == ((bag(2, 2, 2), Fraction(1, 4)), (bag(1, 2, 2), Fraction(1, 4)),
+                         (bag(1, 1, 2), Fraction(1, 4)))
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -287,10 +289,12 @@ class TestBuildPaymentTable:
         for n_bidders in range(2, 7):
             fill = random_rational(rng, lo=0, hi=20)
             extras = [fill - abs(random_rational(rng, lo=0, hi=10)) for _ in range(n_bidders - 2)]
-            table, steps = build_payment_table(n_bidders, fill, extras, NEG2)
-            assert all(k == Fraction(1, n_bidders) for _, k in steps)
-            flat_value = NEG2(flat(range(1, n_bidders + 1), fill))
-            assert all(v == Fraction(1, n_bidders) * flat_value for _, v in table.items())
+            steps = build_payment_table(n_bidders, fill, extras, NEG2)
+            assert [k for _, k in steps] == [Fraction(1, n_bidders)] * (len(extras) + 1)
+            assert [shape for shape, _ in steps] == [
+                BidMultiset.of(extras[:j] + [fill] * (n_bidders - 1 - j))
+                for j in range(len(extras) + 1)
+            ]
 
 
 class TestIterativeMatchesClosedForm:

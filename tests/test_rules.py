@@ -10,9 +10,13 @@ from imbalance import (
     RuleArityError,
     RuleDomainError,
     bag_of,
+    build_adequate_set,
     check_flat_invariance,
+    ensure_rational,
     flat,
     get_rule,
+    has_full_family_structure,
+    is_adequate,
     register_external,
 )
 
@@ -70,8 +74,26 @@ class TestFlatInvariance:
         assert not check_flat_invariance(get_rule("second-price"), members, {1, 2, 3}, 1)
 
     def test_domain_mismatch_is_an_error(self):
-        with pytest.raises(ValueError, match="domain mismatch"):
-            check_flat_invariance(get_rule("constant:0"), {vec({1: 1})}, {1, 2}, 0)
+        # check_flat_invariance trusts its vectors' domains; a set from
+        # outside is checked where it enters.  constant:0 is flat-invariant
+        # on any domain, so only the structure check can reject it.
+        base, rule = vec({3: 1}), get_rule("constant:0")
+        members = build_adequate_set(base, 0, rule, 1, 2).members
+        assert is_adequate(members, base, 0, rule, 1, 2)
+        missing_bidder, foreign_bidder = vec({1: 0, 3: 1}), vec({1: 0, 2: 0, 3: 1, 4: 0})
+        for stray in (missing_bidder, foreign_bidder):
+            assert not has_full_family_structure(members | {stray}, base, 0, 1, 2)
+            assert not is_adequate(members | {stray}, base, 0, rule, 1, 2)
+
+    @given(bid_vectors(max_size=5), rationals, st.data())
+    def test_adequate_set_members_have_the_holders_domain(self, base, fill, data):
+        # the precondition check_flat_invariance relies on when
+        # build_adequate_set calls it; a fill equal to a base bid is common
+        fill = data.draw(st.sampled_from([fill, *base.values()]))
+        i1, i2 = 13, 14  # above every id bidder_ids draws
+        order = tuple(sorted(base.dom | {i1, i2}))
+        members = build_adequate_set(base, fill, get_rule("neg-second-price"), i1, i2).members
+        assert all(tuple(member) == order for member in members)
 
 
 class TestExternalRules:
@@ -109,14 +131,67 @@ def test_permutation_symmetry(name, b, rnd):
     assert bag_of(relabeled) == bag_of(b)
 
 
-# few distinct values, so ties at the top are common; "2/4" respells "1/2"
-TIED_BIDS = st.sampled_from([-3, "-3/2", "-6/4", 0, "1/2", "2/4", 1, "7/3", "14/6", 5, "10/2"])
+# few distinct values, so ties at the top are common; "2/4" respells "1/2".
+# Each text parses to a fresh object per draw, and ints stay raw ints.
+TIED_BIDS = st.sampled_from(
+    [-3, "-3/2", "-6/4", 0, "1/2", "2/4", 1, "7/3", "14/6", 5, "10/2"]
+).map(lambda bid: ensure_rational(bid) if isinstance(bid, str) else bid)
+# 20-bit numerators and denominators, as the grid-sweep benchmark draws them
+WIDE_BIDS = st.builds(Fraction, st.integers(-(2**20), 2**20), st.integers(1, 2**20))
+BID_LISTS = st.lists(st.one_of(TIED_BIDS, WIDE_BIDS, rationals), min_size=2, max_size=10)
 
 
-@given(st.lists(st.one_of(TIED_BIDS, rationals), min_size=2, max_size=10))
+def raw_vector(bids):
+    """Bids in bidder order, each object kept as drawn (an int stays an int)."""
+    return BidVector(tuple(enumerate(bids, 1)))
+
+
+def reference_second_price(vector):
+    """The one-pass second price comparing the bids themselves."""
+    (_, top), (_, second), *rest = vector.entries
+    if second > top:
+        top, second = second, top
+    for _, v in rest:
+        if v > second:
+            if v > top:
+                top, second = v, top
+            else:
+                second = v
+    return second
+
+
+@given(BID_LISTS)
 def test_second_price_is_second_of_sorted(bids):
-    b = vec(dict(enumerate(bids, 1)))
-    assert get_rule("second-price")(b) == sorted(v for _, v in b.entries)[-2]
+    got = get_rule("second-price")(raw_vector(bids))
+    assert got == sorted(bids)[-2]
+    assert got is reference_second_price(raw_vector(bids))
+
+
+@given(BID_LISTS)
+def test_first_price_is_max(bids):
+    # the first maximal bid object in bidder order, as max picks it
+    assert get_rule("first-price")(raw_vector(bids)) is max(bids)
+
+
+@pytest.mark.parametrize(
+    "name", ["second-price", "neg-second-price", "first-price", "neg-first-price", "constant:7/3"]
+)
+def test_rules_make_no_fraction_order_compares(name, monkeypatch):
+    calls = []
+    for op in ("__lt__", "__gt__", "__le__", "__ge__"):
+        original = getattr(Fraction, op)
+
+        def counted(a, b, op=op, original=original):
+            calls.append(op)
+            return original(a, b)
+
+        monkeypatch.setattr(Fraction, op, counted)
+    b = raw_vector([Fraction(v, 7) for v in (3, -5, 9, 9, 40, 2, 40, 11, -1, 6)])
+    want = {"second-price": Fraction(40, 7), "first-price": Fraction(40, 7),
+            "constant:7/3": Fraction(7, 3)}
+    value = get_rule(name)(b)
+    assert calls == []
+    assert value == (-want[name[4:]] if name.startswith("neg-") else want[name])
 
 
 @given(bid_vectors(min_size=2, max_size=6))
