@@ -29,6 +29,8 @@ from .feasibility import (
     Infeasible,
     LinearRow,
     LinearSystem,
+    PaymentLookupError,
+    PaymentTable,
     build_balance_system,
     certificate_from_json,
     certificate_to_json,
@@ -41,8 +43,6 @@ from .feasibility import (
 from .payments import (
     AdequacyError,
     AdequateSet,
-    PaymentLookupError,
-    PaymentTable,
     build_adequate_set,
     build_payment_table,
     forced_payment,
@@ -60,6 +60,7 @@ from .rules import (
     PriceRule,
     RuleArityError,
     RuleDomainError,
+    RuleUndefinedError,
     check_flat_invariance,
     get_rule,
     register_external,

@@ -20,7 +20,10 @@ adequate sets member by member; only tests and the benchmark tracer call them.
 A vector hashes as the tuple of its (bidder, hash(bid)) pairs and keeps
 that hash.  ``full_family`` builds its members from shared pairs, with
 their hashes set from one hash per distinct bid object, and ``flat`` sets
-its vector's hash from the one hash of its bid.
+its vector's hash from the one hash of its bid; both hand those pairs to
+``BidVector._hashed``, the one place outside ``__hash__`` that stores a
+hash.  ``rank_bids`` ranks the distinct bid values of a set of vectors,
+so the system build and the witness writer can sort and key on integers.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
 bidder key and bid text in a file is parsed once.
@@ -49,9 +52,10 @@ class BidVector:
 
     The hash is that of the tuple of (bidder, hash(bid)) pairs, so equal
     vectors hash equal, an ``int`` bid like its ``Fraction``.  It is kept
-    in the instance once asked for, or set when ``full_family`` or ``flat``
-    builds the vector, so a vector that keys several lookups hashes its
-    bids once.
+    in the instance once asked for, or set by ``_hashed`` when the builder
+    already holds those pairs, so a vector that keys several lookups
+    hashes its bids once.  Truthiness comes from ``__len__``: only the
+    empty vector is false.
     """
 
     entries: tuple[tuple[int, Fraction], ...] = ()
@@ -61,6 +65,14 @@ class BidVector:
         if value is None:
             value = self.__dict__["_hash"] = hash(tuple([(i, hash(v)) for i, v in self.entries]))
         return value
+
+    @staticmethod
+    def _hashed(entries: tuple[tuple[int, Fraction], ...], pair_hashes: tuple) -> "BidVector":
+        """The raw vector on ``entries`` with its hash set from
+        ``pair_hashes``, its (bidder, hash(bid)) pairs in the same order."""
+        vector = BidVector(entries)
+        vector.__dict__["_hash"] = hash(pair_hashes)
+        return vector
 
     @staticmethod
     def of(entries: Mapping[int, object] | Iterable[tuple[int, object]] | "BidVector") -> "BidVector":
@@ -98,9 +110,6 @@ class BidVector:
 
     def __iter__(self):
         return (i for i, _ in self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
 
     def values(self) -> tuple[Fraction, ...]:
         return tuple(v for _, v in self.entries)
@@ -171,13 +180,13 @@ def remove(vector: BidVector, bidders: Iterable[int]) -> BidVector:
 def flat(bidders: Iterable[int], value) -> BidVector:
     """Constant vector: every id in ``bidders`` maps to ``value``.
 
-    Its hash is set from one hash of the bid, as ``full_family`` does.
+    ``BidVector.of`` checks and sorts the ids; the vector's hash is set
+    through ``BidVector._hashed`` from one hash of the bid.
     """
     bid = ensure_rational(value)
-    vector = BidVector.of({i: bid for i in bidders})
+    entries = BidVector.of(dict.fromkeys(bidders, bid)).entries
     bid_hash = hash(bid)
-    vector.__dict__["_hash"] = hash(tuple([(i, bid_hash) for i, _ in vector.entries]))
-    return vector
+    return BidVector._hashed(entries, tuple([(i, bid_hash) for i, _ in entries]))
 
 
 def sub_multisets(multiset: BidMultiset) -> list[BidMultiset]:
@@ -274,9 +283,10 @@ def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
     vector's own, and its filled pair and both (bidder, hash) pairs are
     built once, from one hash per distinct bid object.  The pair lists
     grow one bid group at a time, each list so far copied with the
-    group's first 1, 2, ... holders kept.  Each member gets its hash when
-    it is built, and families of vectors that share bid objects share
-    them too, so their equal members compare equal by identity.
+    group's first 1, 2, ... holders kept.  Each member gets its hash from
+    its pair hashes through ``BidVector._hashed`` when it is built, and
+    families of vectors that share bid objects share them too, so their
+    equal members compare equal by identity.
     """
     fill_bid = ensure_rational(fill)
     hashes = {id(fill_bid): hash(fill_bid)}
@@ -295,12 +305,25 @@ def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
                 pairs[pos], pair_hashes[pos] = kept[pos], kept_hashes[pos]
                 grown.append((pairs, pair_hashes))
         rows = grown
-    members = []
-    for pairs, pair_hashes in rows:
-        member = BidVector(tuple(pairs))
-        member.__dict__["_hash"] = hash(tuple(pair_hashes))
-        members.append(member)
-    return frozenset(members)
+    return frozenset([BidVector._hashed(tuple(pairs), tuple(pair_hashes))
+                      for pairs, pair_hashes in rows])
+
+
+def rank_bids(vectors: Iterable[BidVector]) -> tuple[list[Fraction], dict[int, int]]:
+    """The distinct bid values of ``vectors`` in increasing order, and the
+    rank of each bid object among them, keyed by the object's ``id``.
+
+    Values are keyed by (numerator, denominator), so equal values held by
+    distinct objects, an ``int`` and its ``Fraction`` included, share a
+    rank, and no bid is hashed.  Ranks are injective and order-preserving
+    on values, so tuples of (bidder, rank) pairs order vectors as their
+    ``entries`` do and are equal exactly when the vectors are.  An id
+    names its bid only while the caller holds the vectors.
+    """
+    objs = {id(v): v for vec in vectors for _, v in vec.entries}
+    values = sorted({(v.numerator, v.denominator): v for v in objs.values()}.values())
+    rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
+    return values, {i: rank[v.numerator, v.denominator] for i, v in objs.items()}
 
 
 def extend(pairs: BidVector, family: Iterable[BidVector]) -> frozenset[BidVector]:

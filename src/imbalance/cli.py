@@ -33,7 +33,7 @@ from .feasibility import (
 )
 from .payments import AdequacyError, build_payment_table
 from .rationals import format_rational
-from .rules import RuleArityError, RuleDomainError, get_rule
+from .rules import RuleUndefinedError, get_rule
 from .witness import (
     verify_imbalance,
     vickrey_instance,
@@ -129,7 +129,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     _check_dom(len(vector), f"bid vector in {args.bids}")
     try:
         value = rule(vector)
-    except (RuleArityError, RuleDomainError) as exc:
+    except RuleUndefinedError as exc:
         raise _UsageError(str(exc))
     return EXIT_OK, format_rational(value) + "\n"
 

@@ -9,8 +9,8 @@ reduced against the pivot rows before it.  When the system is infeasible
 the solver produces a combination of rows summing to the contradiction
 0 = 1: a list of rational multipliers that anyone can re-check
 independently of the solver (``verify_certificate``).  A feasible
-assignment is re-checked by substituting it into every row
-(``verify_assignment``).
+assignment, a ``PaymentTable``, is re-checked by substituting it into
+every row (``verify_assignment``).
 
 Rows are eliminated in their original order, so each pivot row is
 independent of all rows before it: the pivot rows are the greedy row
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .bids import (
     BidMultiset,
@@ -45,10 +45,42 @@ from .bids import (
     bid_vector_to_json,
     multiset_from_json,
     multiset_to_json,
+    rank_bids,
 )
-from .payments import PaymentLookupError, PaymentTable
 from .rationals import ensure_rational, format_rational
-from .rules import PriceRule, RuleArityError, RuleDomainError
+from .rules import PriceRule, RuleUndefinedError
+
+
+class PaymentLookupError(KeyError):
+    """The payment table holds no value for the requested multiset."""
+
+
+class PaymentTable:
+    """The FEASIBLE assignment: a partial map BidMultiset -> Fraction.
+
+    ``solve_or_refute`` gives every variable of the system a value;
+    ``verify_assignment`` reads a table it did not build, so a multiset
+    missing from it raises instead of reading as zero.
+    """
+
+    def __init__(self, values: Mapping[BidMultiset, object] | None = None):
+        pairs = (values or {}).items()
+        self._values: dict[BidMultiset, Fraction] = {k: ensure_rational(v) for k, v in pairs}
+
+    def value(self, multiset: BidMultiset) -> Fraction:
+        try:
+            return self._values[multiset]
+        except KeyError:
+            raise PaymentLookupError(f"no payment value recorded for {multiset!r}") from None
+
+    def items(self) -> list[tuple[BidMultiset, Fraction]]:
+        return sorted(self._values.items(), key=lambda kv: kv[0].canonical_key())
+
+    def to_json(self) -> list[dict]:
+        return [
+            {"multiset": multiset_to_json(m), "value": format_rational(v)}
+            for m, v in self.items()
+        ]
 
 
 @dataclass
@@ -94,15 +126,11 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     canonical vector order; equal vectors give one row, built from the
     first one given.
 
-    Rank invariant: the distinct bids, keyed by (numerator, denominator),
-    are sorted once, and each bid is replaced by its position in that
-    order.  Ranks are injective and order-preserving, so a tuple of
-    ranks compares and hashes exactly as the tuple of bids it stands for:
-    (bidder, rank) pairs order vectors like ``BidVector.entries``, and
+    Rank invariant: each bid is replaced by its rank from ``rank_bids``,
+    so (bidder, rank) pairs order vectors like ``BidVector.entries``, and
     (size, ranks) orders multisets like ``BidMultiset.canonical_key``.
     The build works on those integer keys, and builds one ``BidMultiset``
-    per variable at the end.  Each distinct bid object is ranked once, by
-    its id: equal bid texts of one input file parse to one object.
+    per variable at the end.
 
     Bag invariant: a row's coefficients depend only on the bag of its
     vector, the sorted tuple of its ranks, never on which bidder holds
@@ -112,12 +140,8 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     rule still runs once per distinct vector, on its first-seen
     representative, since a table rule need not be symmetric.
     """
-    vecs = list(vectors)
-    objs = {id(v): v for vec in vecs for _, v in vec.entries}  # keeps each id alive
-    bids = {(v.numerator, v.denominator): v for v in objs.values()}
-    values = sorted(bids.values())
-    rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
-    rank_of = {i: rank[v.numerator, v.denominator] for i, v in objs.items()}
+    vecs = list(vectors)  # holds the bids while their ids key ``rank_of``
+    values, rank_of = rank_bids(vecs)
     first: dict[tuple[tuple[int, int], ...], BidVector] = {}
     for vec in vecs:
         first.setdefault(tuple([(i, rank_of[id(v)]) for i, v in vec.entries]), vec)
@@ -127,7 +151,7 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
         vec = first[key]
         try:
             rhs = rule(vec)
-        except (RuleArityError, RuleDomainError) as exc:
+        except RuleUndefinedError as exc:
             raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
         bag = tuple(sorted([r for _, r in key]))
         if bag not in maps:

@@ -20,9 +20,7 @@ bidder for a whole vector (``forced_payment_sum``).  Along the
 all-equal-bids iteration (``build_payment_table``) every forced value
 is the same closed form f / N, once the rule is checked to keep its
 flat value f on each N-bidder vector visited, so that function returns
-only the iteration's steps and records no values.  The linear-feasibility
-module re-derives the same values from the raw equations as an
-independent oracle, and reports them as a ``PaymentTable``.
+only the iteration's steps and records no values.
 """
 
 from __future__ import annotations
@@ -39,47 +37,14 @@ from .bids import (
     BidVector,
     flat,
     full_family,
-    multiset_to_json,
     remove,
 )
 from .rationals import ensure_rational, format_rational
-from .rules import PriceRule, RuleArityError, RuleDomainError, check_flat_invariance
+from .rules import PriceRule, RuleUndefinedError, check_flat_invariance
 
 
 class AdequacyError(ValueError):
     """An adequate-set hypothesis needed for a forced value does not hold."""
-
-
-class PaymentLookupError(KeyError):
-    """The payment table holds no value for the requested multiset."""
-
-
-class PaymentTable:
-    """Partial map BidMultiset -> Fraction; missing keys are errors.
-
-    The symmetric payment rule is only pinned down where balance on some
-    adequate set pins it down, so lookups outside the recorded shapes
-    raise instead of defaulting to zero.
-    """
-
-    def __init__(self, values: Mapping[BidMultiset, object] | None = None):
-        pairs = (values or {}).items()
-        self._values: dict[BidMultiset, Fraction] = {k: ensure_rational(v) for k, v in pairs}
-
-    def value(self, multiset: BidMultiset) -> Fraction:
-        try:
-            return self._values[multiset]
-        except KeyError:
-            raise PaymentLookupError(f"no payment value recorded for {multiset!r}") from None
-
-    def items(self) -> list[tuple[BidMultiset, Fraction]]:
-        return sorted(self._values.items(), key=lambda kv: kv[0].canonical_key())
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"multiset": multiset_to_json(m), "value": format_rational(v)}
-            for m, v in self.items()
-        ]
 
 
 @dataclass(frozen=True)
@@ -111,7 +76,7 @@ def build_adequate_set(
     members = full_family(holders, fill_bid)
     try:
         invariant = check_flat_invariance(rule, members, holders.dom, fill_bid)
-    except (RuleArityError, RuleDomainError):
+    except RuleUndefinedError:
         invariant = False
     return AdequateSet(members=members, fill=fill_bid, flat_invariant=invariant)
 
@@ -163,7 +128,7 @@ def is_adequate(
         return False
     try:
         return check_flat_invariance(rule, member_set, base.dom | {i1, i2}, fill)
-    except (RuleArityError, RuleDomainError):
+    except RuleUndefinedError:
         return False
 
 
@@ -191,7 +156,7 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
                         f"{format_rational(rule(member))} on {member!r} but "
                         f"{format_rational(target)} on the flat vector"
                     )
-        except (RuleArityError, RuleDomainError) as exc:
+        except RuleUndefinedError as exc:
             raise AdequacyError(f"adequate-set hypotheses fail: {exc}") from exc
         raise AdequacyError("adequate-set hypotheses fail: rule not flat-invariant")
     return rule(reference) / (2 + len(base))
@@ -252,7 +217,7 @@ def build_payment_table(
                     f"{rule.name!r} gives {format_rational(value)} there but "
                     f"{format_rational(flat_value)} on the flat vector"
                 )
-    except (RuleArityError, RuleDomainError) as exc:
+    except RuleUndefinedError as exc:
         raise AdequacyError(f"flat-invariance fails: {exc}") from exc
 
     coefficient = Fraction(1, n_bidders)

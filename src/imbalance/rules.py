@@ -25,11 +25,16 @@ from .bids import BidVector, flat
 from .rationals import ensure_rational, format_rational
 
 
-class RuleArityError(ValueError):
+class RuleUndefinedError(ValueError):
+    """The rule has no value on the vector; callers that treat an
+    undefined rule as a failed check catch this name."""
+
+
+class RuleArityError(RuleUndefinedError):
     """The rule is undefined on vectors with this few bidders."""
 
 
-class RuleDomainError(ValueError):
+class RuleDomainError(RuleUndefinedError):
     """A table-backed rule was evaluated outside its table."""
 
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .bids import BidVector, flat, full_family, remove
+from .bids import BidVector, flat, full_family, rank_bids, remove
 from .payments import build_adequate_set
 from .rationals import format_rational
-from .rules import PriceRule, RuleArityError, RuleDomainError, get_rule
+from .rules import PriceRule, RuleUndefinedError, get_rule
 
 RULE_F = "F"
 RULE_G = "G"
@@ -118,7 +118,7 @@ def is_counterexample(triple: CounterexampleTriple, rule: PriceRule) -> bool:
     try:
         diff_f = rule(triple.b_high) - rule(triple.b_low)
         diff_g = triple.g(triple.b_high) - triple.g(triple.b_low)
-    except (RuleArityError, RuleDomainError):
+    except RuleUndefinedError:
         return False
     diffs = {diff_f, diff_g}
     return 0 in diffs and diffs != {Fraction(0)}
@@ -263,7 +263,7 @@ def verify_imbalance(
                         f"flat value {format_rational(eta[i])} differs from "
                         f"tagged value {format_rational(tagged_value)}"
                     )
-            except (RuleArityError, RuleDomainError) as exc:
+            except RuleUndefinedError as exc:
                 ok, detail = False, str(exc)
             eta_checks.append(HypothesisCheck(f"eta[{label},{i}]", ok, detail))
 
@@ -271,7 +271,7 @@ def verify_imbalance(
         if adequate_all and vector and len(eta) == len(vector):
             try:
                 residual = rule(vector) - sum(eta.values(), Fraction(0)) / len(vector)
-            except ValueError:  # rule undefined on the vector: no residual to report
+            except RuleUndefinedError:  # no residual to report
                 pass
         else:
             eta = {}
@@ -296,17 +296,13 @@ def verify_imbalance(
 def witness_set_to_json(vectors: frozenset[BidVector]) -> list[dict]:
     """JSON array of bid vectors, sorted by ``entries``.
 
-    Each distinct bid object is ranked once, by its id, and equal values,
-    keyed by (numerator, denominator), share a rank.  So the tuple of
-    (bidder, rank) pairs orders vectors exactly as their entries do, with
-    integer compares and no bid hashed.  Each rank's text and each bidder
-    id's key are formatted once; every ``{"bids": ...}`` object is
-    assembled from those, as ``bid_vector_to_json`` would write it.
+    Vectors are sorted by their (bidder, rank) pairs from ``rank_bids``,
+    which order them as their entries do, with integer compares and no
+    bid hashed.  Each rank's text and each bidder id's key are formatted
+    once; every ``{"bids": ...}`` object is assembled from those, as
+    ``bid_vector_to_json`` would write it.
     """
-    objs = {id(v): v for vec in vectors for _, v in vec.entries}  # keeps each id alive
-    values = sorted({(v.numerator, v.denominator): v for v in objs.values()}.values())
-    rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
-    rank_of = {i: rank[v.numerator, v.denominator] for i, v in objs.items()}
+    values, rank_of = rank_bids(vectors)
     ordered = sorted(vectors, key=lambda vec: tuple([(i, rank_of[id(v)]) for i, v in vec.entries]))
     texts = [format_rational(v) for v in values]
     text_of = {i: texts[r] for i, r in rank_of.items()}

@@ -5,6 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from imbalance import RULE_F, BidMultiset, BidVector
+from imbalance.bids import rank_bids
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=20)
 
@@ -35,6 +36,24 @@ def assert_canonical(obj):
     else:
         for member in obj:
             assert_canonical(member)
+
+
+def assert_ranked(vectors):
+    """``rank_bids`` against its definition: the distinct values in order,
+    each bid object at its own value's rank, and (bidder, rank) pairs that
+    order the vectors as their entries do and tell them apart exactly
+    when their entries differ."""
+    vectors = list(vectors)
+    values, rank_of = rank_bids(vectors)
+    bids = [v for vec in vectors for _, v in vec.entries]
+    assert values == sorted(set(bids))
+    assert set(rank_of) == {id(v) for v in bids}
+    assert all(values[rank_of[id(v)]] == v for v in bids)
+    keys = [tuple((i, rank_of[id(v)]) for i, v in vec.entries) for vec in vectors]
+    assert len(set(keys)) == len(set(vectors))
+    by_rank = [vec for _, vec in sorted(zip(keys, vectors), key=lambda kv: kv[0])]
+    by_entries = sorted(vectors, key=lambda b: b.entries)
+    assert [v.entries for v in by_rank] == [v.entries for v in by_entries]
 
 
 def random_rational(rng, lo=-50, hi=50, max_den=12) -> Fraction:

@@ -68,6 +68,8 @@ class TestBidVector:
         assert 1 in b and 7 not in b
         assert len(b) == 2
         assert list(b) == [1, 2]
+        # truthiness comes from the length: only the empty vector is false
+        assert b and vec({1: 0}) and not vec({}) and not BidVector()
 
     def test_json_round_trip(self):
         b = vec({1: Fraction(-5, 4), 3: 10})

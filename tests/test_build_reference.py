@@ -7,7 +7,8 @@ the distinct bids once, works on integer keys and builds one coefficient map
 per distinct bag.  Both must give the same variables, the same rows in the
 same order with the same coefficient insertion order, the same origin
 objects, the same JSON bytes and the same errors, and no two rows of the
-current build may share a coefficient dict.
+current build may share a coefficient dict.  Every input also checks the
+build's ``rank_bids`` against its definition (``conftest.assert_ranked``).
 """
 
 import itertools
@@ -19,7 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_canonical
+from conftest import assert_canonical, assert_ranked
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -36,6 +37,7 @@ from imbalance import (
     system_to_json,
     vickrey_witness_set,
 )
+from imbalance.bids import rank_bids
 
 RULES = ["neg-second-price", "second-price", "first-price", "neg-first-price", "constant:7/3"]
 GRID_RULES = ["neg-second-price", "second-price", "neg-first-price", "constant:7/3"]
@@ -84,6 +86,7 @@ def assert_same_build(vectors, rule, as_generator=False):
     With ``as_generator`` the current build reads a one-shot generator.
     """
     vectors = list(vectors)
+    assert_ranked(vectors)
 
     def build():
         return build_balance_system((v for v in vectors) if as_generator else vectors, rule)
@@ -168,6 +171,16 @@ def test_unnormalized_int_bid_shares_a_variable_with_its_fraction():
     raw = BidVector(((1, 2), (2, 3)))  # int 2 entered without BidVector.of
     vectors = [raw, BidVector.of({1: Fraction(2), 2: 5}), BidVector.of({1: "4/2", 2: 3})]
     assert_same_build(vectors, get_rule("first-price"))
+
+
+def test_equal_bids_share_a_rank_whatever_their_spelling():
+    a, b, c = BidVector.of({1: "1/2", 2: -3}), BidVector.of({1: "2/4"}), BidVector.of({3: "-6/4"})
+    assert a[1] is not b[1]
+    values, rank_of = rank_bids([a, b, c])
+    assert values == [-3, Fraction(-3, 2), Fraction(1, 2)]
+    assert rank_of[id(a[1])] == rank_of[id(b[1])] == 2
+    assert rank_of[id(a[2])] == 0 and rank_of[id(c[3])] == 1
+    assert_same_build([a, b, c], get_rule("constant:7/3"))
 
 
 def test_empty_vector_under_a_table_rule():

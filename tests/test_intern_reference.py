@@ -11,7 +11,8 @@ a file once through a ``ParseMemo``.  The old family builds a
 new one enumerates count tuples over bid groups, skips the group equal to
 the fill, and gives each member the hash it would compute, built from one
 hash per distinct bid object.  The old writer sorts by ``entries``; the
-new one sorts by (bidder, rank) pairs.
+new one sorts by (bidder, rank) pairs from ``rank_bids``, checked against
+its definition on the same inputs (``conftest.assert_ranked``).
 
 Both routes must give equal results, with bids as ``Fraction`` and ids as
 ``int``, or the same exception type and message raised at the same entry.
@@ -31,13 +32,14 @@ Mutants these tests catch (each checked on a broken copy of the package):
 """
 
 import json
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_canonical
+from conftest import assert_canonical, assert_ranked
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -304,6 +306,21 @@ raw_vectors = st.dictionaries(st.integers(0, 6), bid_objects, max_size=5).map(
 @settings(max_examples=300, deadline=None)
 @given(st.frozensets(raw_vectors, max_size=12))
 def test_witness_writer_matches_reference(vectors):
+    assert witness_set_to_json(vectors) == reference_witness_set_to_json(vectors)
+    assert_ranked(vectors)
+
+
+def test_witness_writer_ranks_spellings_negatives_and_20_bit_bids():
+    rng = random.Random(20)
+    wide = [Fraction(rng.choice([-1, 1]) * rng.randint(2 ** 19, 2 ** 20),
+                     rng.randint(2 ** 19, 2 ** 20)) for _ in range(6)]
+    # "1/2" and "2/4" parse to distinct objects of one value, next to negatives
+    spelled = [BidVector.of({1: "1/2", 2: "-3"}), BidVector.of({1: "2/4", 3: -3}),
+               BidVector.of({0: "-2/4", 1: "1/2"})]
+    assert spelled[0][1] is not spelled[1][1]
+    vectors = frozenset(spelled + [BidVector.of(dict(enumerate(wide[k:k + 3]))) for k in range(4)])
+    assert len(vectors) == 7
+    assert_ranked(vectors)
     assert witness_set_to_json(vectors) == reference_witness_set_to_json(vectors)
 
 

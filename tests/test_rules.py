@@ -9,6 +9,7 @@ from imbalance import (
     BidVector,
     RuleArityError,
     RuleDomainError,
+    RuleUndefinedError,
     bag_of,
     build_adequate_set,
     check_flat_invariance,
@@ -111,6 +112,15 @@ class TestExternalRules:
         rule = register_external("one", {vec({1: 1}): 0})
         with pytest.raises(RuleDomainError, match="rule undefined at this bid vector"):
             rule(vec({1: 2}))
+
+    def test_undefined_errors_share_one_base(self):
+        assert issubclass(RuleArityError, RuleUndefinedError)
+        assert issubclass(RuleDomainError, RuleUndefinedError)
+        assert issubclass(RuleUndefinedError, ValueError)
+        with pytest.raises(RuleUndefinedError):
+            get_rule("second-price")(vec({1: 1}))
+        with pytest.raises(RuleUndefinedError):
+            register_external("one", {vec({1: 1}): 0})(vec({1: 2}))
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -25,7 +25,7 @@ from imbalance import (
     verify_assignment,
     verify_certificate,
 )
-from imbalance.payments import PaymentLookupError
+from imbalance.feasibility import PaymentLookupError
 
 
 def reference_verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:

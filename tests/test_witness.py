@@ -12,6 +12,9 @@ from imbalance import (
     RULE_F,
     RULE_G,
     PriceRule,
+    RuleArityError,
+    RuleDomainError,
+    RuleUndefinedError,
     bag_of,
     build_balance_system,
     default_selector,
@@ -278,6 +281,33 @@ class TestVerifyImbalance:
         # the missing vector is asked for on every evaluation; each other once a call
         assert asked[top_flat] > 3 * 2
         assert {count for b, count in asked.items() if b != top_flat} == {3}
+
+    @pytest.mark.parametrize(
+        "error", [RuleUndefinedError, RuleArityError, RuleDomainError, ValueError]
+    )
+    def test_rule_undefined_on_a_base_vector(self, error):
+        # all-G tags: the counterexample check fails before it evaluates the
+        # rule, and the eta checks read g on the base vectors, so the
+        # residual is the first evaluation of the rule on b_low
+        triple, j_low, j_high = vickrey_instance(1)
+        untagged = CounterexampleTriple(
+            triple.b_low, triple.b_high, dict.fromkeys(triple.h, RULE_G), triple.g
+        )
+
+        def partial(vector):
+            if vector == triple.b_low:
+                raise error("no value on the low vector")
+            return NEG2.fn(vector)
+
+        rule = PriceRule("partial", 2, partial)
+        if error is ValueError:  # not a rule-undefined error: it propagates
+            with pytest.raises(ValueError, match="no value on the low vector"):
+                verify_imbalance(rule, untagged, j_low, j_high)
+            return
+        report = verify_imbalance(rule, untagged, j_low, j_high)
+        assert report.lhs is None and report.eta_low
+        assert report.rhs == verify_imbalance(NEG2, untagged, j_low, j_high).rhs
+        assert report.holds is None
 
     def test_relabeling_invariance(self):
         rng = random.Random(4)
