@@ -29,8 +29,7 @@ from .feasibility import (
     Infeasible,
     LinearRow,
     LinearSystem,
-    PaymentLookupError,
-    PaymentTable,
+    assignment_to_json,
     build_balance_system,
     certificate_from_json,
     certificate_to_json,

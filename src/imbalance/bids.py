@@ -9,13 +9,15 @@ multiset, never at who placed which bid.
 On top of the two value types this module provides the combinatorial
 operators the verification pipeline is assembled from:
 
-* ``bag_of`` - range with multiplicities,
 * ``remove`` / ``flat`` - restriction, constant map,
 * ``full_family`` - one completion per sub-multiset of the vector's bag.
 
-``sub_multisets`` lists every sub-multiset in a fixed canonical order, and
-``restrictions``, ``completion`` and ``extend`` define the family and the
-adequate sets member by member; only tests and the benchmark tracer call them.
+``bag_of`` takes a vector's range with multiplicities, ``sub_multisets``
+lists every sub-multiset in a fixed canonical order, and ``restrictions``,
+``completion`` and ``extend`` define the family and the adequate sets
+member by member.  No other module calls these five, and within this one
+only ``restrictions`` and ``completion`` call ``bag_of``; tests call them,
+and the benchmark tracer wraps all but ``bag_of``.
 
 A vector hashes as the tuple of its (bidder, hash(bid)) pairs and keeps
 that hash.  ``full_family`` builds its members from shared pairs, with

@@ -24,6 +24,7 @@ from .bids import BidVector, ParseMemo, bid_vector_from_json
 from .feasibility import (
     Feasible,
     LinearSystem,
+    assignment_to_json,
     build_balance_system,
     certificate_to_json,
     solve_or_refute,
@@ -192,7 +193,7 @@ def _decide(system: LinearSystem) -> tuple[int, str, dict]:
         code, verdict = EXIT_FINDING, f"INFEASIBLE certificate-verified={str(verified).lower()}\n"
     try:
         if code == EXIT_OK:
-            document = {"status": "FEASIBLE", "assignment": result.assignment.to_json()}
+            document = {"status": "FEASIBLE", "assignment": assignment_to_json(system, result.assignment)}
         else:
             document = {"status": "INFEASIBLE", "certificate": certificate_to_json(result.certificate)}
     except ValueError as exc:  # an integer past the interpreter's string conversion limit

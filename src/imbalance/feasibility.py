@@ -8,9 +8,11 @@ integers (Bareiss 1968): each row is scaled once to integer entries and
 reduced against the pivot rows before it.  When the system is infeasible
 the solver produces a combination of rows summing to the contradiction
 0 = 1: a list of rational multipliers that anyone can re-check
-independently of the solver (``verify_certificate``).  A feasible
-assignment, a ``PaymentTable``, is re-checked by substituting it into
-every row (``verify_assignment``).
+independently of the solver (``verify_certificate``).  When the system
+is feasible the solver produces an assignment: one rational value per
+variable, in variable order, as the certificate holds one multiplier per
+row in row order.  It is re-checked by substituting it into every row
+(``verify_assignment``).
 
 Rows are eliminated in their original order, so each pivot row is
 independent of all rows before it: the pivot rows are the greedy row
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .bids import (
     BidMultiset,
@@ -49,38 +51,6 @@ from .bids import (
 )
 from .rationals import ensure_rational, format_rational
 from .rules import PriceRule, RuleUndefinedError
-
-
-class PaymentLookupError(KeyError):
-    """The payment table holds no value for the requested multiset."""
-
-
-class PaymentTable:
-    """The FEASIBLE assignment: a partial map BidMultiset -> Fraction.
-
-    ``solve_or_refute`` gives every variable of the system a value;
-    ``verify_assignment`` reads a table it did not build, so a multiset
-    missing from it raises instead of reading as zero.
-    """
-
-    def __init__(self, values: Mapping[BidMultiset, object] | None = None):
-        pairs = (values or {}).items()
-        self._values: dict[BidMultiset, Fraction] = {k: ensure_rational(v) for k, v in pairs}
-
-    def value(self, multiset: BidMultiset) -> Fraction:
-        try:
-            return self._values[multiset]
-        except KeyError:
-            raise PaymentLookupError(f"no payment value recorded for {multiset!r}") from None
-
-    def items(self) -> list[tuple[BidMultiset, Fraction]]:
-        return sorted(self._values.items(), key=lambda kv: kv[0].canonical_key())
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"multiset": multiset_to_json(m), "value": format_rational(v)}
-            for m, v in self.items()
-        ]
 
 
 @dataclass
@@ -109,7 +79,9 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Feasible:
-    assignment: PaymentTable
+    """One value per variable, in ``LinearSystem.variables`` order."""
+
+    assignment: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -272,10 +244,8 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
         for top in sorted(basis, reverse=True):
             if top in solution:
                 solution = _axpy(solution, -solution[top], basis[top])
-    table = PaymentTable(
-        {var: solution.get(col, Fraction(0)) for col, var in enumerate(system.variables)}
-    )
-    return Feasible(table)
+    zero = Fraction(0)
+    return Feasible(tuple(solution.get(col, zero) for col in range(len(system.variables))))
 
 
 def _certificate(
@@ -385,18 +355,19 @@ def verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:
     return not any(combined.values()) and rhs_total != 0
 
 
-def verify_assignment(system: LinearSystem, table: PaymentTable) -> bool:
+def verify_assignment(system: LinearSystem, values: tuple[Fraction, ...]) -> bool:
     """Exact re-check: the assignment satisfies every row.
 
-    A variable missing from the table is a failure, not a zero.  The
-    values are brought to one denominator D once, so row r times its
-    scale s holds exactly when its integer entries dotted with the
-    integer values equal its integer rhs times D.
+    ``values`` holds one value per variable, in variable order; a tuple
+    of another length is a failure, not a zero-padded assignment, and a
+    value that is not exact rational raises ``TypeError``.  The values
+    are brought to one denominator D once, so row r times its scale s
+    holds exactly when its integer entries dotted with the integer values
+    equal its integer rhs times D.
     """
-    try:
-        values = [table.value(m) for m in system.variables]
-    except PaymentLookupError:
+    if len(values) != len(system.variables):
         return False
+    values = [ensure_rational(v) for v in values]
     denom = lcm(*(v.denominator for v in values))
     ints = [v.numerator * (denom // v.denominator) for v in values]
     return all(
@@ -458,6 +429,16 @@ def system_from_json(obj) -> LinearSystem:
             )
         )
     return LinearSystem(variables=variables, rows=rows)
+
+
+def assignment_to_json(system: LinearSystem, values: tuple[Fraction, ...]) -> list[dict]:
+    """The assignment as multiset-value pairs, sorted by ``BidMultiset.canonical_key``.
+
+    A system file may list its variables in any order; the written
+    assignment is canonical whatever that order.
+    """
+    pairs = sorted(zip(system.variables, values), key=lambda mv: mv[0].canonical_key())
+    return [{"multiset": multiset_to_json(m), "value": format_rational(v)} for m, v in pairs]
 
 
 def certificate_to_json(certificate: Certificate) -> dict:

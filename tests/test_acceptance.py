@@ -120,16 +120,13 @@ def test_criterion_5_positive_controls(capsys):
             zero_system = build_balance_system(witness, get_rule("constant:0"))
             zero_result = solve_or_refute(zero_system)
             assert isinstance(zero_result, Feasible)
-            assert all(v == 0 for _, v in zero_result.assignment.items())
+            assert all(v == 0 for v in zero_result.assignment)
             for c in (Fraction(7, 3), Fraction(-2)):
                 system = build_balance_system(witness, get_rule(f"constant:{c}"))
                 result = solve_or_refute(system)
                 assert isinstance(result, Feasible)
                 for row in system.rows:
-                    total = sum(
-                        coeff * result.assignment.value(system.variables[col])
-                        for col, coeff in row.coeffs.items()
-                    )
+                    total = sum(coeff * result.assignment[col] for col, coeff in row.coeffs.items())
                     assert total == c
 
 

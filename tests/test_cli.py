@@ -9,9 +9,7 @@ from hypothesis import given, settings
 
 from imbalance import (
     AdequacyError,
-    BidMultiset,
     Feasible,
-    PaymentTable,
     bid_vector_from_json,
     build_balance_system,
     certificate_from_json,
@@ -190,6 +188,24 @@ class TestSolveSystem:
         assert lines[0] == "FEASIBLE"
         assert json.loads(lines[1]) == [{"multiset": ["4", "4"], "value": "-4/3"}]
 
+    def test_assignment_is_written_in_canonical_order(self, tmp_path, capsys):
+        # a file may list its variables in any order; the assignment is
+        # sorted by size, then by value, whatever that order
+        obj = {
+            "variables": [["2"], ["1"], ["1", "1"]],
+            "rows": [
+                {"coeffs": {"0": "1"}, "rhs": "2"},
+                {"coeffs": {"1": "1"}, "rhs": "1"},
+                {"coeffs": {"2": "1"}, "rhs": "1/2"},
+            ],
+        }
+        path = write_json(tmp_path / "sys.json", obj)
+        assert main(["solve-system", "--system", path]) == 0
+        assert capsys.readouterr().out == (
+            'FEASIBLE\n[{"multiset": ["1"], "value": "1"}, {"multiset": ["2"], "value": "2"}, '
+            '{"multiset": ["1", "1"], "value": "1/2"}]\n'
+        )
+
     def test_contradictory_file(self, tmp_path, capsys):
         obj = {
             "variables": [["1"]],
@@ -217,7 +233,7 @@ class TestSolveSystem:
     def test_violating_assignment_is_a_solver_bug(self, tmp_path, monkeypatch, capsys):
         obj = {"variables": [["1"]], "rows": [{"coeffs": {"0": "2"}, "rhs": "1"}]}
         path = write_json(tmp_path / "sys.json", obj)
-        wrong = Feasible(PaymentTable({BidMultiset.of([1]): Fraction(1)}))
+        wrong = Feasible((Fraction(1),))
         monkeypatch.setattr(cli, "solve_or_refute", lambda system: wrong)
         with pytest.raises(AssertionError, match="violates a row"):
             main(["solve-system", "--system", path])
@@ -232,6 +248,11 @@ _A = 10 ** 3999
 _PAST_STR_LIMIT = {
     "variables": [["1"]],
     "rows": [{"coeffs": {"0": f"{_A}/{_A - 1}"}, "rhs": "0"}, {"coeffs": {"0": str(_A + 1)}, "rhs": "1"}],
+}
+# and the assignment of (1/A)*x = A+1 holds x = A*(A+1), 7999 digits long
+_FEASIBLE_PAST_STR_LIMIT = {
+    "variables": [["1"]],
+    "rows": [{"coeffs": {"0": f"1/{_A}"}, "rhs": str(_A + 1)}],
 }
 
 
@@ -266,6 +287,7 @@ class TestBadInput:
                 },
             ),
             ("solve-system", _PAST_STR_LIMIT),
+            ("solve-system", _FEASIBLE_PAST_STR_LIMIT),
         ],
         ids=[
             "eval-float-bid",
@@ -283,6 +305,7 @@ class TestBadInput:
             "eval-deeply-nested",
             "repeated-variable",
             "result-past-str-limit",
+            "feasible-result-past-str-limit",
         ],
     )
     def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload):

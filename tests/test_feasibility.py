@@ -14,7 +14,6 @@ from imbalance import (
     Infeasible,
     LinearRow,
     LinearSystem,
-    PaymentTable,
     bag_of,
     build_balance_system,
     certificate_from_json,
@@ -43,11 +42,9 @@ def bag(*values):
 
 
 def assert_solution_satisfies(system, assignment):
+    assert len(assignment) == len(system.variables)
     for row in system.rows:
-        total = sum(
-            coeff * assignment.value(system.variables[col])
-            for col, coeff in row.coeffs.items()
-        )
+        total = sum(coeff * assignment[col] for col, coeff in row.coeffs.items())
         assert total == row.rhs, row.origin
 
 
@@ -115,13 +112,13 @@ class TestSolveOrRefute:
         system = build_balance_system(vickrey_witness_set(1), get_rule("constant:0"))
         result = solve_or_refute(system)
         assert isinstance(result, Feasible)
-        assert all(v == 0 for _, v in result.assignment.items())
+        assert all(v == 0 for v in result.assignment)
 
     def test_single_row_forced_value(self):
         system = build_balance_system([flat({1, 2, 3}, 4)], NEG2)
         result = solve_or_refute(system)
         assert isinstance(result, Feasible)
-        assert result.assignment.value(bag(4, 4)) == Fraction(-4, 3)
+        assert dict(zip(system.variables, result.assignment))[bag(4, 4)] == Fraction(-4, 3)
 
     def test_feasible_solutions_satisfy_every_row(self):
         system = build_balance_system(vickrey_witness_set(2), get_rule("constant:5/2"))
@@ -175,19 +172,24 @@ class TestVerifyCertificate:
 class TestVerifyAssignment:
     def setup_method(self):
         self.system = build_balance_system(vickrey_witness_set(2), get_rule("constant:5/2"))
-        self.values = dict(solve_or_refute(self.system).assignment.items())
+        self.values = solve_or_refute(self.system).assignment
 
     def test_solver_assignment_accepted(self):
-        assert verify_assignment(self.system, PaymentTable(self.values))
+        assert verify_assignment(self.system, self.values)
 
     def test_perturbed_value_rejected(self):
-        key = next(iter(self.values))
-        self.values[key] += Fraction(1, 7)
-        assert not verify_assignment(self.system, PaymentTable(self.values))
+        perturbed = (self.values[0] + Fraction(1, 7),) + self.values[1:]
+        assert not verify_assignment(self.system, perturbed)
 
-    def test_missing_key_rejected(self):
-        del self.values[next(iter(self.values))]
-        assert not verify_assignment(self.system, PaymentTable(self.values))
+    @pytest.mark.parametrize("resize", [lambda v: v[:-1], lambda v: v + (Fraction(0),)],
+                             ids=["one-short", "one-long"])
+    def test_wrong_length_rejected(self, resize):
+        # one value per variable: neither a missing value nor a spare one reads as zero
+        assert not verify_assignment(self.system, resize(self.values))
+
+    def test_float_value_is_a_type_error(self):
+        with pytest.raises(TypeError, match="exact rational expected"):
+            verify_assignment(self.system, (0.5,) + self.values[1:])
 
 
 class TestSoundness:
@@ -288,9 +290,10 @@ def test_cross_check_forced_deletion_payments():
     )
     result = solve_or_refute(system)
     assert isinstance(result, Feasible)
+    values = dict(zip(system.variables, result.assignment))
     for vector in (low, high):
         for i in vector.dom:
             m = bag_of(remove(vector, {i}))
             fill = max(m.values)
             expected = -fill / (2 + (len(vector) - 2))
-            assert result.assignment.value(m) == expected
+            assert values[m] == expected

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import imbalance
-from imbalance import Certificate, Feasible, Infeasible, PaymentTable
+from imbalance import Certificate, Feasible, Infeasible
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_results.py"
 
@@ -25,7 +25,7 @@ def test_reproduction_script_verifies_everything(capsys):
 
 
 @pytest.mark.parametrize("fake", [
-    lambda system: Feasible(PaymentTable({})),
+    lambda system: Feasible(()),
     lambda system: Infeasible(Certificate((Fraction(0),) * len(system.rows))),
 ], ids=["feasible-without-values", "infeasible-with-zero-certificate"])
 def test_wrong_verdicts_print_broken(fake, monkeypatch, capsys):
