@@ -10,7 +10,6 @@ rational; there is no floating point anywhere.
 from .bids import (
     BidMultiset,
     BidVector,
-    bag_of,
     bid_vector_from_json,
     bid_vector_to_json,
     completion,
@@ -46,7 +45,6 @@ from .payments import (
     build_payment_table,
     forced_payment,
     forced_payment_sum,
-    has_full_family_structure,
     is_adequate,
 )
 from .rationals import (

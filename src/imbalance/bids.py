@@ -12,12 +12,12 @@ operators the verification pipeline is assembled from:
 * ``remove`` / ``flat`` - restriction, constant map,
 * ``full_family`` - one completion per sub-multiset of the vector's bag.
 
-``bag_of`` takes a vector's range with multiplicities, ``sub_multisets``
-lists every sub-multiset in a fixed canonical order, and ``restrictions``,
-``completion`` and ``extend`` define the family and the adequate sets
-member by member.  No other module calls these five, and within this one
-only ``restrictions`` and ``completion`` call ``bag_of``; tests call them,
-and the benchmark tracer wraps all but ``bag_of``.
+``sub_multisets`` lists every sub-multiset in a fixed canonical order, and
+``restrictions``, ``completion`` and ``extend`` define the family and the
+adequate sets member by member.  No other module calls these four; tests
+call them, and the benchmark tracer wraps them.  They count a bag's bids
+with ``collections.Counter`` and find each bid's holders with
+``_bid_groups``, the grouping ``full_family`` builds on.
 
 A vector hashes as the tuple of its (bidder, hash(bid)) pairs and keeps
 that hash.  ``full_family`` builds its members from shared pairs, with
@@ -39,6 +39,7 @@ the package targets desk scale (vectors of at most ~10 bidders).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -138,39 +139,12 @@ class BidMultiset:
     def __len__(self) -> int:
         return len(self.values)
 
-    def count(self, value) -> int:
-        needle = ensure_rational(value)
-        return sum(1 for v in self.values if v == needle)
-
-    def distinct(self) -> tuple[Fraction, ...]:
-        out = []
-        for v in self.values:
-            if not out or out[-1] != v:
-                out.append(v)
-        return tuple(out)
-
-    def counts(self) -> dict[Fraction, int]:
-        out: dict[Fraction, int] = {}
-        for v in self.values:
-            out[v] = out.get(v, 0) + 1
-        return out
-
-    def __le__(self, other: "BidMultiset") -> bool:
-        """Sub-multiset order: every multiplicity bounded by the other's."""
-        theirs = other.counts()
-        return all(theirs.get(v, 0) >= c for v, c in self.counts().items())
-
     def canonical_key(self) -> tuple:
         """Sort key: by size, then by the sorted value tuple."""
         return (len(self.values), self.values)
 
     def __repr__(self) -> str:
         return "BidMultiset([" + ", ".join(format_rational(v) for v in self.values) + "])"
-
-
-def bag_of(vector: BidVector) -> BidMultiset:
-    """Range of the vector counted with multiplicity."""
-    return BidMultiset(tuple(sorted(v for _, v in vector.entries)))
 
 
 def remove(vector: BidVector, bidders: Iterable[int]) -> BidVector:
@@ -191,44 +165,6 @@ def flat(bidders: Iterable[int], value) -> BidVector:
     return BidVector._hashed(entries, tuple([(i, bid_hash) for i, _ in entries]))
 
 
-def sub_multisets(multiset: BidMultiset) -> list[BidMultiset]:
-    """Every sub-multiset, each exactly once, in canonical order.
-
-    The count is the product of (multiplicity + 1) over distinct values.
-    Order: the multiplicity of the smallest value varies fastest.
-    """
-    values = multiset.distinct()
-    mults = [multiset.count(v) for v in values]
-    out = []
-    for picked_rev in itertools.product(*(range(m + 1) for m in reversed(mults))):
-        picked = tuple(reversed(picked_rev))
-        vals: list[Fraction] = []
-        for v, c in zip(values, picked):
-            vals.extend([v] * c)
-        out.append(BidMultiset(tuple(vals)))
-    return out
-
-
-def restrictions(vector: BidVector, multiset: BidMultiset) -> list[BidVector]:
-    """All sub-vectors of ``vector`` whose bag equals ``multiset``.
-
-    Returns the empty list when ``multiset`` is not a sub-multiset of the
-    vector's bag.  Ordered by the sorted tuple of kept bidder ids.
-    """
-    if not (multiset <= bag_of(vector)):
-        return []
-    groups = []
-    for v in multiset.distinct():
-        holders = sorted(i for i, w in vector.entries if w == v)
-        groups.append(list(itertools.combinations(holders, multiset.count(v))))
-    out = []
-    for combo in itertools.product(*groups):
-        kept = sorted(i for group in combo for i in group)
-        out.append(BidVector(tuple((i, vector[i]) for i in kept)))
-    out.sort(key=lambda b: tuple(i for i, _ in b.entries))
-    return out
-
-
 def _bid_groups(entries) -> dict[Fraction, list[int]]:
     """Each distinct bid of ``entries`` with the positions holding it, in
     bidder-id order."""
@@ -238,20 +174,31 @@ def _bid_groups(entries) -> dict[Fraction, list[int]]:
     return groups
 
 
-def _keep_first_holders(ids, bids, groups, counts, fill: Fraction) -> BidVector:
-    """Keep the first ``count`` positions of each group, fill the rest.
+def sub_multisets(multiset: BidMultiset) -> list[BidMultiset]:
+    """Every sub-multiset, each exactly once, in canonical order.
 
-    ``ids`` and ``bids`` are a vector's entries split into two tuples.
-    ``groups`` and ``counts`` are parallel: the positions holding one bid,
-    in bidder-id order, and how many of them to keep.  Keeping the first
-    holders of each bid gives the lexicographically smallest restriction
-    with those counts.
+    The count is the product of (multiplicity + 1) over distinct values.
+    Order: the multiplicity of the smallest value varies fastest.
     """
-    values = [fill] * len(ids)
-    for positions, count in zip(groups, counts):
-        for pos in positions[:count]:
-            values[pos] = bids[pos]
-    return BidVector(tuple(zip(ids, values)))
+    counts = Counter(multiset.values)
+    return [BidMultiset(tuple(v for v, c in zip(counts, reversed(picked)) for _ in range(c)))
+            for picked in itertools.product(*(range(m + 1) for m in reversed(counts.values())))]
+
+
+def restrictions(vector: BidVector, multiset: BidMultiset) -> list[BidVector]:
+    """All sub-vectors of ``vector`` whose bag equals ``multiset``.
+
+    Returns the empty list when ``multiset`` is not a sub-multiset of the
+    vector's bag.  Ordered by the sorted tuple of kept bidder ids.
+    """
+    groups = _bid_groups(vector.entries)
+    # a bid held fewer times than it is counted has no combinations, and
+    # then the product is empty
+    combos = itertools.product(*(itertools.combinations(groups.get(v, ()), c)
+                                 for v, c in Counter(multiset.values).items()))
+    # positions increase with bidder ids, so sorting them sorts the ids
+    kept = sorted(sorted(pos for group in combo for pos in group) for combo in combos)
+    return [BidVector(tuple(vector.entries[pos] for pos in k)) for k in kept]
 
 
 def completion(vector: BidVector, multiset: BidMultiset, fill) -> BidVector:
@@ -263,11 +210,14 @@ def completion(vector: BidVector, multiset: BidMultiset, fill) -> BidVector:
     ``count`` holders in bidder-id order.
     """
     groups = _bid_groups(vector.entries)
-    counts = multiset.counts()
+    counts = Counter(multiset.values)
     if any(c > len(groups.get(v, ())) for v, c in counts.items()):
-        raise ValueError(f"not a sub-multiset: {multiset!r} of {bag_of(vector)!r}")
-    return _keep_first_holders(tuple(vector), vector.values(), [groups[v] for v in counts],
-                               counts.values(), ensure_rational(fill))
+        raise ValueError(
+            f"not a sub-multiset: {multiset!r} of {BidMultiset.of(vector.values())!r}")
+    kept = {pos for v, c in counts.items() for pos in groups[v][:c]}
+    fill_bid = ensure_rational(fill)
+    return BidVector(tuple(pair if pos in kept else (pair[0], fill_bid)
+                           for pos, pair in enumerate(vector.entries)))
 
 
 def full_family(vector: BidVector, fill) -> frozenset[BidVector]:

@@ -15,12 +15,14 @@ on such a set forces
 
     P(bag(base) + {fill})  =  rule(all-fill vector) / (2 + |dom(base)|),
 
-which this module computes directly (``forced_payment``) and summed per
-bidder for a whole vector (``forced_payment_sum``).  Along the
-all-equal-bids iteration (``build_payment_table``) every forced value
-is the same closed form f / N, once the rule is checked to keep its
-flat value f on each N-bidder vector visited, so that function returns
-only the iteration's steps and records no values.
+which this module computes directly (``forced_payment``) and, through
+it, summed per bidder for a whole vector (``forced_payment_sum``).
+``is_adequate`` checks both adequacy predicates, structure and
+flat-invariance, on a set supplied from outside.  Along the
+all-equal-bids iteration (``build_payment_table``) every forced value is
+the same closed form f / N, once the rule is checked to keep its flat
+value f on each N-bidder vector visited, so that function returns only
+the iteration's steps and records no values.
 """
 
 from __future__ import annotations
@@ -81,21 +83,27 @@ def build_adequate_set(
     return AdequateSet(members=members, fill=fill_bid, flat_invariant=invariant)
 
 
-def has_full_family_structure(
-    members: Iterable[BidVector], base: BidVector, fill, i1: int, i2: int
+def is_adequate(
+    members: Iterable[BidVector], base: BidVector, fill, rule: PriceRule, i1: int, i2: int
 ) -> bool:
-    """Whether ``members`` is exactly some full family extended by i1, i2.
+    """Both adequacy predicates: family structure and flat-invariance.
 
-    A valid member reads ``fill`` on i1 and i2 and the base bid or
-    ``fill`` on each base bidder.  With K the bag of its kept non-fill
-    bids and c the number of base bids equal to ``fill``, it realizes the
-    sub-multisets K + {fill}^j of bag(base) for j = 0..c, so the matching
-    of members to sub-multiset roles splits into complete blocks of c + 1
-    roles, one per K.  Hence: every member valid, every K present (the
-    product of (multiplicity + 1) over non-fill base bids), and no K more
-    than c + 1 times.  Meant for externally supplied sets, like ``is_adequate``.
+    For externally supplied sets only: ``build_adequate_set`` constructs
+    the structure and records flat-invariance itself, so its output needs
+    no re-check.
+
+    The structure is checked by counting, not by matching members to
+    sub-multiset roles.  A valid member reads ``fill`` on i1 and i2 and
+    the base bid or ``fill`` on each base bidder.  With K the bag of its
+    kept non-fill bids and c the number of base bids equal to ``fill``, it
+    realizes the sub-multisets K + {fill}^j of bag(base) for j = 0..c, so
+    the matching of members to roles splits into complete blocks of c + 1
+    roles, one per K.  Hence ``members`` is exactly some full family
+    extended by i1, i2 when every member is valid, every K is present (the
+    product of (multiplicity + 1) over non-fill base bids) and no K occurs
+    more than c + 1 times.  Only then is the rule evaluated.
     """
-    member_set = set(members)
+    member_set = frozenset(members)
     if not member_set or i1 == i2 or i1 in base.dom or i2 in base.dom:
         return False
     fill_bid = ensure_rational(fill)
@@ -110,24 +118,11 @@ def has_full_family_structure(
         kept_bags[tuple(sorted(v for v in member.values() if v != fill_bid))] += 1
     non_fill = Counter(v for v in base.values() if v != fill_bid)
     roles_per_bag = len(base) - sum(non_fill.values()) + 1
-    return (len(kept_bags) == math.prod(m + 1 for m in non_fill.values())
-            and max(kept_bags.values()) <= roles_per_bag)
-
-
-def is_adequate(
-    members: Iterable[BidVector], base: BidVector, fill, rule: PriceRule, i1: int, i2: int
-) -> bool:
-    """Both adequacy predicates: family structure and flat-invariance.
-
-    For externally supplied sets only: ``build_adequate_set`` constructs
-    the structure and records flat-invariance itself, so its output needs
-    no re-check.
-    """
-    member_set = frozenset(members)
-    if not has_full_family_structure(member_set, base, fill, i1, i2):
+    if (len(kept_bags) != math.prod(m + 1 for m in non_fill.values())
+            or max(kept_bags.values()) > roles_per_bag):
         return False
     try:
-        return check_flat_invariance(rule, member_set, base.dom | {i1, i2}, fill)
+        return check_flat_invariance(rule, member_set, layout.keys(), fill_bid)
     except RuleUndefinedError:
         return False
 
@@ -233,34 +228,27 @@ def forced_payment_sum(
 ) -> tuple[Fraction, dict[int, Fraction]]:
     """Sum of the forced per-bidder payments for a whole vector.
 
-    ``selector`` picks for each bidder i a distinct partner j(i); balance
-    on the adequate set built from (vector - {i, j(i)}, vector[j(i)], i,
-    j(i)) forces P(bag(vector - i)).  Summed over the domain this yields
-
-        (1 / |dom|) * sum over i of rule(flat vector at vector[j(i)]),
-
-    returned together with the per-bidder map eta of those flat values.
-    Each adequate set is built once; its structure holds by construction
-    and its recorded ``flat_invariant`` decides adequacy.  Raises when a
+    ``selector`` picks for each bidder i a distinct partner j(i), and
+    ``forced_payment`` on (vector - {i, j(i)}, vector[j(i)], i, j(i))
+    gives P(bag(vector - i)), rule(flat vector at vector[j(i)]) / |dom|.
+    Returns the sum of those payments together with the per-bidder map
+    eta of the flat values, each payment times |dom|.  Raises when a
     selector is invalid or an adequacy hypothesis fails, identifying the
     bidder.
     """
     if not vector:
         raise ValueError("bid vector must be nonempty")
-    eta: dict[int, Fraction] = {}
+    payments: dict[int, Fraction] = {}
     for i in sorted(vector.dom):
         partner = selector.get(i)
         if partner is None or partner == i or partner not in vector.dom:
-            raise ValueError(
-                f"invalid selector for bidder {i}: must name another bidder in the domain"
-            )
-        fill_bid = vector[partner]
-        adequate = build_adequate_set(remove(vector, {i, partner}), fill_bid, rule, i, partner)
-        if not adequate.flat_invariant:
+            raise ValueError(f"invalid selector for bidder {i}: "
+                             "must name another bidder in the domain")
+        try:
+            payments[i] = forced_payment(
+                remove(vector, {i, partner}), vector[partner], rule, i, partner)
+        except AdequacyError as exc:
             raise AdequacyError(
-                f"adequacy fails for bidder {i}: rule {rule.name!r} is not "
-                f"flat-invariant on the set built with partner {partner}"
-            )
-        eta[i] = rule(flat(vector.dom, fill_bid))
-    total = sum(eta.values(), Fraction(0)) / len(vector)
-    return total, eta
+                f"adequacy fails for bidder {i} with partner {partner}: {exc}") from exc
+    total = sum(payments.values(), Fraction(0))
+    return total, {i: p * len(vector) for i, p in payments.items()}

@@ -17,6 +17,7 @@ pure, so they are safe to share.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -110,10 +111,18 @@ def get_rule(name: str) -> PriceRule:
 
 
 def register_external(name: str, table: Mapping[BidVector, object]) -> PriceRule:
-    """Rule defined exactly on the table's vectors; lookups elsewhere fail."""
+    """Rule defined exactly on the table's vectors; lookups elsewhere fail.
+
+    Two keys that name the same vector, such as the same pairs listed in
+    another order, are an error, never a silent overwrite.
+    """
     if not table:
         raise ValueError("external rule table must be nonempty")
     frozen = {BidVector.of(k): ensure_rational(v) for k, v in table.items()}
+    if len(frozen) != len(table):  # the dict kept only the last value of a repeated vector
+        counts = Counter(BidVector.of(k) for k in table)
+        repeated = next(v for v, c in counts.items() if c > 1)
+        raise ValueError(f"external rule table repeats the vector {repeated!r}")
 
     def lookup(vector: BidVector) -> Fraction:
         try:
@@ -135,8 +144,8 @@ def check_flat_invariance(
     ``fill`` on ``bidders``.  Precondition, not checked here: each vector
     has domain exactly ``bidders``.  ``build_adequate_set`` passes
     ``full_family`` members, which keep the holders' ids by construction,
-    and ``is_adequate`` calls this only once ``has_full_family_structure``
-    has accepted every member's domain.
+    and ``is_adequate`` calls this only once its structure check has
+    accepted every member's domain.
     """
     target = rule(flat(bidders, fill))
     return all(rule(vec) == target for vec in vectors)

@@ -27,7 +27,6 @@ from imbalance import (
     default_selector,
     forced_payment,
     get_rule,
-    has_full_family_structure,
     is_adequate,
     is_counterexample,
     register_external,
@@ -162,7 +161,7 @@ def test_criterion_7_adequacy_mutations(capsys):
 
             dropped = rng.choice(sorted(aset.members, key=lambda b: b.entries))
             remaining = aset.members - {dropped}
-            assert not has_full_family_structure(remaining, base, fill, i1, i2)
+            assert not is_adequate(remaining, base, fill, get_rule("constant:0"), i1, i2)
             assert not is_adequate(remaining, base, fill, NEG2, i1, i2)
 
             # a vector holding two bids above the fill moves the second price

@@ -1,5 +1,8 @@
 import copy
+import itertools
+import math
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,6 @@ from conftest import assert_canonical, bid_vectors, bidder_ids, multisets, ratio
 from imbalance import (
     BidMultiset,
     BidVector,
-    bag_of,
     bid_vector_from_json,
     bid_vector_to_json,
     build_adequate_set,
@@ -99,19 +101,6 @@ class TestBidVector:
 
 
 class TestBidMultiset:
-    def test_bag_of_counts_multiplicity(self):
-        assert bag_of(vec({1: 10, 2: 20, 3: 10})) == bag(10, 10, 20)
-
-    def test_bag_of_empty(self):
-        assert bag_of(vec({})) == bag()
-
-    def test_bag_of_singleton(self):
-        assert bag_of(vec({7: "1/2"})) == bag(Fraction(1, 2))
-
-    def test_submultiset_order(self):
-        assert bag(2, 1, 1) <= bag(0, 0, 1, 1, 1, 2)
-        assert not bag(2, 2) <= bag(1, 2)
-
     def test_json_round_trip(self):
         m = bag(Fraction(1, 2), 2, 2)
         assert multiset_to_json(m) == ["1/2", "2", "2"]
@@ -178,13 +167,53 @@ class TestSubMultisets:
 
     @given(multisets(max_size=5))
     def test_count_is_product_of_multiplicities(self, m):
-        expected = 1
-        for c in m.counts().values():
-            expected *= c + 1
+        counts = Counter(m.values)
+        expected = math.prod(c + 1 for c in counts.values())
         subs = sub_multisets(m)
         assert len(subs) == expected
         assert len(set(subs)) == expected
-        assert all(s <= m for s in subs)
+        assert all(not Counter(s.values) - counts for s in subs)
+
+
+# Repeated values, each as an ``int`` and as an equal ``Fraction``.
+MIXED_POOL = [1, Fraction(1), 2, Fraction(2), Fraction(5, 2)]
+
+
+@st.composite
+def mixed_vectors(draw, max_size=5):
+    """A raw vector over ``MIXED_POOL``, so ``int`` bids stay ``int``."""
+    bids = draw(st.dictionaries(bidder_ids, st.sampled_from(MIXED_POOL), max_size=max_size))
+    return BidVector(tuple(sorted(bids.items())))
+
+
+def raw_bag(values):
+    return BidMultiset(tuple(sorted(values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_vectors(), st.data())
+def test_restrictions_match_brute_force(b, data):
+    present = [v for v in MIXED_POOL if v in b.values()]  # either spelling of a held bid
+    kept = data.draw(st.lists(st.sampled_from(present), max_size=len(b)) if b else st.just([]))
+    extra = data.draw(st.lists(st.sampled_from(MIXED_POOL), max_size=1))  # maybe not a sub-multiset
+    m = raw_bag(kept + extra)
+    expected = [combo for combo in itertools.combinations(b.entries, len(m))
+                if tuple(sorted(v for _, v in combo)) == m.values]
+    got = restrictions(b, m)
+    assert [r.entries for r in got] == expected
+    assert all(v is b[i] for r in got for i, v in r.entries)  # the vector's own bids
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(MIXED_POOL), max_size=6))
+def test_sub_multisets_match_brute_force(values):
+    m = raw_bag(values)
+    bags = {tuple(sorted(sub))
+            for size in range(len(m) + 1) for sub in itertools.combinations(m.values, size)}
+    largest_first = sorted(set(m.values), reverse=True)
+    # the count of the smallest value varies fastest
+    expected = sorted(bags, key=lambda sub: [Counter(sub)[v] for v in largest_first])
+    assert [s.values for s in sub_multisets(m)] == expected
 
 
 class TestRestrictions:
@@ -196,7 +225,7 @@ class TestRestrictions:
 
     def test_full_restriction_unique(self):
         b = vec({1: 1, 2: 2})
-        assert restrictions(b, bag_of(b)) == [b]
+        assert restrictions(b, BidMultiset.of(b.values())) == [b]
 
     def test_empty_multiset(self):
         assert restrictions(vec({1: 1}), bag()) == [vec({})]
@@ -211,7 +240,7 @@ class TestCompletion:
 
     def test_full_bag_keeps_everything(self):
         b = vec({1: 1, 2: 2, 3: 4})
-        assert completion(b, bag_of(b), 99) == b
+        assert completion(b, BidMultiset.of(b.values()), 99) == b
 
     def test_empty_bag_fills_everything(self):
         b = vec({1: 1, 2: 2})
@@ -223,11 +252,11 @@ class TestCompletion:
 
     @given(bid_vectors(max_size=5), rationals, st.data())
     def test_completion_bag_identity(self, b, fill, data):
-        subs = sub_multisets(bag_of(b))
+        subs = sub_multisets(BidMultiset.of(b.values()))
         m = data.draw(st.sampled_from(subs))
         c = completion(b, m, fill)
         assert c.dom == b.dom
-        assert bag_of(c) == BidMultiset.of(list(m.values) + [fill] * (len(b) - len(m)))
+        assert BidMultiset.of(c.values()) == BidMultiset.of(list(m.values) + [fill] * (len(b) - len(m)))
 
 
     @given(st.data())
@@ -235,7 +264,7 @@ class TestCompletion:
         # a small value pool forces repeated bids and fills that occur among them
         pool = st.sampled_from([Fraction(1), Fraction(2), Fraction(5, 2)])
         b = data.draw(st.dictionaries(bidder_ids, pool, max_size=6).map(BidVector.of))
-        m = data.draw(st.sampled_from(sub_multisets(bag_of(b))))
+        m = data.draw(st.sampled_from(sub_multisets(BidMultiset.of(b.values()))))
         fill = data.draw(st.one_of(pool, rationals))
         kept = restrictions(b, m)[0]
         expected = vec({i: kept[i] if i in kept else fill for i in b})
@@ -288,7 +317,7 @@ class TestExtend:
 
 @given(st.sets(st.integers(0, 10), max_size=6), rationals)
 def test_bag_of_flat(ids, value):
-    assert bag_of(flat(ids, value)) == BidMultiset.of([value] * len(ids))
+    assert BidMultiset.of(flat(ids, value).values()) == BidMultiset.of([value] * len(ids))
 
 
 class TestConstructorsKeepCanonicalOrder:
@@ -308,7 +337,7 @@ class TestConstructorsKeepCanonicalOrder:
     @given(bid_vectors(max_size=5), bid_vectors(max_size=4), rationals,
            st.sets(bidder_ids, max_size=4), st.data())
     def test_vector_operators(self, b, other, fill, gone, data):
-        m = data.draw(st.sampled_from(sub_multisets(bag_of(b))))
+        m = data.draw(st.sampled_from(sub_multisets(BidMultiset.of(b.values()))))
         pairs = remove(other, b.dom)  # disjoint from b, ids interleaved with b's
         entries = data.draw(st.permutations(b.entries))
         as_json = {"bids": {str(i): format_rational(v) for i, v in entries}}
@@ -332,7 +361,7 @@ class TestConstructorsKeepCanonicalOrder:
         assert_canonical([
             m,
             multiset_from_json([format_rational(v) for v in raw]),
-            bag_of(BidVector.of(dict(enumerate(raw)))),
+            BidMultiset.of(BidVector.of(dict(enumerate(raw))).values()),
             *sub_multisets(m),
         ])
         steps = build_payment_table(len(extras) + 2, fill, extras, get_rule("constant:1"))

@@ -29,7 +29,6 @@ from imbalance import (
     PriceRule,
     RuleArityError,
     RuleDomainError,
-    bag_of,
     build_balance_system,
     get_rule,
     register_external,
@@ -61,7 +60,7 @@ def reference_build_balance_system(vectors, rule: PriceRule) -> LinearSystem:
             raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
         counts: dict[BidMultiset, int] = {}
         for i in vec.dom:
-            m = bag_of(remove(vec, {i}))
+            m = BidMultiset.of(remove(vec, {i}).values())
             counts[m] = counts.get(m, 0) + 1
         seen.update(counts)
         raw.append((vec, counts, rhs))

@@ -14,7 +14,6 @@ from imbalance import (
     Infeasible,
     LinearRow,
     LinearSystem,
-    bag_of,
     build_balance_system,
     certificate_from_json,
     certificate_to_json,
@@ -293,7 +292,7 @@ def test_cross_check_forced_deletion_payments():
     values = dict(zip(system.variables, result.assignment))
     for vector in (low, high):
         for i in vector.dom:
-            m = bag_of(remove(vector, {i}))
+            m = BidMultiset.of(remove(vector, {i}).values())
             fill = max(m.values)
             expected = -fill / (2 + (len(vector) - 2))
             assert values[m] == expected

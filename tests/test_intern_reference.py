@@ -33,6 +33,7 @@ Mutants these tests catch (each checked on a broken copy of the package):
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -45,7 +46,6 @@ from imbalance import (
     BidVector,
     LinearRow,
     LinearSystem,
-    bag_of,
     completion,
     full_family,
     multiset_from_json,
@@ -100,7 +100,7 @@ def reference_system_from_json(obj) -> LinearSystem:
 
 
 def reference_completion(vector: BidVector, multiset: BidMultiset, fill) -> BidVector:
-    remaining = multiset.counts()
+    remaining = Counter(multiset.values)
     keep = []
     for _, v in vector.entries:
         kept = remaining.get(v, 0) > 0
@@ -108,7 +108,7 @@ def reference_completion(vector: BidVector, multiset: BidMultiset, fill) -> BidV
             remaining[v] -= 1
         keep.append(kept)
     if any(remaining.values()):
-        raise ValueError(f"not a sub-multiset: {multiset!r} of {bag_of(vector)!r}")
+        raise ValueError(f"not a sub-multiset: {multiset!r} of {BidMultiset.of(vector.values())!r}")
     fill_bid = ensure_rational(fill)
     return BidVector(
         tuple((i, v if k else fill_bid) for (i, v), k in zip(vector.entries, keep))
@@ -118,7 +118,7 @@ def reference_completion(vector: BidVector, multiset: BidMultiset, fill) -> BidV
 def reference_full_family(vector: BidVector, fill) -> frozenset[BidVector]:
     fill_bid = ensure_rational(fill)
     return frozenset(
-        reference_completion(vector, m, fill_bid) for m in sub_multisets(bag_of(vector))
+        reference_completion(vector, m, fill_bid) for m in sub_multisets(BidMultiset.of(vector.values()))
     )
 
 

@@ -12,6 +12,7 @@ table must hold f / N on every shape, the closed form that lets
 compare the iterated table with ``forced_payment``.
 """
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -89,11 +90,11 @@ def reference_build_payment_table(
                 )
             n_fill = n_bidders - len(m)
             remainder = flat_value
-            for v in m.distinct():
+            for v, count in Counter(m.values).items():
                 others = list(m.values)
                 others.remove(v)
                 smaller = BidMultiset.of(others + [fill_bid] * n_fill)
-                remainder -= m.count(v) * table[smaller]
+                remainder -= count * table[smaller]
             shape = BidMultiset.of(list(m.values) + [fill_bid] * (n_fill - 1))
             payment = remainder / n_fill
             assert table.setdefault(shape, payment) == payment, f"conflicting payment for {shape!r}"

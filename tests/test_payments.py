@@ -22,12 +22,13 @@ from imbalance import (
     forced_payment_sum,
     full_family,
     get_rule,
-    has_full_family_structure,
     is_adequate,
     register_external,
     solve_or_refute,
     verify_assignment,
     verify_certificate,
+    verify_imbalance,
+    vickrey_instance,
     Feasible,
     Infeasible,
     LinearRow,
@@ -132,7 +133,7 @@ class TestIsAdequate:
             vec({1: 0, 2: 10, 5: 0, 6: 0}),
             vec({1: 10, 2: 10, 5: 0, 6: 0}),
         }
-        assert not has_full_family_structure(members, base, Fraction(0), 5, 6)
+        assert not is_adequate(members, base, Fraction(0), get_rule("constant:0"), 5, 6)
 
     def test_coinciding_completions_still_adequate(self):
         base = vec({3: 5})
@@ -331,6 +332,24 @@ class TestForcedPaymentSum:
         b = vec({1: 1, 2: 3, 3: 4, 4: 5})
         with pytest.raises(AdequacyError, match="bidder 4"):
             forced_payment_sum(b, NEG2, {1: 4, 2: 4, 3: 4, 4: 1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("rule,g", [("neg-second-price", None), ("second-price", "first-price")])
+def test_forced_payment_sum_matches_verify_imbalance(n, rule, g):
+    # the theorem route's eta maps and residuals are what
+    # forced_payment_sum gives on each stock vector
+    rule = get_rule(rule)
+    triple, selector_low, selector_high = vickrey_instance(n, g and get_rule(g))
+    report = verify_imbalance(rule, triple, selector_low, selector_high)
+    assert report.hypotheses_met
+    for vector, selector, eta, residual in (
+        (triple.b_low, selector_low, report.eta_low, report.lhs),
+        (triple.b_high, selector_high, report.eta_high, report.rhs),
+    ):
+        total, got = forced_payment_sum(vector, rule, selector)
+        assert got == eta
+        assert total == rule(vector) - residual
 
 
 class TestForcedPaymentAgainstFlatInvariance:

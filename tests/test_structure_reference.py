@@ -1,11 +1,13 @@
 """Differential test: the counting structure check against the matching it replaced.
 
 ``reference_has_full_family_structure`` and ``_completions_realized`` are the
-previous ``has_full_family_structure`` and its helper, kept here unchanged as
-the reference.  The reference enumerates the sub-multisets each member
-realizes and runs a bipartite (Kuhn) matching of members to sub-multiset
-roles; the current check counts the kept non-fill bags instead.  Both must
-give the same boolean on every input, or raise the same exception type.
+previous structure check and its helper, kept here as the reference.  The
+reference enumerates the sub-multisets each member realizes and runs a
+bipartite (Kuhn) matching of members to sub-multiset roles; ``is_adequate``
+counts the kept non-fill bags instead.  It is run under ``constant:0``,
+which is flat-invariant on every member, so its result is the structural
+half alone.  Both must give the same boolean on every input, or raise the
+same exception type.
 
 Member sets are drawn from keep-or-fill choices over any holders, not only
 the first ones: full families with arbitrary holder choices, fills equal to
@@ -29,10 +31,10 @@ from hypothesis import given, settings
 from imbalance import (
     BidMultiset,
     BidVector,
-    bag_of,
     ensure_rational,
     format_rational,
-    has_full_family_structure,
+    get_rule,
+    is_adequate,
     remove,
     sub_multisets,
 )
@@ -94,7 +96,7 @@ def reference_has_full_family_structure(
             return False
         stripped.append(remove(member, {i1, i2}))
 
-    targets = sub_multisets(bag_of(base))
+    targets = sub_multisets(BidMultiset.of(base.values()))
     index_of = {m: k for k, m in enumerate(targets)}
     options = []
     covered: set[int] = set()
@@ -124,6 +126,11 @@ def reference_has_full_family_structure(
     return all(assign(idx, set()) for idx in range(len(stripped)))
 
 
+def structure(members, base, fill, i1, i2):
+    """``is_adequate`` under a rule that every member passes."""
+    return is_adequate(members, base, fill, get_rule("constant:0"), i1, i2)
+
+
 def outcome(check, members, base, fill, i1, i2):
     """The boolean ``check`` returns, or the type of what it raises."""
     try:
@@ -135,7 +142,7 @@ def outcome(check, members, base, fill, i1, i2):
 def assert_same(members, base, fill, i1, i2):
     members = list(members)
     want = outcome(reference_has_full_family_structure, members, base, fill, i1, i2)
-    got = outcome(has_full_family_structure, members, base, fill, i1, i2)
+    got = outcome(structure, members, base, fill, i1, i2)
     assert got == want, (members, base, fill, i1, i2)
     return want
 

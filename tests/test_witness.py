@@ -6,6 +6,7 @@ import pytest
 
 from conftest import tag_residual
 from imbalance import (
+    BidMultiset,
     BidVector,
     CounterexampleTriple,
     Feasible,
@@ -15,7 +16,6 @@ from imbalance import (
     RuleArityError,
     RuleDomainError,
     RuleUndefinedError,
-    bag_of,
     build_balance_system,
     default_selector,
     flat,
@@ -184,7 +184,7 @@ class TestVerifyImbalance:
         assert isinstance(result, Feasible)
         values = dict(zip(system.variables, result.assignment))
         for vector, want in ((triple.b_low, report.lhs), (triple.b_high, report.rhs)):
-            paid = sum(values[bag_of(remove(vector, {i}))] for i in vector.dom)
+            paid = sum(values[BidMultiset.of(remove(vector, {i}).values())] for i in vector.dom)
             assert f(vector) - paid == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
