@@ -4,8 +4,10 @@ Given any finite set of bid vectors, imposing the balance equation on each
 one yields a linear system over the unknown symmetric payments P(m), one
 unknown per deletion multiset.  This module builds that system and
 decides it by exact, fraction-free Gaussian elimination over Python
-integers (Bareiss 1968): each row is scaled once to integer entries and
-reduced against the pivot rows before it.  When the system is infeasible
+integers (Bareiss 1968).  Each row is stored as integers over one scale
+(``LinearRow``) from the build on; the solver and both re-checks read
+those integers as stored, and each row is reduced against the pivot rows
+before it.  When the system is infeasible
 the solver produces a combination of rows summing to the contradiction
 0 = 1: a list of rational multipliers that anyone can re-check
 independently of the solver (``verify_certificate``).  When the system
@@ -17,7 +19,7 @@ row in row order.  It is re-checked by substituting it into every row
 Rows are eliminated in their original order, so each pivot row is
 independent of all rows before it: the pivot rows are the greedy row
 basis, whichever column each one pivots on.  The first row that reduces
-to 0 = nonzero ends the solve: no later row is scaled or reduced.  The
+to 0 = nonzero ends the solve: no later row is copied or reduced.  The
 certificate is the unique combination of that row with the basis rows
 before it, rebuilt from the recorded elimination steps; the assignment
 is the unique solution that is zero on every column in the span of
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .bids import (
     BidMultiset,
@@ -55,11 +57,28 @@ from .rules import PriceRule, RuleUndefinedError
 
 @dataclass
 class LinearRow:
-    """One balance equation: sparse coefficients over variable indices."""
+    """One balance equation ``sum(coeffs[c] * x[c]) / scale = rhs / scale``.
 
-    coeffs: dict[int, Fraction]
-    rhs: Fraction
+    Row invariant: ``coeffs`` maps variable indices to nonzero integers,
+    ``rhs`` is an integer, and ``scale`` is positive and equal to the lcm
+    of the denominators of the rational row it came from.  The raw
+    constructor trusts its integers; ``of`` takes rationals and is the one
+    place where a rational row becomes integers.
+    """
+
+    coeffs: dict[int, int]
+    rhs: int
+    scale: int
     origin: BidVector
+
+    @staticmethod
+    def of(coeffs: Mapping[int, object], rhs: object, origin: BidVector) -> "LinearRow":
+        """Build from rational coefficients and rhs, dropping zero coefficients."""
+        coeffs = {c: ensure_rational(v) for c, v in coeffs.items()}
+        rhs = ensure_rational(rhs)
+        scale = lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+        ints = {c: v.numerator * (scale // v.denominator) for c, v in coeffs.items() if v}
+        return LinearRow(ints, rhs.numerator * (scale // rhs.denominator), scale, origin)
 
 
 @dataclass
@@ -93,10 +112,11 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     """One equation per vector: the deletion payments must sum to the rule.
 
     The coefficient of P(m) in the row for b is the number of bidders i
-    with bag(b - i) = m; the right-hand side is rule(b).  Variables are
-    the distinct deletion multisets in canonical order, rows follow the
-    canonical vector order; equal vectors give one row, built from the
-    first one given.
+    with bag(b - i) = m; the right-hand side is rule(b).  The row is
+    stored over the scale q, the denominator of rule(b): each count times
+    q, and the numerator of rule(b).  Variables are the distinct deletion
+    multisets in canonical order, rows follow the canonical vector order;
+    equal vectors give one row, built from the first one given.
 
     Rank invariant: each bid is replaced by its rank from ``rank_bids``,
     so (bidder, rank) pairs order vectors like ``BidVector.entries``, and
@@ -108,9 +128,9 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     vector, the sorted tuple of its ranks, never on which bidder holds
     which bid.  So the map from "bag minus one r" to the multiplicity of r,
     and the sorted coefficient dict built from it, are computed once per
-    distinct bag, and each row gets its own copy of its bag's dict.  The
-    rule still runs once per distinct vector, on its first-seen
-    representative, since a table rule need not be symmetric.
+    distinct bag, and each row gets its own dict of those counts times its
+    scale.  The rule still runs once per distinct vector, on its
+    first-seen representative, since a table rule need not be symmetric.
     """
     vecs = list(vectors)  # holds the bids while their ids key ``rank_of``
     values, rank_of = rank_bids(vecs)
@@ -134,12 +154,12 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
         raw.append((vec, bag, rhs))
     order = sorted({m for counts in maps.values() for m in counts}, key=lambda m: (len(m), m))
     index = {m: k for k, m in enumerate(order)}
-    as_fraction = {c: Fraction(c) for counts in maps.values() for c in counts.values()}
-    coeffs = {
-        bag: dict(sorted((index[m], as_fraction[c]) for m, c in counts.items()))
-        for bag, counts in maps.items()
-    }
-    rows = [LinearRow(coeffs=dict(coeffs[bag]), rhs=rhs, origin=vec) for vec, bag, rhs in raw]
+    coeffs = {bag: dict(sorted((index[m], c) for m, c in counts.items()))
+              for bag, counts in maps.items()}
+    rows = []
+    for vec, bag, rhs in raw:
+        den = rhs.denominator
+        rows.append(LinearRow({c: v * den for c, v in coeffs[bag].items()}, rhs.numerator, den, vec))
     variables = tuple(BidMultiset(tuple(values[r] for r in m)) for m in order)
     return LinearSystem(variables=variables, rows=rows)
 
@@ -148,26 +168,26 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     """Decide the system exactly; free variables are fixed to zero.
 
     Fraction-free elimination over ``int``, one row at a time in original
-    index order.  Each row is scaled once by the lcm of the denominators
-    of its coefficients and right-hand side (``_scaled``), then reduced
-    against the pivot rows accepted before it, in the order they were
-    accepted.  Each step is ``(a/g)*row - (f/g)*pivot`` (``a`` the pivot
-    entry, ``f`` the row's entry, ``g`` their gcd), divided by the content
-    (the gcd of all the row's integers), and is recorded as
-    ``(pivot number, a/g, f/g, content)``.  A pivot row is zero only at
-    the pivot columns accepted before it, so reducing by pivot p adds
-    entries at later pivots' columns only; a heap of the pivot numbers
-    the row holds applies them in order.  A row with entries left becomes
-    a pivot row on the column held by the fewest original rows, ties to
-    the higher index, so few later rows need that pivot; a row reduced to
-    0 = 0 is dropped.  Counting the holders reads every row's column
+    index order.  Each row's integers are copied, so the system is left
+    unchanged, and reduced against the pivot rows accepted before it, in
+    the order they were accepted; only ``_certificate`` reads its scale.
+    Each step is ``(a/g)*row - (f/g)*pivot`` (``a`` the pivot entry,
+    ``f`` the row's entry, ``g`` their gcd), divided by the content (the
+    gcd of all the row's integers), and is recorded as ``(pivot number,
+    a/g, f/g, content)``.  A pivot row is zero only at the pivot columns
+    accepted before it, so reducing by pivot p adds entries at later
+    pivots' columns only; a heap of the pivot numbers the row holds
+    applies them in order.  A row with entries left becomes a pivot row on
+    the column held by the fewest original rows, ties to the higher index,
+    so few later rows need that pivot; a row reduced to 0 = 0 is
+    dropped.  Counting the holders reads every row's column
     indices, and nothing else of a row before its turn.
 
     Row invariant: a row reduces to nothing exactly when it lies in the
     span of the rows before it, so the pivot rows are the greedy row basis
     (each row independent of all lower-index rows), whichever column each
     one pivots on.  The first row reduced to 0 = nonzero is the certificate
-    row, and the solve stops there: no later row is scaled or reduced.  The
+    row, and the solve stops there: no later row is copied or reduced.  The
     certificate is the unique combination of that row with the basis rows
     below it whose right-hand sides sum to 1; ``_certificate`` rebuilds it
     from the recorded steps.  The assignment is the unique solution that
@@ -180,10 +200,10 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     """
     pivots: list[tuple[int, dict[int, int], int]] = []
     pivot_of: dict[int, int] = {}  # column -> number of the pivot row on it
-    reduced: list[tuple[int, int, list[tuple[int, int, int, int]]]] = []  # per pivot: row, scale, steps
+    reduced: list[tuple[int, list[tuple[int, int, int, int]]]] = []  # per pivot: row, steps
     held = Counter(c for row in system.rows for c in row.coeffs)  # column -> rows holding it
     for idx, row in enumerate(system.rows):
-        scale, ints, row_rhs = _scaled(row)
+        ints, row_rhs = dict(row.coeffs), row.rhs
         steps: list[tuple[int, int, int, int]] = []
         queue = [pivot_of[c] for c in ints if c in pivot_of]
         heapify(queue)
@@ -221,10 +241,10 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
             col = min(ints, key=lambda c: (held[c], -c))
             pivot_of[col] = len(pivots)
             pivots.append((col, ints, row_rhs))
-            reduced.append((idx, scale, steps))
+            reduced.append((idx, steps))
         elif row_rhs:
-            reduced.append((idx, scale, steps))
-            return Infeasible(_certificate(len(system.rows), reduced, row_rhs))
+            reduced.append((idx, steps))
+            return Infeasible(_certificate(system.rows, reduced, row_rhs))
 
     solution = _back_substitute(pivots, {}, with_rhs=True)
     unpivoted = [c for c in held if c not in pivot_of]
@@ -249,12 +269,12 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
 
 
 def _certificate(
-    n_rows: int, reduced: list[tuple[int, int, list[tuple[int, int, int, int]]]], row_rhs: int
+    rows: list[LinearRow], reduced: list[tuple[int, list[tuple[int, int, int, int]]]], row_rhs: int
 ) -> Certificate:
     """Multipliers from the recorded steps of each pivot row, then of the certificate row.
 
-    ``reduced[p]`` holds the original index, the scale and the steps of
-    pivot row p; the last entry is the certificate row, reduced to
+    ``reduced[p]`` holds the original index and the steps of pivot row p;
+    the last entry is the certificate row, reduced to
     0 = ``row_rhs``.  A step ``(p, ap, fp, content)`` made its row
     ``(ap*row - fp*pivot_p) / content``, so weight w on its result is
     weight w*ap/content on the row before it and -w*fp/content on pivot
@@ -263,8 +283,8 @@ def _certificate(
     are undone.  The weights are integers over one shared denominator,
     raised only when a content does not divide a weight (ap and fp are
     coprime, so content divides both w*ap and w*fp exactly when it divides
-    w).  The weight left on a row's scaled integers, times its scale, is
-    its multiplier times the denominator times ``row_rhs``.
+    w).  The weight left on a row's integers, times its ``scale``, is its
+    multiplier times the denominator times ``row_rhs``.
     """
     den = 1
     weights = {len(reduced) - 1: 1}  # position in ``reduced`` -> weight on that row
@@ -273,7 +293,7 @@ def _certificate(
         w = weights.pop(p, 0)
         if not w:
             continue
-        idx, scale, steps = reduced[p]
+        idx, steps = reduced[p]
         for q, ap, fp, content in reversed(steps):
             if w % content:
                 m = content // gcd(w, content)
@@ -285,11 +305,11 @@ def _certificate(
             w //= content
             weights[q] = weights.get(q, 0) - w * fp
             w *= ap
-        numerators[idx] = w * scale
+        numerators[idx] = w * rows[idx].scale
     den *= row_rhs
     zero = Fraction(0)
     return Certificate(tuple(
-        Fraction(numerators[r], den) if r in numerators else zero for r in range(n_rows)
+        Fraction(numerators[r], den) if r in numerators else zero for r in range(len(rows))
     ))
 
 
@@ -334,23 +354,23 @@ def _axpy(vec: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]
 def verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:
     """Exact re-check: multipliers combine rows to zero but the rhs to nonzero.
 
-    Works in integers: row r times its scale s (``_scaled``) with
-    multiplier p/q contributes p*(D/(q*s)) times its integer entries, where
-    D is the lcm of q*s over the nonzero multipliers.
+    Works in integers: row r, whose rational form is its integers over its
+    scale s, with multiplier p/q contributes p*(D/(q*s)) times its
+    integers, where D is the lcm of q*s over the nonzero multipliers.
     """
     if len(certificate.multipliers) != len(system.rows):
         raise ValueError(
             f"multiplier count mismatch: {len(certificate.multipliers)} multipliers "
             f"for {len(system.rows)} rows"
         )
-    terms = [(mult, _scaled(row)) for mult, row in zip(certificate.multipliers, system.rows) if mult]
-    denom = lcm(*(mult.denominator * scale for mult, (scale, _, _) in terms))
+    terms = [(mult, row) for mult, row in zip(certificate.multipliers, system.rows) if mult]
+    denom = lcm(*(mult.denominator * row.scale for mult, row in terms))
     combined: defaultdict[int, int] = defaultdict(int)
     rhs_total = 0
-    for mult, (scale, ints, row_rhs) in terms:
-        factor = mult.numerator * (denom // (mult.denominator * scale))
-        rhs_total += factor * row_rhs
-        for col, v in ints.items():
+    for mult, row in terms:
+        factor = mult.numerator * (denom // (mult.denominator * row.scale))
+        rhs_total += factor * row.rhs
+        for col, v in row.coeffs.items():
             combined[col] += factor * v
     return not any(combined.values()) and rhs_total != 0
 
@@ -361,9 +381,10 @@ def verify_assignment(system: LinearSystem, values: tuple[Fraction, ...]) -> boo
     ``values`` holds one value per variable, in variable order; a tuple
     of another length is a failure, not a zero-padded assignment, and a
     value that is not exact rational raises ``TypeError``.  The values
-    are brought to one denominator D once, so row r times its scale s
-    holds exactly when its integer entries dotted with the integer values
-    equal its integer rhs times D.
+    are brought to one denominator D once, so a row holds exactly when its
+    integer coefficients dotted with the integer values equal its integer
+    rhs times D.  Its rational form is both sides over its scale, which is
+    therefore never read.
     """
     if len(values) != len(system.variables):
         return False
@@ -371,16 +392,9 @@ def verify_assignment(system: LinearSystem, values: tuple[Fraction, ...]) -> boo
     denom = lcm(*(v.denominator for v in values))
     ints = [v.numerator * (denom // v.denominator) for v in values]
     return all(
-        sum(v * ints[col] for col, v in coeffs.items()) == row_rhs * denom
-        for _, coeffs, row_rhs in map(_scaled, system.rows)
+        sum(v * ints[col] for col, v in row.coeffs.items()) == row.rhs * denom
+        for row in system.rows
     )
-
-
-def _scaled(row: LinearRow) -> tuple[int, dict[int, int], int]:
-    """The row times s, the lcm of its denominators: s, integer coefficients, integer rhs."""
-    scale = lcm(row.rhs.denominator, *(v.denominator for v in row.coeffs.values()))
-    ints = {c: v.numerator * (scale // v.denominator) for c, v in row.coeffs.items() if v}
-    return scale, ints, row.rhs.numerator * (scale // row.rhs.denominator)
 
 
 # --- JSON encoding -----------------------------------------------------
@@ -391,9 +405,10 @@ def system_to_json(system: LinearSystem) -> dict:
         "rows": [
             {
                 "coeffs": {
-                    str(col): format_rational(v) for col, v in sorted(row.coeffs.items())
+                    str(col): format_rational(Fraction(v, row.scale))
+                    for col, v in sorted(row.coeffs.items())
                 },
-                "rhs": format_rational(row.rhs),
+                "rhs": format_rational(Fraction(row.rhs, row.scale)),
                 "origin": bid_vector_to_json(row.origin),
             }
             for row in system.rows
@@ -418,16 +433,9 @@ def system_from_json(obj) -> LinearSystem:
             col = memo.key(key, "coefficient indices")
             if col >= len(variables):
                 raise ValueError(f"coefficient index {col} out of range")
-            value = memo.rational(text)
-            if value:  # the solver reads a stored coefficient as nonzero
-                coeffs[col] = value
-        rows.append(
-            LinearRow(
-                coeffs=coeffs,
-                rhs=memo.rational(row["rhs"]),
-                origin=bid_vector_from_json(row.get("origin", {"bids": {}}), memo),
-            )
-        )
+            coeffs[col] = memo.rational(text)
+        origin = row.get("origin", {"bids": {}})
+        rows.append(LinearRow.of(coeffs, memo.rational(row["rhs"]), bid_vector_from_json(origin, memo)))
     return LinearSystem(variables=variables, rows=rows)
 
 

@@ -56,6 +56,12 @@ def assert_ranked(vectors):
     assert [v.entries for v in by_rank] == [v.entries for v in by_entries]
 
 
+def rational_row(row) -> tuple[dict[int, Fraction], Fraction]:
+    """The coefficients and right-hand side a ``LinearRow`` stands for:
+    its integers over its scale."""
+    return {c: Fraction(v, row.scale) for c, v in row.coeffs.items()}, Fraction(row.rhs, row.scale)
+
+
 def random_rational(rng, lo=-50, hi=50, max_den=12) -> Fraction:
     """Seeded rational generator for counted randomized acceptance runs."""
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rational, tag_residual
+from conftest import random_rational, rational_row, tag_residual
 from imbalance import (
     BidVector,
     CounterexampleTriple,
@@ -124,8 +124,8 @@ def test_criterion_5_positive_controls(capsys):
                 system = build_balance_system(witness, get_rule(f"constant:{c}"))
                 result = solve_or_refute(system)
                 assert isinstance(result, Feasible)
-                for row in system.rows:
-                    total = sum(coeff * result.assignment[col] for col, coeff in row.coeffs.items())
+                for coeffs, _ in map(rational_row, system.rows):
+                    total = sum(coeff * result.assignment[col] for col, coeff in coeffs.items())
                     assert total == c
 
 

@@ -5,8 +5,10 @@ kept here unchanged as the reference.  It sorts and hashes the bids as
 ``Fraction`` values for every (vector, bidder) pair; the current build ranks
 the distinct bids once, works on integer keys and builds one coefficient map
 per distinct bag.  Both must give the same variables, the same rows in the
-same order with the same coefficient insertion order, the same origin
-objects, the same JSON bytes and the same errors, and no two rows of the
+same order with the same coefficient insertion order, the same integers
+over the same scale (the reference rows come from ``LinearRow.of``, so the
+scale is the lcm of the row's denominators), the same origin objects, the
+same JSON bytes and the same errors, and no two rows of the
 current build may share a coefficient dict.  Every input also checks the
 build's ``rank_bids`` against its definition (``conftest.assert_ranked``).
 """
@@ -67,7 +69,7 @@ def reference_build_balance_system(vectors, rule: PriceRule) -> LinearSystem:
     variables = tuple(sorted(seen, key=lambda m: m.canonical_key()))
     index = {m: k for k, m in enumerate(variables)}
     rows = [
-        LinearRow(
+        LinearRow.of(
             coeffs={index[m]: Fraction(c) for m, c in sorted(
                 counts.items(), key=lambda kv: index[kv[0]]
             )},
@@ -106,7 +108,7 @@ def assert_same_build(vectors, rule, as_generator=False):
     for new, ref in zip(got.rows, want.rows):
         assert new.origin is ref.origin  # same representative of equal vectors
         assert list(new.coeffs.items()) == list(ref.coeffs.items())
-        assert new.rhs == ref.rhs
+        assert (new.rhs, new.scale) == (ref.rhs, ref.scale)
     assert json.dumps(system_to_json(got)) == json.dumps(system_to_json(want))
 
 

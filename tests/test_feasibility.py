@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from conftest import rational_row
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -43,8 +45,9 @@ def bag(*values):
 def assert_solution_satisfies(system, assignment):
     assert len(assignment) == len(system.variables)
     for row in system.rows:
-        total = sum(coeff * assignment[col] for col, coeff in row.coeffs.items())
-        assert total == row.rhs, row.origin
+        coeffs, rhs = rational_row(row)
+        total = sum(coeff * assignment[col] for col, coeff in coeffs.items())
+        assert total == rhs, row.origin
 
 
 class TestBuildBalanceSystem:
@@ -129,7 +132,7 @@ class TestSolveOrRefute:
         system = build_balance_system(vickrey_witness_set(1), NEG2)
         result = solve_or_refute(system)
         total = sum(
-            m * row.rhs for m, row in zip(result.certificate.multipliers, system.rows)
+            m * rational_row(row)[1] for m, row in zip(result.certificate.multipliers, system.rows)
         )
         assert total == 1
 
@@ -147,6 +150,30 @@ class TestSolveOrRefute:
         result = solve_or_refute(cut)
         assert result.certificate == certificate
         assert verify_certificate(cut, result.certificate)
+
+
+class TestSystemUnchanged:
+    """The solver reduces copies of the rows, and neither re-check writes to one."""
+
+    @pytest.mark.parametrize("rule,verdict", [("neg-second-price", Infeasible), ("constant:7/3", Feasible)])
+    def test_solve_and_both_checks_leave_the_system_unchanged(self, rule, verdict):
+        system = build_balance_system(vickrey_witness_set(3), get_rule(rule))
+
+        def snapshot():
+            rows = [(list(row.coeffs.items()), row.rhs, row.scale) for row in system.rows]
+            return rows, json.dumps(system_to_json(system))
+
+        before = snapshot()
+        result = solve_or_refute(system)
+        assert isinstance(result, verdict)
+        assert snapshot() == before
+        zero = Fraction(0)
+        certificate = result.certificate if verdict is Infeasible else Certificate((zero,) * len(system.rows))
+        assignment = result.assignment if verdict is Feasible else (zero,) * len(system.variables)
+        assert verify_certificate(system, certificate) == (verdict is Infeasible)
+        assert snapshot() == before
+        assert verify_assignment(system, assignment) == (verdict is Feasible)
+        assert snapshot() == before
 
 
 class TestVerifyCertificate:
@@ -212,8 +239,8 @@ class TestSoundness:
     def test_engineered_contradiction(self):
         variables = (bag(1), bag(2))
         rows = [
-            LinearRow({0: Fraction(1), 1: Fraction(1)}, Fraction(3), vec({})),
-            LinearRow({0: Fraction(2), 1: Fraction(2)}, Fraction(5), vec({})),
+            LinearRow.of({0: Fraction(1), 1: Fraction(1)}, Fraction(3), vec({})),
+            LinearRow.of({0: Fraction(2), 1: Fraction(2)}, Fraction(5), vec({})),
         ]
         system = LinearSystem(variables, rows)
         result = solve_or_refute(system)
@@ -263,8 +290,8 @@ class TestJson:
         system = build_balance_system(vickrey_witness_set(1), NEG2)
         clone = system_from_json(system_to_json(system))
         assert clone.variables == system.variables
-        assert [(r.coeffs, r.rhs, r.origin) for r in clone.rows] == [
-            (r.coeffs, r.rhs, r.origin) for r in system.rows
+        assert [(r.coeffs, r.rhs, r.scale, r.origin) for r in clone.rows] == [
+            (r.coeffs, r.rhs, r.scale, r.origin) for r in system.rows
         ]
 
     def test_certificate_round_trip(self):

@@ -90,7 +90,7 @@ def reference_system_from_json(obj) -> LinearSystem:
             if value:  # the solver reads a stored coefficient as nonzero
                 coeffs[col] = value
         rows.append(
-            LinearRow(
+            LinearRow.of(
                 coeffs=coeffs,
                 rhs=ensure_rational(row["rhs"]),
                 origin=reference_bid_vector_from_json(row.get("origin", {"bids": {}})),
@@ -209,7 +209,8 @@ def test_keys_and_texts_never_share_a_slot():
 
 
 # small systems whose texts repeat across variables, coefficients, rhs and origins
-SYSTEM_TEXTS = st.sampled_from(["1", "2", "1/2", "2/4", "0", "-1", "01", 1, 1.5, True, None])
+SYSTEM_TEXTS = st.sampled_from(["1", "2", "1/2", "2/4", "0", "0/7", "-1", "-3/6", "01", 1, 1.5, True,
+                                None])
 systems = st.fixed_dictionaries({
     "variables": st.lists(st.lists(SYSTEM_TEXTS, max_size=2), max_size=3),
     "rows": st.lists(
@@ -230,7 +231,7 @@ def system_summary(system: LinearSystem) -> tuple:
     return (
         tuple(tuple((type(v), v) for v in m.values) for m in system.variables),
         tuple((tuple((c, type(v), v) for c, v in row.coeffs.items()),
-               type(row.rhs), row.rhs, typed(row.origin)) for row in system.rows),
+               type(row.rhs), row.rhs, row.scale, typed(row.origin)) for row in system.rows),
     )
 
 

@@ -170,7 +170,7 @@ class TestForcedPayment:
         pinned = build_balance_system(aset.members, NEG2)
         idx = pinned.variables.index(target)
         pinned.rows.append(
-            LinearRow(coeffs={idx: Fraction(1)}, rhs=want + 1, origin=vec({}))
+            LinearRow.of(coeffs={idx: Fraction(1)}, rhs=want + 1, origin=vec({}))
         )
         assert isinstance(solve_or_refute(pinned), Infeasible)
 
@@ -202,7 +202,7 @@ class TestForcedPayment:
         for value, verdict in ((forced, Feasible), (forced + 1, Infeasible)):
             pinned = LinearSystem(
                 system.variables,
-                system.rows + [LinearRow(coeffs={target: Fraction(1)}, rhs=value, origin=vec({}))],
+                system.rows + [LinearRow.of(coeffs={target: Fraction(1)}, rhs=value, origin=vec({}))],
             )
             result = solve_or_refute(pinned)
             assert isinstance(result, verdict)

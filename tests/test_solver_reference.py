@@ -10,6 +10,9 @@ every certificate and every assignment must be equal value for value, in
 the same order.
 """
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import rational_row
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -25,11 +29,15 @@ from imbalance import (
     Infeasible,
     LinearRow,
     LinearSystem,
+    assignment_to_json,
     build_balance_system,
+    certificate_to_json,
     get_rule,
     solve_or_refute,
+    system_to_json,
     vickrey_witness_set,
 )
+from imbalance.cli import main
 from test_build_reference import GRID_RULES, grid
 
 
@@ -37,7 +45,7 @@ def reference_solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     """Dense-style Fraction Gauss elimination, pivoting on the first remaining row."""
     # (original index, sparse coeffs, rhs, multipliers over original rows)
     work = [
-        (idx, dict(row.coeffs), row.rhs, {idx: Fraction(1)})
+        (idx, *rational_row(row), {idx: Fraction(1)})
         for idx, row in enumerate(system.rows)
     ]
     pivots: list[tuple[int, dict[int, Fraction], Fraction]] = []
@@ -113,7 +121,7 @@ def row_lists(n_vars):
 
 
 def linear_rows(rows):
-    return [LinearRow(dict(sorted(c.items())), v, BidVector.of({})) for c, v in rows]
+    return [LinearRow.of(dict(sorted(c.items())), v, BidVector.of({})) for c, v in rows]
 
 
 @st.composite
@@ -154,7 +162,7 @@ def test_appended_rows_only_pad_the_certificate(system, data):
     it is that of rows[:r*+1], padded with zeros."""
     if isinstance(reference_solve_or_refute(system), Feasible):
         # a copy of a row (or an empty row) with a shifted rhs contradicts a feasible system
-        coeffs, value = data.draw(st.sampled_from([(row.coeffs, row.rhs) for row in system.rows]
+        coeffs, value = data.draw(st.sampled_from([rational_row(row) for row in system.rows]
                                                   or [({}, Fraction(0))]))
         system.rows.append(linear_rows([(coeffs, value + data.draw(nonzero))])[0])
     want = reference_solve_or_refute(system).certificate.multipliers
@@ -166,6 +174,26 @@ def test_appended_rows_only_pad_the_certificate(system, data):
     assert solve_or_refute(padded).certificate.multipliers == want + zeros
     prefix = LinearSystem(system.variables, system.rows[:last + 1])
     assert solve_or_refute(prefix).certificate.multipliers == want[:last + 1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(systems())
+def test_rational_system_files_solve_like_reference(tmp_path_factory, system):
+    """A drawn system written as a ``solve-system`` file: the file's rational
+    texts become integer rows on the way in, and the command prints the
+    reference solver's answer, formatted as the command formats it."""
+    path = tmp_path_factory.getbasetemp() / "rational-system.json"
+    path.write_text(json.dumps(system_to_json(system)), encoding="utf-8")
+    want = reference_solve_or_refute(system)
+    if isinstance(want, Feasible):
+        code, verdict, answer = 0, "FEASIBLE", assignment_to_json(system, want.assignment)
+    else:
+        code, verdict = 3, "INFEASIBLE certificate-verified=true"
+        answer = certificate_to_json(want.certificate)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve-system", "--system", str(path)]) == code
+    assert out.getvalue() == f"{verdict}\n{json.dumps(answer, sort_keys=True)}\n"
 
 
 WITNESS_RULES = ["neg-second-price", "constant:7/3"]
@@ -185,9 +213,7 @@ def test_witness_systems_match_reference(vectors, rule):
 def rank_deficient_system(n_vars, rows, rhs_values):
     return LinearSystem(
         variables=tuple(BidMultiset.of([k]) for k in range(n_vars)),
-        rows=[LinearRow({c: Fraction(v) for c, v in coeffs.items()}, Fraction(value),
-                        BidVector.of({}))
-              for coeffs, value in zip(rows, rhs_values)],
+        rows=[LinearRow.of(coeffs, value, BidVector.of({})) for coeffs, value in zip(rows, rhs_values)],
     )
 
 

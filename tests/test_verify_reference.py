@@ -3,8 +3,9 @@
 ``reference_verify_certificate`` and ``reference_verify_assignment`` are the
 previous ``verify_certificate`` and ``verify_assignment``, kept here
 unchanged as the references.  They add up ``Fraction`` products one term
-at a time; the current judges scale each row by the lcm of its
-denominators and work over one common denominator.  Both must give the
+at a time, on each row's rational form (``conftest.rational_row``); the
+current judges read each row's integers and scale as stored and work over
+one common denominator.  Both must give the
 same verdict, and the same error, on systems whose coefficients,
 right-hand sides, values and multipliers are all rational.
 """
@@ -15,6 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import rational_row
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -35,11 +37,11 @@ def reference_verify_certificate(system: LinearSystem, certificate: Certificate)
         )
     combined: dict[int, Fraction] = {}
     rhs_total = Fraction(0)
-    for mult, row in zip(certificate.multipliers, system.rows):
+    for mult, (coeffs, rhs) in zip(certificate.multipliers, map(rational_row, system.rows)):
         if mult == 0:
             continue
-        rhs_total += mult * row.rhs
-        for col, coeff in row.coeffs.items():
+        rhs_total += mult * rhs
+        for col, coeff in coeffs.items():
             combined[col] = combined.get(col, Fraction(0)) + mult * coeff
     return all(v == 0 for v in combined.values()) and rhs_total != 0
 
@@ -52,8 +54,8 @@ def reference_verify_assignment(system: LinearSystem, values: tuple[Fraction, ..
     if len(values) != len(system.variables):
         return False
     return all(
-        sum(coeff * values[col] for col, coeff in row.coeffs.items()) == row.rhs
-        for row in system.rows
+        sum(coeff * values[col] for col, coeff in coeffs.items()) == rhs
+        for coeffs, rhs in map(rational_row, system.rows)
     )
 
 
@@ -65,7 +67,7 @@ nonzero = rationals.filter(bool)
 def make_system(n_vars, rows):
     return LinearSystem(
         variables=tuple(BidMultiset.of([k]) for k in range(n_vars)),
-        rows=[LinearRow(dict(coeffs), rhs, BidVector.of({})) for coeffs, rhs in rows],
+        rows=[LinearRow.of(coeffs, rhs, BidVector.of({})) for coeffs, rhs in rows],
     )
 
 
