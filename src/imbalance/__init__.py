@@ -74,7 +74,6 @@ from .witness import (
     vickrey_instance,
     vickrey_vectors,
     vickrey_witness_set,
-    witness_set_to_json,
 )
 
 __version__ = "0.1.0"

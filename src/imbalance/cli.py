@@ -35,12 +35,7 @@ from .feasibility import (
 from .payments import AdequacyError, build_payment_table
 from .rationals import format_rational
 from .rules import RuleUndefinedError, get_rule
-from .witness import (
-    verify_imbalance,
-    vickrey_instance,
-    vickrey_witness_set,
-    witness_set_to_json,
-)
+from .witness import verify_imbalance, vickrey_instance, vickrey_witness_set, witness_set_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,6 +102,9 @@ def _get_rule(name: str):
 
 
 def _dump(obj) -> str:
+    """Indented JSON with sorted keys, newline-ended: the theorem report and
+    the check-balance result files.  The witness file has its own writer,
+    ``witness_set_text``, which gives the same bytes for its shape."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -170,7 +168,7 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
-    text = _dump(witness_set_to_json(vickrey_witness_set(_require_n(args))))
+    text = witness_set_text(vickrey_witness_set(_require_n(args)))
     if args.out:
         _write_out(args.out, text)
     return EXIT_OK, "" if args.out else text

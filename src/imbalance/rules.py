@@ -146,6 +146,12 @@ def check_flat_invariance(
     ``full_family`` members, which keep the holders' ids by construction,
     and ``is_adequate`` calls this only once its structure check has
     accepted every member's domain.
+
+    Values are compared as (numerator, denominator) pairs, equal exactly
+    when the values are: both are in lowest terms with a positive
+    denominator, an ``int``'s being 1.  This skips the Python-level
+    ``Fraction.__eq__`` on every member.
     """
     target = rule(flat(bidders, fill))
-    return all(rule(vec) == target for vec in vectors)
+    pair = (target.numerator, target.denominator)
+    return all((value.numerator, value.denominator) == pair for value in map(rule, vectors))

@@ -18,7 +18,8 @@ explicit set of bid vectors:
 ``verify_imbalance`` runs the three steps in one pass, logs each
 hypothesis check, and reports both residuals; ``vickrey_vectors`` and
 ``vickrey_witness_set`` build the stock instance that refutes balance for
-the negated second-price rule.
+the negated second-price rule, and ``witness_set_text`` writes a set as
+the witness file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .bids import BidVector, flat, full_family, rank_bids, remove
 from .payments import build_adequate_set
@@ -293,18 +294,38 @@ def verify_imbalance(
     )
 
 
-def witness_set_to_json(vectors: frozenset[BidVector]) -> list[dict]:
-    """JSON array of bid vectors, sorted by ``entries``.
+def witness_set_text(vectors: Collection[BidVector]) -> str:
+    """The witness file: a JSON array with one ``{"bids": {...}}`` object
+    per vector, sorted by ``entries``, in the bytes of
+    ``json.dumps(..., indent=2, sort_keys=True)`` plus a final newline.
 
     Vectors are sorted by their (bidder, rank) pairs from ``rank_bids``,
     which order them as their entries do, with integer compares and no
-    bid hashed.  Each rank's text and each bidder id's key are formatted
-    once; every ``{"bids": ...}`` object is assembled from those, as
-    ``bid_vector_to_json`` would write it.
+    bid hashed.  Each rank's text is formatted once and each (bidder,
+    rank) line built once.  Keys sort as strings ("10" before "2"), so
+    the order of a domain's positions is worked out once per distinct
+    domain.  Nothing needs escaping: a key is a canonical decimal and a
+    value a ``format_rational`` text, which hold only digits, ``-`` and
+    ``/``.
     """
     values, rank_of = rank_bids(vectors)
-    ordered = sorted(vectors, key=lambda vec: tuple([(i, rank_of[id(v)]) for i, v in vec.entries]))
     texts = [format_rational(v) for v in values]
-    text_of = {i: texts[r] for i, r in rank_of.items()}
-    key_of = {i: str(i) for i in {i for vec in vectors for i, _ in vec.entries}}
-    return [{"bids": {key_of[i]: text_of[id(v)] for i, v in vec.entries}} for vec in ordered]
+    keys = sorted([tuple([(i, rank_of[id(v)]) for i, v in vec.entries]) for vec in vectors])
+    lines: dict[tuple[int, int], str] = {}
+    orders: dict[tuple[int, ...], list[int]] = {}
+    items = []
+    for key in keys:
+        ids = tuple([i for i, _ in key])
+        order = orders.get(ids)
+        if order is None:
+            order = orders[ids] = sorted(range(len(ids)), key=[str(i) for i in ids].__getitem__)
+        body = []
+        for pos in order:
+            pair = key[pos]
+            line = lines.get(pair)
+            if line is None:
+                line = lines[pair] = f'      "{pair[0]}": "{texts[pair[1]]}"'
+            body.append(line)
+        items.append('  {\n    "bids": {\n' + ",\n".join(body) + "\n    }\n  }" if body
+                     else '  {\n    "bids": {}\n  }')
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"

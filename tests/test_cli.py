@@ -142,6 +142,16 @@ class TestWitness:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload) == 10
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stdout_and_file_hold_the_indented_dump(self, n, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        assert main(["witness", "--n", str(n)]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["witness", "--n", str(n), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode("utf-8")
+        assert stdout == json.dumps(json.loads(stdout), indent=2, sort_keys=True) + "\n"
+
 
 class TestCheckBalance:
     @pytest.fixture

@@ -1,18 +1,21 @@
 """Differential tests: interned parsing, rank-based completion families
-and the rank-keyed witness writer against the code they replaced.
+and the one-pass witness text writer against the code they replaced.
 
 The ``reference_*`` functions are the previous ``bid_vector_from_json``,
 ``system_from_json``, ``completion``, ``full_family`` and
-``witness_set_to_json``, kept here unchanged.  The old parsers coerce
-every entry on its own (a bid went through ``ensure_rational`` twice, the
-second time in ``BidVector.of``); the new ones parse each distinct text of
-a file once through a ``ParseMemo``.  The old family builds a
+``witness_set_to_json``, kept here unchanged; the witness file is
+``json.dumps(..., indent=2, sort_keys=True)`` of the last.  The old
+parsers coerce every entry on its own (a bid went through
+``ensure_rational`` twice, the second time in ``BidVector.of``); the new
+ones parse each distinct text of a file once through a ``ParseMemo``.  The old family builds a
 ``BidMultiset`` and a ``Fraction``-keyed count dict per sub-multiset; the
 new one enumerates count tuples over bid groups, skips the group equal to
 the fill, and gives each member the hash it would compute, built from one
-hash per distinct bid object.  The old writer sorts by ``entries``; the
-new one sorts by (bidder, rank) pairs from ``rank_bids``, checked against
-its definition on the same inputs (``conftest.assert_ranked``).
+hash per distinct bid object.  The old writer sorts by ``entries`` and
+dumps one dict per vector; the new one sorts by (bidder, rank) pairs
+from ``rank_bids``, checked against its definition on the same inputs
+(``conftest.assert_ranked``), and joins cached lines with the bidder
+keys in string order.
 
 Both routes must give equal results, with bids as ``Fraction`` and ids as
 ``int``, or the same exception type and message raised at the same entry.
@@ -38,7 +41,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import assert_canonical, assert_ranked
 from imbalance import (
@@ -56,7 +59,7 @@ from imbalance.bids import ParseMemo, bid_vector_from_json, bid_vector_to_json, 
 from imbalance.cli import main
 from imbalance.rationals import ensure_rational, format_rational
 from imbalance import witness
-from imbalance.witness import vickrey_witness_set, witness_set_to_json
+from imbalance.witness import vickrey_witness_set, witness_set_text
 
 
 # --- the replaced code, verbatim ---------------------------------------
@@ -126,6 +129,10 @@ def reference_witness_set_to_json(vectors: frozenset[BidVector]) -> list[dict]:
     return [bid_vector_to_json(v) for v in sorted(vectors, key=lambda b: b.entries)]
 
 
+def reference_witness_set_text(vectors: frozenset[BidVector]) -> str:
+    return json.dumps(reference_witness_set_to_json(vectors), indent=2, sort_keys=True) + "\n"
+
+
 # --- helpers -----------------------------------------------------------
 
 def typed(vector: BidVector) -> tuple:
@@ -134,6 +141,16 @@ def typed(vector: BidVector) -> tuple:
     value taken from the wrong memo table."""
     assert_canonical(vector)
     return tuple((type(i), i, type(v), v) for i, v in vector.entries)
+
+
+def assert_same_text(got: str, want: str):
+    """Byte equality, reported at the first line that differs: pytest's
+    own diff of two texts the size of the k = 8 witness file runs for
+    minutes."""
+    if got != want:
+        pairs = zip(got.splitlines(True) + [""], want.splitlines(True) + [""])
+        at, (line, expected) = next((k, pair) for k, pair in enumerate(pairs) if pair[0] != pair[1])
+        pytest.fail(f"texts differ at line {at + 1}: {line!r} != {expected!r}")
 
 
 def parse_each(parse, entries):
@@ -299,15 +316,19 @@ def test_empty_base(fill):
 # equal values are held by distinct objects
 VALUES = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(7, 3)]
 bid_objects = st.sampled_from(VALUES) | st.sampled_from(VALUES).map(Fraction)
-raw_vectors = st.dictionaries(st.integers(0, 6), bid_objects, max_size=5).map(
+# ids whose string order differs from their integer order ("10" < "2")
+BIDDERS = [0, 1, 2, 3, 9, 10, 11, 100]
+raw_vectors = st.dictionaries(st.sampled_from(BIDDERS), bid_objects, max_size=5).map(
     lambda bids: BidVector(tuple(sorted(bids.items())))  # keeps int bids as ints
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.frozensets(raw_vectors, max_size=12))
+@example(frozenset())
+@example(frozenset({BidVector()}))
 def test_witness_writer_matches_reference(vectors):
-    assert witness_set_to_json(vectors) == reference_witness_set_to_json(vectors)
+    assert_same_text(witness_set_text(vectors), reference_witness_set_text(vectors))
     assert_ranked(vectors)
 
 
@@ -322,13 +343,13 @@ def test_witness_writer_ranks_spellings_negatives_and_20_bit_bids():
     vectors = frozenset(spelled + [BidVector.of(dict(enumerate(wide[k:k + 3]))) for k in range(4)])
     assert len(vectors) == 7
     assert_ranked(vectors)
-    assert witness_set_to_json(vectors) == reference_witness_set_to_json(vectors)
+    assert_same_text(witness_set_text(vectors), reference_witness_set_text(vectors))
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_witness_writer_matches_reference_on_stock_sets(n):
     vectors = vickrey_witness_set(n)
-    assert witness_set_to_json(vectors) == reference_witness_set_to_json(vectors)
+    assert_same_text(witness_set_text(vectors), reference_witness_set_text(vectors))
 
 
 # --- cost guard: bids hashed per distinct bid, never per member ----------
@@ -371,7 +392,7 @@ def test_full_family_hashes_each_bid_object_once(bids, size, hashes, fraction_ha
 def test_witness_writer_hashes_no_bid(fraction_hashes):
     vectors = vickrey_witness_set(8)
     fraction_hashes.clear()
-    assert len(witness_set_to_json(vectors)) == 1280
+    assert witness_set_text(vectors).count('"bids"') == 1280
     assert fraction_hashes == []
 
 
@@ -384,7 +405,7 @@ def test_witness_writer_formats_each_value_once(monkeypatch):
         return format_rational(value)
 
     monkeypatch.setattr(witness, "format_rational", counted)
-    assert len(witness_set_to_json(vickrey_witness_set(8))) == 1280
+    assert witness_set_text(vickrey_witness_set(8)).count('"bids"') == 1280
     assert sorted(calls) == [Fraction(v) for v in range(1, 12)]
 
 

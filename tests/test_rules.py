@@ -8,6 +8,7 @@ from conftest import bid_vectors, rationals
 from imbalance import (
     BidMultiset,
     BidVector,
+    PriceRule,
     RuleArityError,
     RuleDomainError,
     RuleUndefinedError,
@@ -72,6 +73,25 @@ class TestFlatInvariance:
     def test_violation_detected(self):
         members = {vec({1: 9, 2: 1, 3: 1}), vec({1: 9, 2: 9, 3: 1})}
         assert not check_flat_invariance(get_rule("second-price"), members, {1, 2, 3}, 1)
+
+    @pytest.mark.parametrize(
+        "flat_value, member_value, invariant",
+        [
+            (Fraction(2), 2, True),
+            (2, Fraction(2), True),
+            (Fraction(4, 2), 2, True),
+            (Fraction(2), 3, False),
+            (Fraction(-2), 2, False),
+            (Fraction(2, 3), 2, False),  # equal numerators, other denominators
+        ],
+    )
+    def test_int_and_fraction_values_compare_by_value(self, flat_value, member_value, invariant):
+        # a rule's fn may return an int where the flat value is a Fraction
+        def fn(b):
+            return flat_value if set(b.values()) == {Fraction(9)} else member_value
+
+        members = {vec({1: 1, 2: 9}), vec({1: 9, 2: 3})}
+        assert check_flat_invariance(PriceRule("mixed", 1, fn), members, {1, 2}, 9) is invariant
 
     def test_domain_mismatch_is_an_error(self):
         # check_flat_invariance trusts its vectors' domains; a set from

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,7 @@ from imbalance import (
     RuleArityError,
     RuleDomainError,
     RuleUndefinedError,
+    bid_vector_from_json,
     build_balance_system,
     default_selector,
     flat,
@@ -28,8 +30,8 @@ from imbalance import (
     vickrey_instance,
     vickrey_vectors,
     vickrey_witness_set,
-    witness_set_to_json,
 )
+from imbalance.witness import witness_set_text
 
 NEG2 = get_rule("neg-second-price")
 NEG1 = get_rule("neg-first-price")
@@ -143,8 +145,12 @@ class TestVickreyWitnessSet:
             assert all(member.dom == low.dom for member in got)
 
     def test_json_is_canonical(self):
-        objs = witness_set_to_json(vickrey_witness_set(1))
-        assert objs == sorted(objs, key=lambda o: sorted(o["bids"].items()))
+        # the text parses back to the vectors in entries order; n = 8 has bidder 10
+        for n in (1, 8):
+            vectors = vickrey_witness_set(n)
+            parsed = [bid_vector_from_json(o) for o in json.loads(witness_set_text(vectors))]
+            want = sorted(vectors, key=lambda b: b.entries)
+            assert [v.entries for v in parsed] == [v.entries for v in want]
 
 
 class TestVerifyImbalance:
