@@ -28,10 +28,8 @@ from .feasibility import (
     Infeasible,
     LinearRow,
     LinearSystem,
-    assignment_to_json,
     build_balance_system,
     certificate_from_json,
-    certificate_to_json,
     solve_or_refute,
     system_from_json,
     system_to_json,

@@ -24,8 +24,9 @@ that hash.  ``full_family`` builds its members from shared pairs, with
 their hashes set from one hash per distinct bid object, and ``flat`` sets
 its vector's hash from the one hash of its bid; both hand those pairs to
 ``BidVector._hashed``, the one place outside ``__hash__`` that stores a
-hash.  ``rank_bids`` ranks the distinct bid values of a set of vectors,
-so the system build and the witness writer can sort and key on integers.
+hash.  ``rank_bids`` ranks the distinct values of a collection of bids,
+so the system build and the witness and result writers can sort and key
+on integers.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
 bidder key and bid text in a file is parsed once.
@@ -261,18 +262,19 @@ def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
                       for pairs, pair_hashes in rows])
 
 
-def rank_bids(vectors: Iterable[BidVector]) -> tuple[list[Fraction], dict[int, int]]:
-    """The distinct bid values of ``vectors`` in increasing order, and the
-    rank of each bid object among them, keyed by the object's ``id``.
+def rank_bids(bids: Iterable[Fraction]) -> tuple[list[Fraction], dict[int, int]]:
+    """The distinct values of ``bids`` in increasing order, and the rank of
+    each bid object among them, keyed by the object's ``id``.
 
     Values are keyed by (numerator, denominator), so equal values held by
     distinct objects, an ``int`` and its ``Fraction`` included, share a
     rank, and no bid is hashed.  Ranks are injective and order-preserving
     on values, so tuples of (bidder, rank) pairs order vectors as their
-    ``entries`` do and are equal exactly when the vectors are.  An id
-    names its bid only while the caller holds the vectors.
+    ``entries`` do and are equal exactly when the vectors are, and
+    (size, ranks) orders multisets like ``BidMultiset.canonical_key``.
+    An id names its bid only while the caller holds the bids.
     """
-    objs = {id(v): v for vec in vectors for _, v in vec.entries}
+    objs = {id(v): v for v in bids}
     values = sorted({(v.numerator, v.denominator): v for v in objs.values()}.values())
     rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
     return values, {i: rank[v.numerator, v.denominator] for i, v in objs.items()}

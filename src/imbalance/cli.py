@@ -18,15 +18,17 @@ import functools
 import json
 import sys
 from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
 
 from .bids import BidVector, ParseMemo, bid_vector_from_json
 from .feasibility import (
     Feasible,
+    Infeasible,
     LinearSystem,
-    assignment_to_json,
+    answer_text,
     build_balance_system,
-    certificate_to_json,
+    result_text,
     solve_or_refute,
     system_from_json,
     verify_assignment,
@@ -102,9 +104,10 @@ def _get_rule(name: str):
 
 
 def _dump(obj) -> str:
-    """Indented JSON with sorted keys, newline-ended: the theorem report and
-    the check-balance result files.  The witness file has its own writer,
-    ``witness_set_text``, which gives the same bytes for its shape."""
+    """Indented JSON with sorted keys, newline-ended: the theorem report.
+    The witness file and the check-balance result file have their own
+    writers, ``witness_set_text`` and ``result_text``, which give the same
+    bytes for their shapes."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -174,12 +177,17 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, "" if args.out else text
 
 
-def _decide(system: LinearSystem) -> tuple[int, str, dict]:
-    """Solve and re-check: the exit code, the verdict line, and the result
-    document (the status with the assignment or the certificate).
+def _decide(
+    system: LinearSystem, write: Callable[[LinearSystem, Feasible | Infeasible], str]
+) -> tuple[int, str, str]:
+    """Solve and re-check: the exit code, the verdict line, and the text
+    ``write(system, result)`` gives for the result, which is all of the
+    result that gets printed or written.
 
     A FEASIBLE assignment that violates a row is a solver bug and raises;
     an INFEASIBLE certificate's re-check is reported on the verdict line.
+    An integer past the interpreter's string conversion limit in the text
+    is an exit 2, before anything is printed or written.
     """
     result = solve_or_refute(system)
     if isinstance(result, Feasible):
@@ -190,13 +198,16 @@ def _decide(system: LinearSystem) -> tuple[int, str, dict]:
         verified = verify_certificate(system, result.certificate)
         code, verdict = EXIT_FINDING, f"INFEASIBLE certificate-verified={str(verified).lower()}\n"
     try:
-        if code == EXIT_OK:
-            document = {"status": "FEASIBLE", "assignment": assignment_to_json(system, result.assignment)}
-        else:
-            document = {"status": "INFEASIBLE", "certificate": certificate_to_json(result.certificate)}
+        text = write(system, result)
     except ValueError as exc:  # an integer past the interpreter's string conversion limit
         raise _UsageError(f"cannot write the result: {exc}")
-    return code, verdict, document
+    return code, verdict, text
+
+
+def _certificate_line(system: LinearSystem, result: Feasible | Infeasible) -> str:
+    """What ``check-balance`` prints after the verdict without ``--out``:
+    the certificate of a refutation, nothing for an assignment."""
+    return "" if isinstance(result, Feasible) else answer_text(system, result)
 
 
 def cmd_check_balance(args: argparse.Namespace) -> tuple[int, str]:
@@ -206,11 +217,11 @@ def cmd_check_balance(args: argparse.Namespace) -> tuple[int, str]:
         system = build_balance_system(vectors, rule)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    code, verdict, result = _decide(system)
-    if args.out:
-        _write_out(args.out, _dump(result))
-    elif code == EXIT_FINDING:
-        verdict += json.dumps(result["certificate"], sort_keys=True) + "\n"
+    if not args.out:
+        code, verdict, line = _decide(system, _certificate_line)
+        return code, verdict + line
+    code, verdict, text = _decide(system, result_text)
+    _write_out(args.out, text)
     return code, verdict
 
 
@@ -219,9 +230,8 @@ def cmd_solve_system(args: argparse.Namespace) -> tuple[int, str]:
         system = system_from_json(_load_json(args.system))
     except (ValueError, TypeError) as exc:  # TypeError: a value neither string nor integer
         raise _UsageError(f"bad system in {args.system}: {exc}")
-    code, verdict, result = _decide(system)
-    answer = result["assignment" if code == EXIT_OK else "certificate"]
-    return code, verdict + json.dumps(answer, sort_keys=True) + "\n"
+    code, verdict, answer = _decide(system, answer_text)
+    return code, verdict + answer
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,6 +30,17 @@ only the work, never the bytes.
 This is the package's independent route to the imbalance results: it
 never looks at adequate sets or forced closed forms, only at the raw
 equations.
+
+JSON: ``system_to_json`` and ``system_from_json`` write and read system
+files, whose ``variables`` and ``rows`` must be arrays, and
+``certificate_from_json`` reads a certificate.  ``result_text`` writes a
+result (the status with the assignment or the certificate) as the
+``check-balance`` result file, and ``answer_text`` writes the assignment
+or certificate alone as the line the commands print, in the bytes of
+``json.dumps`` with sorted keys, indented and compact.  Both sort an
+assignment in the one ranked pass of ``_ranked_assignment``, on integer
+bid ranks from ``rank_bids``, and format each distinct bid and value
+once.
 """
 
 from __future__ import annotations
@@ -133,7 +144,7 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     first-seen representative, since a table rule need not be symmetric.
     """
     vecs = list(vectors)  # holds the bids while their ids key ``rank_of``
-    values, rank_of = rank_bids(vecs)
+    values, rank_of = rank_bids([v for vec in vecs for _, v in vec.entries])
     first: dict[tuple[tuple[int, int], ...], BidVector] = {}
     for vec in vecs:
         first.setdefault(tuple([(i, rank_of[id(v)]) for i, v in vec.entries]), vec)
@@ -419,6 +430,9 @@ def system_to_json(system: LinearSystem) -> dict:
 def system_from_json(obj) -> LinearSystem:
     if not isinstance(obj, dict) or "variables" not in obj or "rows" not in obj:
         raise ValueError('linear system JSON must have "variables" and "rows"')
+    for field in ("variables", "rows"):
+        if not isinstance(obj[field], list):
+            raise ValueError(f'linear system "{field}" must be a JSON array')
     memo = ParseMemo()
     variables = tuple(multiset_from_json(m, memo) for m in obj["variables"])
     if len(set(variables)) != len(variables):
@@ -439,18 +453,76 @@ def system_from_json(obj) -> LinearSystem:
     return LinearSystem(variables=variables, rows=rows)
 
 
-def assignment_to_json(system: LinearSystem, values: tuple[Fraction, ...]) -> list[dict]:
-    """The assignment as multiset-value pairs, sorted by ``BidMultiset.canonical_key``.
+def result_text(system: LinearSystem, result: Feasible | Infeasible) -> str:
+    """The result file, in the bytes of ``json.dumps(document, indent=2,
+    sort_keys=True)`` plus a final newline.
 
-    A system file may list its variables in any order; the written
-    assignment is canonical whatever that order.
+    The document is ``{"assignment": [{"multiset": [...], "value": ...},
+    ...], "status": "FEASIBLE"}``, in the order of ``_ranked_assignment``,
+    or ``{"certificate": {"multipliers": [...]}, "status": "INFEASIBLE"}``.
     """
-    pairs = sorted(zip(system.variables, values), key=lambda mv: mv[0].canonical_key())
-    return [{"multiset": multiset_to_json(m), "value": format_rational(v)} for m, v in pairs]
+    if isinstance(result, Infeasible):
+        multipliers = _indented(_quoted(result.certificate.multipliers), 4)
+        return ('{\n  "certificate": {\n    "multipliers": ' + multipliers
+                + '\n  },\n  "status": "INFEASIBLE"\n}\n')
+    bids, entries = _ranked_assignment(system, result.assignment)
+    items = [f'{{\n      "multiset": {_indented([bids[r] for r in ranks], 6)},'
+             f'\n      "value": {value}\n    }}' for ranks, value in entries]
+    return f'{{\n  "assignment": {_indented(items, 2)},\n  "status": "FEASIBLE"\n}}\n'
 
 
-def certificate_to_json(certificate: Certificate) -> dict:
-    return {"multipliers": [format_rational(v) for v in certificate.multipliers]}
+def answer_text(system: LinearSystem, result: Feasible | Infeasible) -> str:
+    """The result's answer on one line, in the bytes of ``json.dumps(answer,
+    sort_keys=True)`` plus a final newline: the assignment list or the
+    certificate object of ``result_text``'s document."""
+    if isinstance(result, Infeasible):
+        return f'{{"multipliers": [{", ".join(_quoted(result.certificate.multipliers))}]}}\n'
+    bids, entries = _ranked_assignment(system, result.assignment)
+    items = [f'{{"multiset": [{", ".join([bids[r] for r in ranks])}], "value": {value}}}'
+             for ranks, value in entries]
+    return f'[{", ".join(items)}]\n'
+
+
+def _ranked_assignment(
+    system: LinearSystem, values: tuple[Fraction, ...]
+) -> tuple[list[str], list[tuple[tuple[int, ...], str]]]:
+    """The quoted text of each bid rank, and each variable's ranks with the
+    quoted text of its value, sorted like ``BidMultiset.canonical_key``.
+
+    A system file may list its variables in any order; the assignment is
+    written in canonical order whatever that order.  Variables are sorted
+    on (size, ranks) from ``rank_bids``, with integer compares only, and
+    each distinct bid and each distinct value is formatted once.
+    """
+    bids, rank_of = rank_bids([v for m in system.variables for v in m.values])
+    ranks = [tuple([rank_of[id(v)] for v in m.values]) for m in system.variables]
+    order = sorted(range(len(ranks)), key=lambda k: (len(ranks[k]), ranks[k]))
+    texts = _quoted([values[k] for k in order])
+    return [f'"{format_rational(b)}"' for b in bids], [(ranks[k], t) for k, t in zip(order, texts)]
+
+
+def _quoted(values: Iterable[Fraction]) -> list[str]:
+    """The JSON string of each value's ``format_rational`` text, each
+    distinct value formatted once.  The texts hold only digits, ``-`` and
+    ``/``, so nothing needs escaping."""
+    texts: dict[tuple[int, int], str] = {}
+    out = []
+    for v in values:
+        key = (v.numerator, v.denominator)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = f'"{format_rational(v)}"'
+        out.append(text)
+    return out
+
+
+def _indented(items: list[str], indent: int) -> str:
+    """A JSON array of encoded items, as ``json.dumps(indent=2)`` writes it
+    at ``indent`` spaces."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 def certificate_from_json(obj) -> Certificate:

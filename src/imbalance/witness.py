@@ -308,7 +308,7 @@ def witness_set_text(vectors: Collection[BidVector]) -> str:
     value a ``format_rational`` text, which hold only digits, ``-`` and
     ``/``.
     """
-    values, rank_of = rank_bids(vectors)
+    values, rank_of = rank_bids([v for vec in vectors for _, v in vec.entries])
     texts = [format_rational(v) for v in values]
     keys = sorted([tuple([(i, rank_of[id(v)]) for i, v in vec.entries]) for vec in vectors])
     lines: dict[tuple[int, int], str] = {}

@@ -44,8 +44,8 @@ def assert_ranked(vectors):
     order the vectors as their entries do and tell them apart exactly
     when their entries differ."""
     vectors = list(vectors)
-    values, rank_of = rank_bids(vectors)
     bids = [v for vec in vectors for _, v in vec.entries]
+    values, rank_of = rank_bids(bids)
     assert values == sorted(set(bids))
     assert set(rank_of) == {id(v) for v in bids}
     assert all(values[rank_of[id(v)]] == v for v in bids)

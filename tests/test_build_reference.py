@@ -177,7 +177,7 @@ def test_unnormalized_int_bid_shares_a_variable_with_its_fraction():
 def test_equal_bids_share_a_rank_whatever_their_spelling():
     a, b, c = BidVector.of({1: "1/2", 2: -3}), BidVector.of({1: "2/4"}), BidVector.of({3: "-6/4"})
     assert a[1] is not b[1]
-    values, rank_of = rank_bids([a, b, c])
+    values, rank_of = rank_bids([v for vec in (a, b, c) for _, v in vec.entries])
     assert values == [-3, Fraction(-3, 2), Fraction(1, 2)]
     assert rank_of[id(a[1])] == rank_of[id(b[1])] == 2
     assert rank_of[id(a[2])] == 0 and rank_of[id(c[3])] == 1

@@ -174,6 +174,20 @@ class TestCheckBalance:
         assert code == 0
         assert capsys.readouterr().out == "FEASIBLE\n"
 
+    def test_feasible_without_out_writes_no_result(self, tmp_path, monkeypatch, capsys):
+        """Without ``--out`` an assignment is neither printed nor written,
+        so no writer runs."""
+        witness = tmp_path / "w3.json"
+        assert main(["witness", "--n", "3", "--out", str(witness)]) == 0
+
+        def unused(system, result):
+            raise AssertionError("a result text was built")
+
+        monkeypatch.setattr(cli, "result_text", unused)
+        monkeypatch.setattr(cli, "answer_text", unused)
+        assert main(["check-balance", "--witness", str(witness), "--rule", "constant:7/3"]) == 0
+        assert capsys.readouterr().out == "FEASIBLE\n"
+
     def test_result_file(self, witness_file, tmp_path, capsys):
         out = tmp_path / "result.json"
         main(["check-balance", "--witness", witness_file, "--rule", "neg-second-price",
@@ -327,6 +341,24 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"variables": {}, "rows": []}, "variables"),
+            ({"variables": "", "rows": []}, "variables"),
+            ({"variables": 7, "rows": []}, "variables"),
+            ({"variables": [], "rows": ""}, "rows"),
+            ({"variables": [], "rows": 5}, "rows"),
+        ],
+        ids=["variables-object", "variables-string", "variables-number", "rows-string", "rows-number"],
+    )
+    def test_system_fields_must_be_arrays(self, tmp_path, capsys, payload, field):
+        path = write_json(tmp_path / "sys.json", payload)
+        assert main(["solve-system", "--system", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f'error: bad system in {path}: linear system "{field}" must be a JSON array\n'
 
     @pytest.mark.parametrize(
         "argv, error",

@@ -18,7 +18,6 @@ from imbalance import (
     LinearSystem,
     build_balance_system,
     certificate_from_json,
-    certificate_to_json,
     flat,
     get_rule,
     remove,
@@ -30,6 +29,7 @@ from imbalance import (
     vickrey_vectors,
     vickrey_witness_set,
 )
+from imbalance.feasibility import answer_text, result_text
 
 NEG2 = get_rule("neg-second-price")
 
@@ -296,7 +296,10 @@ class TestJson:
 
     def test_certificate_round_trip(self):
         cert = Certificate((Fraction(1, 3), Fraction(-2)))
-        assert certificate_from_json(certificate_to_json(cert)) == cert
+        empty = LinearSystem((), [])
+        assert certificate_from_json(json.loads(answer_text(empty, Infeasible(cert)))) == cert
+        document = json.loads(result_text(empty, Infeasible(cert)))
+        assert certificate_from_json(document["certificate"]) == cert
 
     def test_bad_coefficient_index(self):
         obj = {
