@@ -322,7 +322,9 @@ class ParseMemo:
     any other JSON value goes through ``ensure_rational`` every time, which
     keeps its exact error (``true`` would hit the slot of ``1``, and a list
     cannot be hashed).  A failed parse raises and stores nothing.  A memo
-    serves one file; it is never shared across files.
+    serves one file; it is never shared across files.  ``key`` and
+    ``rational`` parse and store a miss; ``bid_vector_from_json`` reads a
+    hit from ``keys`` and ``texts`` directly.
     """
 
     def __init__(self):
@@ -346,12 +348,26 @@ class ParseMemo:
 
 def bid_vector_from_json(obj, memo: ParseMemo | None = None) -> BidVector:
     """Parse ``{"bids": {"<id>": "<p/q>", ...}}``, with ``memo`` holding the
-    texts already parsed from the same file."""
+    texts already parsed from the same file.
+
+    A key already in ``memo.keys`` and a ``str`` text already in
+    ``memo.texts`` are read with one dict lookup each; a miss, or a text
+    that is not a ``str``, goes through ``memo.key`` or ``memo.rational``,
+    which keep every check and error message.
+    """
     if not isinstance(obj, dict) or not isinstance(obj.get("bids"), dict):
         raise ValueError('bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}')
     memo = ParseMemo() if memo is None else memo
-    entries = [(memo.key(key, "bidder ids"), memo.rational(text))
-               for key, text in obj["bids"].items()]
+    keys, texts = memo.keys, memo.texts
+    entries = []
+    for key, text in obj["bids"].items():
+        bidder = keys.get(key)
+        if bidder is None:
+            bidder = memo.key(key, "bidder ids")
+        bid = texts.get(text) if isinstance(text, str) else None
+        if bid is None:
+            bid = memo.rational(text)
+        entries.append((bidder, bid))
     entries.sort()  # canonical ids are distinct, so only ids are compared
     return BidVector(tuple(entries))
 

@@ -89,10 +89,13 @@ def _load_witness(path: str) -> list[BidVector]:
         raise _UsageError(f"witness file {path} must be a JSON array of bid vectors")
     memo = ParseMemo()
     vectors = []
-    for entry in obj:
-        vector = _parse_bid_vector(entry, path, memo)
-        _check_dom(len(vector), f"bid vector in {path}")
-        vectors.append(vector)
+    try:
+        for entry in obj:
+            vector = bid_vector_from_json(entry, memo)
+            _check_dom(len(vector.entries), f"bid vector in {path}")
+            vectors.append(vector)
+    except (ValueError, TypeError) as exc:  # TypeError: a bid neither string nor integer
+        raise _UsageError(f"bad bid vector in {path}: {exc}")
     return vectors
 
 

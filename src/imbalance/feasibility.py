@@ -19,7 +19,8 @@ row in row order.  It is re-checked by substituting it into every row
 Rows are eliminated in their original order, so each pivot row is
 independent of all rows before it: the pivot rows are the greedy row
 basis, whichever column each one pivots on.  The first row that reduces
-to 0 = nonzero ends the solve: no later row is copied or reduced.  The
+to 0 = nonzero ends the solve: no later row is copied or reduced.  A row
+equal to one already reduced would reduce to 0 = 0, so it is skipped.  The
 certificate is the unique combination of that row with the basis rows
 before it, rebuilt from the recorded elimination steps; the assignment
 is the unique solution that is zero on every column in the span of
@@ -49,6 +50,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -139,9 +141,11 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     vector, the sorted tuple of its ranks, never on which bidder holds
     which bid.  So the map from "bag minus one r" to the multiplicity of r,
     and the sorted coefficient dict built from it, are computed once per
-    distinct bag, and each row gets its own dict of those counts times its
-    scale.  The rule still runs once per distinct vector, on its
-    first-seen representative, since a table rule need not be symmetric.
+    distinct bag.  The counts times a scale are computed once per distinct
+    (bag, scale): the first row with that key keeps the dict, and each
+    later row gets a copy, so every row owns its dict.  The rule still
+    runs once per distinct vector, on its first-seen representative,
+    since a table rule need not be symmetric; its rhs is the row's own.
     """
     vecs = list(vectors)  # holds the bids while their ids key ``rank_of``
     values, rank_of = rank_bids([v for vec in vecs for _, v in vec.entries])
@@ -168,9 +172,15 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     coeffs = {bag: dict(sorted((index[m], c) for m, c in counts.items()))
               for bag, counts in maps.items()}
     rows = []
+    scaled: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (bag, scale) -> a row's dict
     for vec, bag, rhs in raw:
         den = rhs.denominator
-        rows.append(LinearRow({c: v * den for c, v in coeffs[bag].items()}, rhs.numerator, den, vec))
+        ints = scaled.get((bag, den))
+        if ints is None:
+            ints = scaled[bag, den] = {c: v * den for c, v in coeffs[bag].items()}
+        else:
+            ints = dict(ints)
+        rows.append(LinearRow(ints, rhs.numerator, den, vec))
     variables = tuple(BidMultiset(tuple(values[r] for r in m)) for m in order)
     return LinearSystem(variables=variables, rows=rows)
 
@@ -194,6 +204,19 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     dropped.  Counting the holders reads every row's column
     indices, and nothing else of a row before its turn.
 
+    Repeat invariant: a row equal to a row already reduced, keyed by
+    value on its rhs, its scale, its column indices in order and their
+    values in the same order, is skipped without a copy.
+    It lies in the span of the rows before it, and no row before it
+    contradicted, so it would reduce to 0 = 0 and be dropped: the pivot
+    rows, their steps, the certificate and the assignment are the same,
+    and the skipped row's multiplier is 0 as a dropped row's is.  The
+    ``held`` counts still cover every row, so the pivot columns do not
+    change either.  Under a symmetric rule every ordering of a bag's bids
+    gives the same row, so a full grid reduces at most one row per bag.
+    A row that equals an earlier one only as a rational row, or lists the
+    same entries in another order, has another key and is reduced.
+
     Row invariant: a row reduces to nothing exactly when it lies in the
     span of the rows before it, so the pivot rows are the greedy row basis
     (each row independent of all lower-index rows), whichever column each
@@ -212,8 +235,13 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     pivots: list[tuple[int, dict[int, int], int]] = []
     pivot_of: dict[int, int] = {}  # column -> number of the pivot row on it
     reduced: list[tuple[int, list[tuple[int, int, int, int]]]] = []  # per pivot: row, steps
-    held = Counter(c for row in system.rows for c in row.coeffs)  # column -> rows holding it
+    # column -> number of rows holding it
+    held = Counter(chain.from_iterable([row.coeffs for row in system.rows]))
+    first: dict[tuple, int] = {}  # row key -> index of the first row with that key
     for idx, row in enumerate(system.rows):
+        key = (row.rhs, row.scale, tuple(row.coeffs), tuple(row.coeffs.values()))
+        if first.setdefault(key, idx) != idx:
+            continue  # equal to a row already reduced: it would reduce to 0 = 0
         ints, row_rhs = dict(row.coeffs), row.rhs
         steps: list[tuple[int, int, int, int]] = []
         queue = [pivot_of[c] for c in ints if c in pivot_of]

@@ -161,6 +161,11 @@ def test_shared_bags_match_reference(vectors, data):
     distinct = list(dict.fromkeys(vectors))
     # its own value per vector pins each row's rhs to its own vector, not to its bag
     assert_same_build(vectors, register_external("own", {v: n for n, v in enumerate(distinct)}))
+    # values over several denominators: orderings of one bag share a scaled
+    # coefficient dict only where their values share a denominator
+    values = [Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(-5, 6)]
+    assert_same_build(vectors, register_external("dens", {
+        v: values[data.draw(st.integers(0, len(values) - 1))] for v in distinct}))
     # one vector left out pins the "undefined on" error; the filler keeps the table nonempty
     omitted = data.draw(st.sampled_from(distinct))
     table = {v: n for n, v in enumerate(distinct) if v != omitted}

@@ -242,6 +242,17 @@ class TestSolveSystem:
         assert main(["solve-system", "--system", path]) == 3
         assert "INFEASIBLE certificate-verified=true" in capsys.readouterr().out
 
+    def test_skipped_equal_row_keeps_its_zero_multiplier(self, tmp_path, capsys):
+        # the second row equals the first, so it is never reduced; the
+        # certificate still holds one multiplier per row
+        row = {"coeffs": {"0": "1"}, "rhs": "1"}
+        obj = {"variables": [["1"]], "rows": [row, row, {"coeffs": {"0": "1"}, "rhs": "2"}]}
+        path = write_json(tmp_path / "sys.json", obj)
+        assert main(["solve-system", "--system", path]) == 3
+        assert capsys.readouterr().out == (
+            'INFEASIBLE certificate-verified=true\n{"multipliers": ["-1", "0", "1"]}\n'
+        )
+
     def test_explicit_zero_coefficient(self, tmp_path, capsys):
         obj = {"variables": [["1"]], "rows": [{"coeffs": {"0": "0"}, "rhs": "1"}]}
         path = write_json(tmp_path / "sys.json", obj)

@@ -7,7 +7,9 @@ solver eliminates rows in index order and stops at the first
 contradiction.  Both make the pivot rows the greedy row basis, which
 fixes the certificate and the assignment whatever the pivot columns, so
 every certificate and every assignment must be equal value for value, in
-the same order.
+the same order.  The current solver also skips a row equal to one it has
+already reduced, which the reference never does, so systems with copied
+rows pin that skipping changes nothing.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from heapq import heapify
 
 import hypothesis.strategies as st
 import pytest
@@ -35,6 +38,7 @@ from imbalance import (
     system_to_json,
     vickrey_witness_set,
 )
+from imbalance import feasibility
 from imbalance.cli import main
 from imbalance.feasibility import answer_text
 from test_build_reference import GRID_RULES, grid
@@ -254,3 +258,80 @@ def test_witness_subsets_with_more_unknowns_than_rows_match_reference(n, rule):
         system = build_balance_system(rng.sample(vectors, len(vectors) // 3), get_rule(rule))
         assert len(system.variables) > len(system.rows)
         assert_same_result(system)
+
+
+def copied_row(row, kind, data):
+    """A copy of ``row``: the same integers, the same coefficients with the
+    rhs shifted, the entries in another insertion order, or the same
+    rational row stored over a larger raw scale (other integers, so it is
+    never skipped)."""
+    if kind == "shifted":
+        shift = data.draw(st.integers(1, 3))
+        return LinearRow(dict(row.coeffs), row.rhs + shift, row.scale, row.origin)
+    if kind == "reordered":
+        return LinearRow(dict(data.draw(st.permutations(list(row.coeffs.items())))),
+                         row.rhs, row.scale, row.origin)
+    if kind == "rescaled":
+        m = data.draw(st.integers(2, 4))
+        return LinearRow({c: v * m for c, v in row.coeffs.items()}, row.rhs * m, row.scale * m,
+                         row.origin)
+    return LinearRow(dict(row.coeffs), row.rhs, row.scale, row.origin)
+
+
+COPY_KINDS = ["same", "same", "shifted", "reordered", "rescaled"]  # exact copies drawn twice as often
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.data())
+def test_repeated_rows_match_reference(system, data):
+    """Copies of rows at random positions, copies of copies included: a row
+    equal to one already reduced is skipped, and the verdict, certificate
+    and assignment stay the reference's."""
+    rows = list(system.rows)
+    kinds = data.draw(st.lists(st.sampled_from(COPY_KINDS), min_size=1, max_size=6)) if rows else []
+    for kind in kinds:
+        copy = copied_row(data.draw(st.sampled_from(rows)), kind, data)
+        rows.insert(data.draw(st.integers(0, len(rows))), copy)
+    repeated = LinearSystem(system.variables, rows)
+    assert_same_result(repeated)
+    if "shifted" in kinds:  # two rows with the same coefficients and different rhs
+        assert isinstance(solve_or_refute(repeated), Infeasible)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.data())
+def test_copies_around_the_contradiction_row_match_reference(system, data):
+    """Copies placed before and after the first inconsistent row: those
+    after it are never read, those before it are reduced or skipped."""
+    if isinstance(reference_solve_or_refute(system), Feasible):
+        coeffs, value = data.draw(st.sampled_from([rational_row(row) for row in system.rows]
+                                                  or [({}, Fraction(0))]))
+        system.rows.append(linear_rows([(coeffs, value + data.draw(nonzero))])[0])
+    multipliers = reference_solve_or_refute(system).certificate.multipliers
+    last = max(r for r, m in enumerate(multipliers) if m)
+    rows = list(system.rows)
+    kind = data.draw(st.sampled_from(COPY_KINDS))
+    after = copied_row(data.draw(st.sampled_from(rows)), kind, data)
+    rows.insert(data.draw(st.integers(last + 1, len(rows))), after)
+    before = copied_row(data.draw(st.sampled_from(rows[:last + 1])), "same", data)
+    rows.insert(data.draw(st.integers(0, last)), before)
+    repeated = LinearSystem(system.variables, rows)
+    assert isinstance(reference_solve_or_refute(repeated), Infeasible)
+    assert_same_result(repeated)
+
+
+def test_an_equal_row_is_never_reduced(monkeypatch):
+    """One ``heapify`` per reduced row: on a full 4-bidder grid over 6 values
+    each bag's 4!/(multiplicities) orderings give equal rows under a
+    constant rule, so 126 of the 1,296 rows are reduced, one per bag."""
+    calls = []
+
+    def counted(queue):
+        calls.append(len(queue))
+        heapify(queue)
+
+    monkeypatch.setattr(feasibility, "heapify", counted)
+    system = build_balance_system(grid(4, 6, seed=0), get_rule("constant:7/3"))
+    assert len(system.rows) == 6 ** 4
+    assert isinstance(solve_or_refute(system), Feasible)
+    assert len(calls) == 126  # C(6 + 4 - 1, 4) bags
