@@ -29,7 +29,11 @@ so the system build and the witness and result writers can sort and key
 on integers.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
-bidder key and bid text in a file is parsed once.
+bidder key and bid text in a file is parsed once: its tables parse a
+missing key themselves, so a hit is one subscript.  A text that is not a
+``str`` (a JSON number, ``true``, a list) is parsed every time and never
+stored, since ``true`` would hit the slot of ``1`` and a list cannot be
+hashed.
 
 Everything is immutable and enumerations come back in deterministic order,
 so downstream artifacts (witness files, reports) are reproducible byte for
@@ -311,63 +315,59 @@ def canonical_id(key: str, noun: str) -> int:
     return int(key)
 
 
+class _Table(dict):
+    """A dict that parses a missing key with ``parse`` and stores the
+    result; a failed parse raises before anything is stored."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
+
+
 class ParseMemo:
     """What the texts of one input file parse to, each distinct text once.
 
-    Object keys (bidder ids, coefficient indices) and rational texts (bids,
-    coefficients, right-hand sides) live in separate tables, so a key never
-    answers for a text.  A key is stored only once ``canonical_id`` accepts
-    it, and its integer does not depend on the noun, so bidder ids and
-    coefficient indices can share a table.  Only ``str`` texts are stored:
-    any other JSON value goes through ``ensure_rational`` every time, which
-    keeps its exact error (``true`` would hit the slot of ``1``, and a list
-    cannot be hashed).  A failed parse raises and stores nothing.  A memo
-    serves one file; it is never shared across files.  ``key`` and
-    ``rational`` parse and store a miss; ``bid_vector_from_json`` reads a
-    hit from ``keys`` and ``texts`` directly.
+    Three self-filling tables: ``bidders`` and ``indices`` map object keys
+    through ``canonical_id`` (the noun names the key in its error), and
+    ``texts`` maps ``str`` texts (bids, coefficients, right-hand sides)
+    through ``ensure_rational``.  A hit is one subscript; a miss parses,
+    stores and returns, and a failed parse raises and stores nothing.
+    Only ``str`` texts are stored: any other JSON value goes through
+    ``ensure_rational`` every time, which keeps its exact error (``true``
+    would hit the slot of ``1``, and a list cannot be hashed).  The tables
+    take ``ensure_rational`` as it is bound when the memo is made.  A memo
+    serves one file; it is never shared across files.
     """
 
     def __init__(self):
-        self.keys: dict[str, int] = {}
-        self.texts: dict[str, Fraction] = {}
-
-    def key(self, key: str, noun: str) -> int:
-        value = self.keys.get(key)
-        if value is None:
-            value = self.keys[key] = canonical_id(key, noun)
-        return value
+        self.bidders: dict[str, int] = _Table(lambda key: canonical_id(key, "bidder ids"))
+        self.indices: dict[str, int] = _Table(lambda key: canonical_id(key, "coefficient indices"))
+        self.texts: dict[str, Fraction] = _Table(ensure_rational)
 
     def rational(self, text) -> Fraction:
-        if not isinstance(text, str):
-            return ensure_rational(text)
-        value = self.texts.get(text)
-        if value is None:
-            value = self.texts[text] = ensure_rational(text)
-        return value
+        return self.texts[text] if isinstance(text, str) else ensure_rational(text)
 
 
 def bid_vector_from_json(obj, memo: ParseMemo | None = None) -> BidVector:
     """Parse ``{"bids": {"<id>": "<p/q>", ...}}``, with ``memo`` holding the
     texts already parsed from the same file.
 
-    A key already in ``memo.keys`` and a ``str`` text already in
-    ``memo.texts`` are read with one dict lookup each; a miss, or a text
-    that is not a ``str``, goes through ``memo.key`` or ``memo.rational``,
-    which keep every check and error message.
+    Each key and each ``str`` text is one subscript of a ``memo`` table,
+    which parses it on a miss; a text that is not a ``str`` goes through
+    ``ensure_rational`` and is never stored.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("bids"), dict):
         raise ValueError('bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}')
     memo = ParseMemo() if memo is None else memo
-    keys, texts = memo.keys, memo.texts
+    bidders, texts = memo.bidders, memo.texts
     entries = []
     for key, text in obj["bids"].items():
-        bidder = keys.get(key)
-        if bidder is None:
-            bidder = memo.key(key, "bidder ids")
-        bid = texts.get(text) if isinstance(text, str) else None
-        if bid is None:
-            bid = memo.rational(text)
-        entries.append((bidder, bid))
+        entries.append((bidders[key], texts[text] if isinstance(text, str) else ensure_rational(text)))
     entries.sort()  # canonical ids are distinct, so only ids are compared
     return BidVector(tuple(entries))
 

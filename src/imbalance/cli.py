@@ -76,27 +76,24 @@ def _load_json(path: str):
         raise _UsageError(f"invalid JSON in {path}: {exc}")
 
 
-def _parse_bid_vector(obj, path: str, memo: ParseMemo) -> BidVector:
-    try:
-        return bid_vector_from_json(obj, memo)
-    except (ValueError, TypeError) as exc:  # TypeError: a bid neither string nor integer
-        raise _UsageError(f"bad bid vector in {path}: {exc}")
-
-
-def _load_witness(path: str) -> list[BidVector]:
-    obj = _load_json(path)
-    if not isinstance(obj, list):
-        raise _UsageError(f"witness file {path} must be a JSON array of bid vectors")
+def _parse_vectors(entries: list, path: str) -> list[BidVector]:
     memo = ParseMemo()
     vectors = []
     try:
-        for entry in obj:
+        for entry in entries:
             vector = bid_vector_from_json(entry, memo)
             _check_dom(len(vector.entries), f"bid vector in {path}")
             vectors.append(vector)
     except (ValueError, TypeError) as exc:  # TypeError: a bid neither string nor integer
         raise _UsageError(f"bad bid vector in {path}: {exc}")
     return vectors
+
+
+def _load_witness(path: str) -> list[BidVector]:
+    obj = _load_json(path)
+    if not isinstance(obj, list):
+        raise _UsageError(f"witness file {path} must be a JSON array of bid vectors")
+    return _parse_vectors(obj, path)
 
 
 def _get_rule(name: str):
@@ -130,8 +127,7 @@ def _require_n(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> tuple[int, str]:
     rule = _get_rule(args.rule)
-    vector = _parse_bid_vector(_load_json(args.bids), args.bids, ParseMemo())
-    _check_dom(len(vector), f"bid vector in {args.bids}")
+    [vector] = _parse_vectors([_load_json(args.bids)], args.bids)
     try:
         value = rule(vector)
     except RuleUndefinedError as exc:

@@ -472,7 +472,7 @@ def system_from_json(obj) -> LinearSystem:
             raise ValueError('each row must be an object with "coeffs" and "rhs"')
         coeffs = {}
         for key, text in row["coeffs"].items():
-            col = memo.key(key, "coefficient indices")
+            col = memo.indices[key]
             if col >= len(variables):
                 raise ValueError(f"coefficient index {col} out of range")
             coeffs[col] = memo.rational(text)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Mapping
+from typing import Iterable, Mapping
 
 from .bids import BidVector, flat, full_family, rank_bids, remove
 from .payments import build_adequate_set
@@ -232,29 +232,25 @@ def verify_imbalance(
         eta: dict[int, Fraction] = {}
         for i in sorted(vector.dom):
             partner = selector.get(i)
-            valid = partner is not None and partner != i and partner in vector.dom
-            if valid:
-                fill = vector[partner]
-                adequate = build_adequate_set(
-                    remove(vector, {i, partner}), fill, rule, i, partner
+            if partner is None or partner == i or partner not in vector.dom:
+                adequacy_checks.append(
+                    HypothesisCheck(f"adequate[{label},{i}]", False, f"invalid partner {partner!r}")
                 )
-                ok = adequate.flat_invariant
-                detail = "" if ok else f"rule not flat-invariant at fill {format_rational(fill)}"
-                if ok:
-                    witness |= adequate.members
-            else:
-                ok, detail = False, f"invalid partner {partner!r}"
+                eta_checks.append(HypothesisCheck(f"eta[{label},{i}]", False, "no valid partner"))
+                adequate_all = False
+                continue
+            fill = vector[partner]
+            adequate = build_adequate_set(remove(vector, {i, partner}), fill, rule, i, partner)
+            ok = adequate.flat_invariant
+            if ok:
+                witness |= adequate.members
+            detail = "" if ok else f"rule not flat-invariant at fill {format_rational(fill)}"
             adequacy_checks.append(HypothesisCheck(f"adequate[{label},{i}]", ok, detail))
             adequate_all = adequate_all and ok
 
-            if not valid:
-                eta_checks.append(
-                    HypothesisCheck(f"eta[{label},{i}]", False, "no valid partner")
-                )
-                continue
             tag = triple.h.get(i)
             try:
-                eta[i] = rule(flat(vector.dom, vector[partner]))
+                eta[i] = rule(flat(vector.dom, fill))
                 if tag not in (RULE_F, RULE_G):
                     ok, detail = False, f"invalid tag {tag!r}, expected {RULE_F!r} or {RULE_G!r}"
                 else:
@@ -294,7 +290,7 @@ def verify_imbalance(
     )
 
 
-def witness_set_text(vectors: Collection[BidVector]) -> str:
+def witness_set_text(vectors: Iterable[BidVector]) -> str:
     """The witness file: a JSON array with one ``{"bids": {...}}`` object
     per vector, sorted by ``entries``, in the bytes of
     ``json.dumps(..., indent=2, sort_keys=True)`` plus a final newline.
@@ -306,8 +302,11 @@ def witness_set_text(vectors: Collection[BidVector]) -> str:
     the order of a domain's positions is worked out once per distinct
     domain.  Nothing needs escaping: a key is a canonical decimal and a
     value a ``format_rational`` text, which hold only digits, ``-`` and
-    ``/``.
+    ``/``.  ``vectors`` is read once, into a list, so a one-shot iterable
+    such as a generator loses nothing; the list also keeps the bids alive
+    while their ids key ``rank_of``.
     """
+    vectors = list(vectors)
     values, rank_of = rank_bids([v for vec in vectors for _, v in vec.entries])
     texts = [format_rational(v) for v in values]
     keys = sorted([tuple([(i, rank_of[id(v)]) for i, v in vec.entries]) for vec in vectors])

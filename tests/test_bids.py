@@ -10,6 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import assert_canonical, bid_vectors, bidder_ids, multisets, rationals
+from imbalance import bids
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -378,3 +379,58 @@ class TestConstructorsKeepCanonicalOrder:
         parsed = system_from_json(system_to_json(system))
         assert_canonical(parsed.variables)
         assert_canonical(row.origin for row in parsed.rows)
+
+
+class TestParseMemo:
+    """Each table parses a distinct key once; a value that is not a ``str``
+    is parsed at every occurrence, and a failed parse is never stored."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        canonical_id, ensure_rational = bids.canonical_id, bids.ensure_rational
+
+        def counted_id(key, noun):
+            counts[noun, key] += 1
+            return canonical_id(key, noun)
+
+        def counted_rational(value):
+            counts["text", type(value).__name__, value] += 1
+            return ensure_rational(value)
+
+        monkeypatch.setattr(bids, "canonical_id", counted_id)
+        monkeypatch.setattr(bids, "ensure_rational", counted_rational)
+        return counts
+
+    def test_each_key_and_text_is_parsed_once(self, counts):
+        memo = bids.ParseMemo()
+        witness = [
+            {"bids": {"1": "1/2", "2": "2/4", "10": 1}},
+            {"bids": {"1": "2/4", "2": 1, "10": "1"}},
+            {"bids": {"2": "1/2", "10": 1, "1": "1"}},
+        ]
+        parsed = [bid_vector_from_json(entry, memo) for entry in witness]
+        assert [v.values() for v in parsed] == [
+            (Fraction(1, 2), Fraction(1, 2), 1), (Fraction(1, 2), 1, 1), (1, Fraction(1, 2), 1)]
+        for key in ("1", "2", "10", "1", "10"):
+            assert memo.indices[key] == int(key)
+        assert counts == {
+            ("bidder ids", "1"): 1, ("bidder ids", "2"): 1, ("bidder ids", "10"): 1,
+            ("coefficient indices", "1"): 1, ("coefficient indices", "2"): 1,
+            ("coefficient indices", "10"): 1,
+            ("text", "str", "1/2"): 1, ("text", "str", "2/4"): 1, ("text", "str", "1"): 1,
+            ("text", "int", 1): 3,
+        }
+        assert set(memo.texts) == {"1/2", "2/4", "1"}
+
+    def test_a_failed_parse_raises_each_time_and_stores_nothing(self, counts):
+        memo = bids.ParseMemo()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^zero denominator$"):
+                bid_vector_from_json({"bids": {"1": "1/0"}}, memo)
+            with pytest.raises(ValueError) as error:
+                bid_vector_from_json({"bids": {"01": "1"}}, memo)
+            assert str(error.value) == "bidder ids must be non-negative canonical decimals, got '01'"
+        assert "1/0" not in memo.texts and "01" not in memo.bidders
+        assert counts["text", "str", "1/0"] == 2
+        assert counts["bidder ids", "01"] == 2

@@ -290,39 +290,64 @@ _FEASIBLE_PAST_STR_LIMIT = {
     "rows": [{"coeffs": {"0": f"1/{_A}"}, "rhs": str(_A + 1)}],
 }
 
+_NOT_A_ROW = 'bad system in {path}: each row must be an object with "coeffs" and "rhs"'
+_STR_LIMIT = ("cannot write the result: Exceeds the limit (4300 digits) for integer string conversion;"
+              " use sys.set_int_max_str_digits() to increase the limit")
+_ELEVEN = {"bids": {str(i): str(i) for i in range(1, 12)}}
+
 
 class TestBadInput:
     """Malformed files, and results too long to write, end with exit 2 and
     an ``error:`` line, never a traceback, and never lose data silently."""
 
     @pytest.mark.parametrize(
-        "command, payload",
+        "command, payload, error",
         [
-            ("eval", {"bids": {"1": 1.5, "2": "2"}}),
-            ("check-balance", [{"bids": {"1": 1.5, "2": "2"}}]),
-            ("eval", {"bids": {"1": "1", "01": "2", "3": "4"}}),
-            ("check-balance", [{"bids": {"1": "1", "01": "2", "3": "4"}}]),
-            ("solve-system", {"variables": [["1"]], "rows": [{"rhs": "1"}]}),
-            ("solve-system", {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}}]}),
-            ("solve-system", {"variables": [["1"]], "rows": [["0", "1"]]}),
-            ("solve-system", {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}, "rhs": 1.5}]}),
+            ("eval", {"bids": {"1": 1.5, "2": "2"}},
+             "bad bid vector in {path}: exact rational expected, got float"),
+            ("check-balance", [{"bids": {"1": 1.5, "2": "2"}}],
+             "bad bid vector in {path}: exact rational expected, got float"),
+            ("eval", {"bids": {"1": "1", "01": "2", "3": "4"}},
+             "bad bid vector in {path}: bidder ids must be non-negative canonical decimals, got '01'"),
+            ("check-balance", [{"bids": {"1": "1", "01": "2", "3": "4"}}],
+             "bad bid vector in {path}: bidder ids must be non-negative canonical decimals, got '01'"),
+            ("solve-system", {"variables": [["1"]], "rows": [{"rhs": "1"}]}, _NOT_A_ROW),
+            ("solve-system", {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}}]}, _NOT_A_ROW),
+            ("solve-system", {"variables": [["1"]], "rows": [["0", "1"]]}, _NOT_A_ROW),
+            ("solve-system", {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}, "rhs": 1.5}]},
+             "bad system in {path}: exact rational expected, got float"),
             (
                 "solve-system",
                 {"variables": [["1"], ["2"]], "rows": [{"coeffs": {"1": "1", "01": "2"}, "rhs": "1"}]},
+                "bad system in {path}: coefficient indices must be non-negative canonical decimals, got '01'",
             ),
-            ("eval", b'{"bids": {"1": "1", "1": "2", "2": "5"}}'),
-            ("solve-system", b'{"variables": [["1"]], "rows": [{"coeffs": {"0": "1", "0": "2"}, "rhs": "1"}]}'),
-            ("eval", b'{"bids": {"1": "1", "2": "\xff"}}'),
-            ("eval", b"[" * 100_000 + b"]" * 100_000),
+            ("eval", b'{"bids": {"1": "1", "1": "2", "2": "5"}}',
+             "invalid JSON in {path}: repeated object key '1'"),
+            ("solve-system", b'{"variables": [["1"]], "rows": [{"coeffs": {"0": "1", "0": "2"}, "rhs": "1"}]}',
+             "invalid JSON in {path}: repeated object key '0'"),
+            ("eval", b'{"bids": {"1": "1", "2": "\xff"}}',
+             "invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff in position 26: invalid start byte"),
+            ("eval", b"[" * 100_000 + b"]" * 100_000,
+             "invalid JSON in {path}: maximum recursion depth exceeded while decoding a JSON array"
+             " from a unicode string"),
             (
                 "solve-system",
                 {
                     "variables": [[], []],
                     "rows": [{"coeffs": {"0": "1"}, "rhs": "1"}, {"coeffs": {"1": "1"}, "rhs": "2"}],
                 },
+                "bad system in {path}: variables must be distinct multisets",
             ),
-            ("solve-system", _PAST_STR_LIMIT),
-            ("solve-system", _FEASIBLE_PAST_STR_LIMIT),
+            ("solve-system", _PAST_STR_LIMIT, _STR_LIMIT),
+            ("solve-system", _FEASIBLE_PAST_STR_LIMIT, _STR_LIMIT),
+            ("check-balance", {"bids": {"1": "1"}}, "witness file {path} must be a JSON array of bid vectors"),
+            ("eval", _ELEVEN, "bid vector in {path} has 11 bidders, above the cap of 10"),
+            ("check-balance", [_ELEVEN], "bid vector in {path} has 11 bidders, above the cap of 10"),
+            (
+                "solve-system",
+                {"variables": [["1"], ["2"]], "rows": [{"coeffs": {"01": "1"}, "rhs": "1"}]},
+                "bad system in {path}: coefficient indices must be non-negative canonical decimals, got '01'",
+            ),
         ],
         ids=[
             "eval-float-bid",
@@ -341,9 +366,13 @@ class TestBadInput:
             "repeated-variable",
             "result-past-str-limit",
             "feasible-result-past-str-limit",
+            "witness-not-an-array",
+            "eval-eleven-bidders",
+            "check-balance-eleven-bidders",
+            "first-index-noncanonical",
         ],
     )
-    def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload):
+    def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload, error):
         path = write_json(tmp_path / "input.json", payload)
         argv = [command, _INPUT_FLAG[command], path]
         if command != "solve-system":
@@ -351,7 +380,7 @@ class TestBadInput:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err == "error: " + error.replace("{path}", path) + "\n"
 
     @pytest.mark.parametrize(
         "payload, field",

@@ -152,6 +152,13 @@ class TestVickreyWitnessSet:
             want = sorted(vectors, key=lambda b: b.entries)
             assert [v.entries for v in parsed] == [v.entries for v in want]
 
+    def test_json_of_a_one_shot_iterable_loses_nothing(self):
+        vectors = vickrey_witness_set(1)
+        want = witness_set_text(vectors)
+        assert len(want) == 763
+        assert witness_set_text(iter(vectors)) == want
+        assert witness_set_text(v for v in vectors) == want
+
 
 class TestVerifyImbalance:
     def test_stock_n1(self):
