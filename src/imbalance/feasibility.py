@@ -132,35 +132,52 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     equal vectors give one row, built from the first one given.
 
     Rank invariant: each bid is replaced by its rank from ``rank_bids``,
-    so (bidder, rank) pairs order vectors like ``BidVector.entries``, and
-    (size, ranks) orders multisets like ``BidMultiset.canonical_key``.
-    The build works on those integer keys, and builds one ``BidMultiset``
-    per variable at the end.
+    and a vector is keyed by the flat tuple ``(i1, r1, i2, r2, ...)`` of
+    its bidders and ranks.  Every (bidder, rank) pair is two integers, so
+    flat keys order vectors like ``BidVector.entries`` (a vector whose
+    pairs are a prefix of another's sorts first) and the sort compares
+    integers only.  (size, ranks) orders multisets like
+    ``BidMultiset.canonical_key``.  The build works on those integer keys,
+    and builds one ``BidMultiset`` per variable at the end.
 
     Bag invariant: a row's coefficients depend only on the bag of its
-    vector, the sorted tuple of its ranks, never on which bidder holds
-    which bid.  So the map from "bag minus one r" to the multiplicity of r,
-    and the sorted coefficient dict built from it, are computed once per
-    distinct bag.  The counts times a scale are computed once per distinct
-    (bag, scale): the first row with that key keeps the dict, and each
-    later row gets a copy, so every row owns its dict.  The rule still
-    runs once per distinct vector, on its first-seen representative,
-    since a table rule need not be symmetric; its rhs is the row's own.
+    vector, the sorted tuple of its ranks ``key[1::2]``, never on which
+    bidder holds which bid.  So the map from "bag minus one r" to the
+    multiplicity of r, and the sorted coefficient dict built from it, are
+    computed once per distinct bag.  The counts times a scale are computed
+    once per distinct (bag, scale): the first row with that key keeps the
+    dict, and each later row gets a copy, so every row owns its dict.
+
+    The rule runs in canonical vector order.  A ``symmetric`` rule runs
+    once per distinct bag, on its first vector, and every vector of the
+    bag takes that rhs; its arity check reads only the bag's size, so the
+    first error names the same vector as one evaluation per vector would.
+    Any other rule, such as a table rule, runs once per distinct vector,
+    on its first-seen representative.
     """
     vecs = list(vectors)  # holds the bids while their ids key ``rank_of``
     values, rank_of = rank_bids([v for vec in vecs for _, v in vec.entries])
-    first: dict[tuple[tuple[int, int], ...], BidVector] = {}
+    first: dict[tuple[int, ...], BidVector] = {}
     for vec in vecs:
-        first.setdefault(tuple([(i, rank_of[id(v)]) for i, v in vec.entries]), vec)
+        key = []
+        for i, v in vec.entries:
+            key.append(i)
+            key.append(rank_of[id(v)])
+        first.setdefault(tuple(key), vec)
     raw = []
     maps: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}  # bag -> its deletion counts
+    rhs_of: dict[tuple[int, ...], Fraction] = {}  # bag -> rule value, filled for a symmetric rule
     for key in sorted(first):
         vec = first[key]
-        try:
-            rhs = rule(vec)
-        except RuleUndefinedError as exc:
-            raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
-        bag = tuple(sorted([r for _, r in key]))
+        bag = tuple(sorted(key[1::2]))
+        rhs = rhs_of.get(bag)
+        if rhs is None:
+            try:
+                rhs = rule(vec)
+            except RuleUndefinedError as exc:
+                raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
+            if rule.symmetric:
+                rhs_of[bag] = rhs
         if bag not in maps:
             counts = maps[bag] = {}
             for r, c in Counter(bag).items():

@@ -13,6 +13,13 @@ Table-backed rules (``register_external``) are defined on an explicit
 finite set of vectors only, which lets tests and experiments plug in
 arbitrary maps.  Rules are immutable after construction and evaluation is
 pure, so they are safe to share.
+
+``PriceRule.symmetric`` marks a rule whose value, and whether it is
+defined at all, depend only on the bag of bids, so callers may evaluate it
+once per bag.  ``get_rule`` sets it on every built-in rule.
+``register_external`` never does: a table is defined one vector at a time,
+so another ordering of a bag, or the same bids on other bidders, may be
+missing from it, and a value read by bag would hide that error.
 """
 
 from __future__ import annotations
@@ -41,11 +48,19 @@ class RuleDomainError(RuleUndefinedError):
 
 @dataclass(frozen=True)
 class PriceRule:
-    """Named total map BidVector -> Fraction (total above ``min_arity``)."""
+    """Named total map BidVector -> Fraction (total above ``min_arity``).
+
+    ``symmetric`` promises that ``fn`` gives equal values on any two
+    vectors with equal bags (the same bids, counted with multiplicity,
+    whoever holds them), and that the rule is defined on both or on
+    neither; the arity check reads only the bag's size.  A caller may then
+    evaluate the rule on one vector per bag.  It is False unless set.
+    """
 
     name: str
     min_arity: int
     fn: Callable[[BidVector], Fraction] = field(compare=False, repr=False)
+    symmetric: bool = False
 
     def __call__(self, vector: BidVector) -> Fraction:
         if len(vector) < self.min_arity:
@@ -93,17 +108,17 @@ def _first_price(vector: BidVector) -> Fraction:
 def get_rule(name: str) -> PriceRule:
     """Look up a built-in rule by its registry name."""
     if name == "second-price":
-        return PriceRule(name, 2, _second_price)
+        return PriceRule(name, 2, _second_price, symmetric=True)
     if name == "neg-second-price":
-        return PriceRule(name, 2, lambda b: -_second_price(b))
+        return PriceRule(name, 2, lambda b: -_second_price(b), symmetric=True)
     if name == "first-price":
-        return PriceRule(name, 1, _first_price)
+        return PriceRule(name, 1, _first_price, symmetric=True)
     if name == "neg-first-price":
-        return PriceRule(name, 1, lambda b: -_first_price(b))
+        return PriceRule(name, 1, lambda b: -_first_price(b), symmetric=True)
     if name.startswith("constant:"):
         value = ensure_rational(name.split(":", 1)[1])
         canonical = f"constant:{format_rational(value)}"
-        return PriceRule(canonical, 1, lambda b: value)
+        return PriceRule(canonical, 1, lambda b: value, symmetric=True)
     raise ValueError(
         f"unknown rule {name!r}; expected second-price, neg-second-price, "
         "first-price, neg-first-price, or constant:<p/q>"

@@ -25,7 +25,7 @@ the witness file.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -210,7 +210,7 @@ def verify_imbalance(
     all adequate its residual is rule(vector) minus the mean of those
     flat values.  When all hypotheses pass, the residuals must differ.
     """
-    rule = PriceRule(rule.name, rule.min_arity, functools.cache(rule.fn))
+    rule = replace(rule, fn=functools.cache(rule.fn))
     dom = triple.b_low.dom
     counter_ok = is_counterexample(triple, rule) and len(dom) >= 2
     counter = HypothesisCheck(

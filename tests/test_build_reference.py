@@ -11,11 +11,15 @@ scale is the lcm of the row's denominators), the same origin objects, the
 same JSON bytes and the same errors, and no two rows of the
 current build may share a coefficient dict.  Every input also checks the
 build's ``rank_bids`` against its definition (``conftest.assert_ranked``).
+The reference runs the rule once per distinct vector; the current build
+runs a ``symmetric`` rule once per bag, which the counting tests pin.
 """
 
+import dataclasses
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -226,3 +230,69 @@ def test_grid_systems_match_reference(k, b):
     vectors = grid(k, b, seed=0)
     for rule in GRID_RULES:
         assert_same_build(vectors, get_rule(rule))
+
+
+def test_flat_keys_sort_prefixes_first_and_ids_as_integers():
+    # one-, two- and three-bidder vectors, a bidder 0 and a bidder 10, and
+    # vectors whose pairs are a prefix of another's
+    a, b, z = Fraction(1, 2), 2, -1
+    vectors = [BidVector.of(m) for m in [
+        {1: a, 2: b}, {1: a}, {0: z}, {2: a}, {1: a, 2: b, 3: z}, {1: b},
+        {1: a, 2: z}, {10: z}, {0: z, 1: a}, {2: a, 10: b},
+    ]]
+    want = sorted(vectors, key=lambda v: v.entries)
+    assert want[:3] == [BidVector.of({0: z}), BidVector.of({0: z, 1: a}), BidVector.of({1: a})]
+    for rule in ["first-price", "constant:7/3"]:
+        assert [row.origin for row in build_balance_system(vectors, get_rule(rule)).rows] == want
+        assert_same_build(vectors, get_rule(rule))
+    assert_same_build(vectors, register_external("each", {v: n for n, v in enumerate(vectors)}))
+
+
+def counted(rule):
+    """The rule with a counter on its ``fn``, every other field kept."""
+    calls = Counter()
+
+    def fn(vector):
+        calls[vector] += 1
+        return rule.fn(vector)
+
+    return dataclasses.replace(rule, fn=fn), calls
+
+
+def benchmark_grid(seed, k, b):
+    """Every k-bidder vector over the grid-sweep benchmark's ``b`` seeded
+    bids, a copy of its ``grid_bids``, in bidder-tuple order."""
+    rng = random.Random(f"grid-bids:{seed}:{k}:{b}")
+    bids: list[Fraction] = []
+    while len(bids) < b:
+        value = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        if value not in bids:
+            bids.append(value)
+    return [BidVector.of(dict(enumerate(t, 1))) for t in itertools.product(bids, repeat=k)]
+
+
+def test_a_symmetric_rule_runs_once_per_bag_and_a_table_once_per_vector():
+    vectors = benchmark_grid(0, 4, 6)
+    assert len(vectors) == 1296
+    for name in GRID_RULES:
+        rule, calls = counted(get_rule(name))
+        system = build_balance_system(vectors, rule)
+        assert sum(calls.values()) == len(calls) == 126  # one per bag of 4 among 6 bids
+        assert json.dumps(system_to_json(system)) == json.dumps(
+            system_to_json(reference_build_balance_system(vectors, get_rule(name))))
+    neg2 = get_rule("neg-second-price")
+    rule, calls = counted(register_external("grid", {v: neg2(v) for v in vectors}))
+    build_balance_system(vectors, rule)
+    assert sum(calls.values()) == len(calls) == 1296
+
+
+def test_one_bag_on_other_bidders_runs_a_built_in_rule_once():
+    a, b = Fraction(5, 3), Fraction(1, 4)
+    for name in RULES:
+        rule, calls = counted(get_rule(name))
+        system = build_balance_system([BidVector.of({1: a, 2: b}), BidVector.of({3: b, 4: a})],
+                                      rule)
+        assert sum(calls.values()) == 1
+        first, second = system.rows
+        assert (first.rhs, first.scale) == (second.rhs, second.scale)
+        assert first.coeffs == second.coeffs

@@ -55,6 +55,15 @@ class TestEval:
     def test_constant_name_is_canonical(self):
         assert get_rule("constant:4/6").name == "constant:2/3"
 
+    def test_only_built_in_rules_are_symmetric(self):
+        names = ["second-price", "neg-second-price", "first-price", "neg-first-price",
+                 "constant:2/4"]
+        assert all(get_rule(name).symmetric for name in names)
+        assert get_rule("constant:2/4").name == "constant:1/2"
+        # a table may hold one ordering of a bag and not another
+        assert not register_external("t", {vec({1: 1, 2: 2}): 3}).symmetric
+        assert not PriceRule("positional", 1, lambda b: Fraction(0)).symmetric
+
 
 class TestFlatInvariance:
     def test_neg_second_price_below_fill(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -18,6 +19,7 @@ from imbalance import (
     RuleDomainError,
     RuleUndefinedError,
     bid_vector_from_json,
+    build_adequate_set,
     build_balance_system,
     default_selector,
     flat,
@@ -274,6 +276,26 @@ class TestVerifyImbalance:
         assert first.to_json() == verify_imbalance(NEG2, triple, j_low, j_high).to_json()
         verify_imbalance(rule, triple, j_low, j_high)  # the cache ends with its call
         assert set(seen.values()) == {2}
+
+    def test_the_cached_rule_keeps_every_field_but_fn(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class TaggedRule(PriceRule):
+            tag: str = "untagged"
+
+        rule = TaggedRule(NEG2.name, NEG2.min_arity, NEG2.fn, symmetric=True, tag="kept")
+        seen = []
+
+        def capturing(base, fill, rule, i, partner):
+            seen.append(rule)
+            return build_adequate_set(base, fill, rule, i, partner)
+
+        monkeypatch.setattr("imbalance.witness.build_adequate_set", capturing)
+        triple, j_low, j_high = vickrey_instance(2)
+        assert verify_imbalance(rule, triple, j_low, j_high).holds
+        assert seen and {type(r) for r in seen} == {TaggedRule}
+        for used in seen:
+            assert used == rule and used.symmetric and used.tag == "kept"
+            assert used.fn is not rule.fn and used.fn.__wrapped__ is rule.fn
 
     def test_rule_errors_are_not_cached(self):
         triple, j_low, j_high = vickrey_instance(2)
