@@ -26,7 +26,10 @@ before it, rebuilt from the recorded elimination steps; the assignment
 is the unique solution that is zero on every column in the span of
 lower-index columns.  Neither depends on the pivot columns, so the
 choice of column (the one held by the fewest original rows) changes
-only the work, never the bytes.
+only the work, never the bytes.  When that choice leaves a column that
+holds an entry without a pivot, a second pass eliminates the same rows
+again, each pivoting on its lowest column, and back-substitution with
+every column but the pivot columns at zero gives the assignment.
 
 This is the package's independent route to the imbalance results: it
 never looks at adequate sets or forced closed forms, only at the raw
@@ -244,82 +247,92 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     from the recorded steps.  The assignment is the unique solution that
     is zero on every column in the span of lower-index columns.  Both are
     fixed by the system alone, so the pivot columns change only the work,
-    never the bytes.  When each column holding an entry gets a pivot,
-    back-substitution gives the assignment directly; otherwise one
-    canonical step shifts the back-substituted solution by null vectors
-    onto it.
+    never the bytes.
+
+    Column invariant: when each column holding an entry gets a pivot,
+    back-substitution gives the assignment directly.  Otherwise the system
+    is consistent, and the same loop runs once more over the same rows,
+    each row pivoting on its lowest column.  A reduced row is zero at
+    every earlier pivot column, so with lowest-column pivots the pivot
+    rows sorted by pivot column are a row echelon form, whatever the row
+    order.  The pivot columns of a row echelon form are exactly the
+    columns independent of all lower-index columns, the basic columns, so
+    back-substitution with every other column at zero gives the unique
+    solution supported on them: the assignment.  Back-substitution runs
+    from the last pivot row to the first, as a pivot row holds no earlier
+    pivot's column.
     """
-    pivots: list[tuple[int, dict[int, int], int]] = []
-    pivot_of: dict[int, int] = {}  # column -> number of the pivot row on it
-    reduced: list[tuple[int, list[tuple[int, int, int, int]]]] = []  # per pivot: row, steps
     # column -> number of rows holding it
     held = Counter(chain.from_iterable([row.coeffs for row in system.rows]))
-    first: dict[tuple, int] = {}  # row key -> index of the first row with that key
-    for idx, row in enumerate(system.rows):
-        key = (row.rhs, row.scale, tuple(row.coeffs), tuple(row.coeffs.values()))
-        if first.setdefault(key, idx) != idx:
-            continue  # equal to a row already reduced: it would reduce to 0 = 0
-        ints, row_rhs = dict(row.coeffs), row.rhs
-        steps: list[tuple[int, int, int, int]] = []
-        queue = [pivot_of[c] for c in ints if c in pivot_of]
-        heapify(queue)
-        while queue:
-            p = heappop(queue)
-            col, p_coeffs, p_rhs = pivots[p]
-            f = ints.get(col)
-            if f is None:  # cancelled, or eliminated under an earlier push of p
-                continue
-            a = p_coeffs[col]
-            g = gcd(a, f)
-            ap, fp = a // g, f // g
-            if ap != 1:
-                for c in ints:
-                    ints[c] *= ap
-            del ints[col]
-            for c, v in p_coeffs.items():
-                if c == col:
+    for lowest in (False, True):
+        pivots: list[tuple[int, dict[int, int], int]] = []
+        pivot_of: dict[int, int] = {}  # column -> number of the pivot row on it
+        reduced: list[tuple[int, list[tuple[int, int, int, int]]]] = []  # per pivot: row, steps
+        first: dict[tuple, int] = {}  # row key -> index of the first row with that key
+        for idx, row in enumerate(system.rows):
+            key = (row.rhs, row.scale, tuple(row.coeffs), tuple(row.coeffs.values()))
+            if first.setdefault(key, idx) != idx:
+                continue  # equal to a row already reduced: it would reduce to 0 = 0
+            ints, row_rhs = dict(row.coeffs), row.rhs
+            steps: list[tuple[int, int, int, int]] = []
+            queue = [pivot_of[c] for c in ints if c in pivot_of]
+            heapify(queue)
+            while queue:
+                p = heappop(queue)
+                col, p_coeffs, p_rhs = pivots[p]
+                f = ints.get(col)
+                if f is None:  # cancelled, or eliminated under an earlier push of p
                     continue
-                new = ints.get(c, 0) - fp * v
-                if new:
-                    if c not in ints and c in pivot_of:
-                        heappush(queue, pivot_of[c])
-                    ints[c] = new
-                elif c in ints:
-                    del ints[c]
-            row_rhs = ap * row_rhs - fp * p_rhs
-            content = gcd(row_rhs, *ints.values())
-            if content > 1:
-                for c in ints:
-                    ints[c] //= content
-                row_rhs //= content
-            steps.append((p, ap, fp, content))
-        if ints:
-            col = min(ints, key=lambda c: (held[c], -c))
-            pivot_of[col] = len(pivots)
-            pivots.append((col, ints, row_rhs))
-            reduced.append((idx, steps))
-        elif row_rhs:
-            reduced.append((idx, steps))
-            return Infeasible(_certificate(system.rows, reduced, row_rhs))
+                a = p_coeffs[col]
+                g = gcd(a, f)
+                ap, fp = a // g, f // g
+                if ap != 1:
+                    for c in ints:
+                        ints[c] *= ap
+                del ints[col]
+                for c, v in p_coeffs.items():
+                    if c == col:
+                        continue
+                    new = ints.get(c, 0) - fp * v
+                    if new:
+                        if c not in ints and c in pivot_of:
+                            heappush(queue, pivot_of[c])
+                        ints[c] = new
+                    elif c in ints:
+                        del ints[c]
+                row_rhs = ap * row_rhs - fp * p_rhs
+                content = gcd(row_rhs, *ints.values())
+                if content > 1:
+                    for c in ints:
+                        ints[c] //= content
+                    row_rhs //= content
+                steps.append((p, ap, fp, content))
+            if ints:
+                col = min(ints) if lowest else min(ints, key=lambda c: (held[c], -c))
+                pivot_of[col] = len(pivots)
+                pivots.append((col, ints, row_rhs))
+                reduced.append((idx, steps))
+            elif row_rhs:
+                reduced.append((idx, steps))
+                return Infeasible(_certificate(system.rows, reduced, row_rhs))
+        if len(pivots) == len(held):
+            break  # every column holding an entry is a pivot column
 
-    solution = _back_substitute(pivots, {}, with_rhs=True)
-    unpivoted = [c for c in held if c not in pivot_of]
-    if unpivoted:
-        # Shift onto the solution that is zero on every column in the span of
-        # lower-index columns: those columns are exactly the highest indices
-        # of an echelon basis of the null space, reduced on descending index.
-        basis: dict[int, dict[int, Fraction]] = {}
-        for free in unpivoted:
-            vec = _back_substitute(pivots, {free: Fraction(1)}, with_rhs=False)
-            while vec:
-                top = max(vec)
-                if top not in basis:
-                    basis[top] = {c: v / vec[top] for c, v in vec.items()}
-                    break
-                vec = _axpy(vec, -vec[top], basis[top])
-        for top in sorted(basis, reverse=True):
-            if top in solution:
-                solution = _axpy(solution, -solution[top], basis[top])
+    # Back-substitution, the last pivot first, with every other column at zero.
+    solution: dict[int, Fraction] = {}  # pivot column -> its value, if nonzero
+    for col, p_coeffs, p_rhs in reversed(pivots):
+        num, den = p_rhs, 1  # the residual num/den, over a common denominator
+        for c, v in p_coeffs.items():
+            value = solution.get(c)  # None for col itself, which is not set yet
+            if value:
+                d = value.denominator
+                if den % d:
+                    common = lcm(den, d)
+                    num *= common // den
+                    den = common
+                num -= v * value.numerator * (den // d)
+        if num:
+            solution[col] = Fraction(num, den * p_coeffs[col])
     zero = Fraction(0)
     return Feasible(tuple(solution.get(col, zero) for col in range(len(system.variables))))
 
@@ -367,44 +380,6 @@ def _certificate(
     return Certificate(tuple(
         Fraction(numerators[r], den) if r in numerators else zero for r in range(len(rows))
     ))
-
-
-def _back_substitute(
-    pivots: list[tuple[int, dict[int, int], int]], solution: dict[int, Fraction], with_rhs: bool
-) -> dict[int, Fraction]:
-    """Fill in each pivot column from its row, the last pivot first.
-
-    ``solution`` holds the values of the columns without a pivot; a column
-    missing from it is zero, and only nonzero values are stored.  Without
-    ``with_rhs`` every right-hand side reads as zero, so the result is a
-    null vector of the system.
-    """
-    for col, p_coeffs, p_rhs in reversed(pivots):
-        num, den = (p_rhs if with_rhs else 0), 1  # the residual num/den, over a common denominator
-        for c, v in p_coeffs.items():
-            value = solution.get(c)  # None for col itself, which is not set yet
-            if value:
-                d = value.denominator
-                if den % d:
-                    common = lcm(den, d)
-                    num *= common // den
-                    den = common
-                num -= v * value.numerator * (den // d)
-        if num:
-            solution[col] = Fraction(num, den * p_coeffs[col])
-    return solution
-
-
-def _axpy(vec: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> dict[int, Fraction]:
-    """``vec + factor * other`` on sparse vectors, keeping only nonzero entries."""
-    out = dict(vec)
-    for c, v in other.items():
-        new = out.get(c, 0) + factor * v
-        if new:
-            out[c] = new
-        else:
-            out.pop(c, None)
-    return out
 
 
 def verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:

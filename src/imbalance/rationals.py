@@ -13,9 +13,12 @@ CLI output.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-_DIGITS = "0123456789"
+# ASCII digits only: ``\d`` would also match digits that ``int`` reads in
+# other scripts.
+_RATIONAL = re.compile(r"(?P<sign>-?)(?P<num>[0-9]*)(?:/(?P<den>[0-9]*))?")
 
 
 class RationalParseError(ValueError):
@@ -28,34 +31,27 @@ class RationalParseError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``[-]digits`` or ``[-]digits/digits`` into a Fraction."""
+    """Parse ``[-]digits`` or ``[-]digits/digits`` into a Fraction.
+
+    One anchored match reads the longest prefix of that shape; each error
+    position is the end of one of its groups or of the whole match.
+    """
     if not isinstance(text, str):
         raise RationalParseError(repr(text), 0, "not a string")
-    pos = 0
-    if pos < len(text) and text[pos] == "-":
-        pos += 1
-    num_start = pos
-    while pos < len(text) and text[pos] in _DIGITS:
-        pos += 1
-    if pos == num_start:
-        raise RationalParseError(text, pos, "expected digits")
-    numerator = int(text[:pos])
-    if pos == len(text):
-        return Fraction(numerator)
-    if text[pos] != "/":
-        raise RationalParseError(text, pos, "expected '/' or end of input")
-    pos += 1
-    den_start = pos
-    while pos < len(text) and text[pos] in _DIGITS:
-        pos += 1
-    if pos == den_start:
-        raise RationalParseError(text, pos, "expected digits after '/'")
-    if pos != len(text):
-        raise RationalParseError(text, pos, "trailing characters")
-    denominator = int(text[den_start:pos])
-    if denominator == 0:
+    match = _RATIONAL.match(text)
+    sign, num, den = match.group("sign", "num", "den")  # den is None without a '/'
+    if not num:
+        raise RationalParseError(text, match.end("num"), "expected digits")
+    if den == "":
+        raise RationalParseError(text, match.end(), "expected digits after '/'")
+    if match.end() != len(text):
+        reason = "expected '/' or end of input" if den is None else "trailing characters"
+        raise RationalParseError(text, match.end(), reason)
+    if den is None:
+        return Fraction(int(sign + num))
+    if int(den) == 0:
         raise ValueError("zero denominator")
-    return Fraction(numerator, denominator)
+    return Fraction(int(sign + num), int(den))
 
 
 def format_rational(value: Fraction) -> str:

@@ -5,7 +5,9 @@ The package shows imbalance in two independent ways: forced closed forms
 elimination route may build on the shared value types and rules only,
 and the forced route never reaches into elimination.  Every module other
 than ``__init__`` also uses each name it imports, so a name moved to
-another module leaves no stale import behind.
+another module leaves no stale import behind, and each private
+module-level function or class is referenced somewhere in the package,
+so a helper whose last caller is gone is deleted with it.
 """
 
 import ast
@@ -69,3 +71,28 @@ def test_every_imported_name_is_used(module):
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(module_tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in bound.items() if name not in used} == {}
+
+
+def private_helpers(module: str) -> list[str]:
+    """The module-level functions and classes of ``module`` named ``_name``."""
+    return [node.name for node in tree(module).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def test_private_helpers_are_found():
+    assert "_certificate" in private_helpers("feasibility")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_helper_is_referenced(module):
+    referenced = set()
+    for other in [*MODULES, "__init__"]:
+        for node in ast.walk(tree(other)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert [name for name in private_helpers(module) if name not in referenced] == []

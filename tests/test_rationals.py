@@ -48,7 +48,9 @@ def test_format_examples():
 
 @pytest.mark.parametrize(
     "text, position",
-    [("", 0), ("-", 1), ("abc", 0), ("1/", 2), ("1/2/3", 3), ("2.5", 1), (" 3", 0), ("1/-2", 2)],
+    [("", 0), ("-", 1), ("abc", 0), ("1/", 2), ("1/2/3", 3), ("2.5", 1), (" 3", 0), ("1/-2", 2),
+     # ASCII digits only: an Arabic-Indic digit and a plus sign are rejected
+     ("\u0661", 0), ("1/\u0662", 2), ("+1", 0)],
 )
 def test_parse_errors_carry_position(text, position):
     with pytest.raises(RationalParseError) as exc:

@@ -234,7 +234,7 @@ def test_count_order_leaves_another_column_unpivoted():
 
 @pytest.mark.parametrize("system", [
     # variable order leaves columns 3 and 4 free, the count order 1 and 2,
-    # whose two null vectors share their top column 4
+    # so the lowest-column pass pivots on 0, 1 and 2 and leaves 3 and 4 at zero
     rank_deficient_system(5, [{0: 1, 1: 1, 3: "2/3"}, {1: 1, 2: 2, 4: 1}, {0: 1, 1: 1, 2: 1},
                               {2: -1, 3: "2/3"}],
                           ["1/3", 2, "-1/2", "5/6"]),
