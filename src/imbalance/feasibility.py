@@ -27,9 +27,10 @@ is the unique solution that is zero on every column in the span of
 lower-index columns.  Neither depends on the pivot columns, so the
 choice of column (the one held by the fewest original rows) changes
 only the work, never the bytes.  When that choice leaves a column that
-holds an entry without a pivot, a second pass eliminates the same rows
-again, each pivoting on its lowest column, and back-substitution with
-every column but the pivot columns at zero gives the assignment.
+holds an entry without a pivot, a second pass eliminates the first
+pass's pivot rows again, each pivoting on its lowest column, and
+back-substitution with every column but the pivot columns at zero gives
+the assignment.
 
 This is the package's independent route to the imbalance results: it
 never looks at adequate sets or forced closed forms, only at the raw
@@ -251,8 +252,11 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
 
     Column invariant: when each column holding an entry gets a pivot,
     back-substitution gives the assignment directly.  Otherwise the system
-    is consistent, and the same loop runs once more over the same rows,
-    each row pivoting on its lowest column.  A reduced row is zero at
+    is consistent, and the same loop runs once more over the pivot rows of
+    the first pass, in their order, each pivoting on its lowest column.  A
+    row the first pass dropped or skipped lies in the span of the rows
+    before it, so a second pass over all rows would drop it again and keep
+    the same pivot rows with the same steps.  A reduced row is zero at
     every earlier pivot column, so with lowest-column pivots the pivot
     rows sorted by pivot column are a row echelon form, whatever the row
     order.  The pivot columns of a row echelon form are exactly the
@@ -317,6 +321,7 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
                 return Infeasible(_certificate(system.rows, reduced, row_rhs))
         if len(pivots) == len(held):
             break  # every column holding an entry is a pivot column
+        system = LinearSystem(system.variables, [system.rows[idx] for idx, _ in reduced])
 
     # Back-substitution, the last pivot first, with every other column at zero.
     solution: dict[int, Fraction] = {}  # pivot column -> its value, if nonzero

@@ -17,12 +17,15 @@ on such a set forces
 
 which this module computes directly (``forced_payment``) and, through
 it, summed per bidder for a whole vector (``forced_payment_sum``).
-``is_adequate`` checks both adequacy predicates, structure and
-flat-invariance, on a set supplied from outside.  Along the
-all-equal-bids iteration (``build_payment_table``) every forced value is
-the same closed form f / N, once the rule is checked to keep its flat
-value f on each N-bidder vector visited, so that function returns only
-the iteration's steps and records no values.
+Whether the rule is flat-invariant on a set, a rule undefined on some
+member or on the flat vector counting as not, is decided in one place,
+``rules.check_flat_invariance``: ``build_adequate_set`` records its answer
+and ``forced_payment`` reads it.  ``is_adequate`` checks both adequacy
+predicates, structure and flat-invariance, on a set supplied from
+outside.  Along the all-equal-bids iteration (``build_payment_table``)
+every forced value is the same closed form f / N, once the rule is
+checked to keep its flat value f on each N-bidder vector visited, so that
+function returns only the iteration's steps and records no values.
 """
 
 from __future__ import annotations
@@ -53,12 +56,13 @@ class AdequacyError(ValueError):
 class AdequateSet:
     """Completion family with two fresh fill bidders.
 
-    ``flat_invariant`` records whether the rule is constant at its flat
-    value across the members; it is checked at build time, never assumed.
+    ``flat_invariant`` records whether the rule is defined and constant at
+    its flat value across the members; ``check_flat_invariance`` decides
+    it at build time, and it is never assumed.  The fill is not kept: every
+    caller already holds it.
     """
 
     members: frozenset[BidVector]
-    fill: Fraction
     flat_invariant: bool
 
 
@@ -76,11 +80,8 @@ def build_adequate_set(
     fill_bid = ensure_rational(fill)
     holders = BidVector.of([*base.entries, (i1, fill_bid), (i2, fill_bid)])
     members = full_family(holders, fill_bid)
-    try:
-        invariant = check_flat_invariance(rule, members, holders.dom, fill_bid)
-    except RuleUndefinedError:
-        invariant = False
-    return AdequateSet(members=members, fill=fill_bid, flat_invariant=invariant)
+    invariant = check_flat_invariance(rule, members, holders.dom, fill_bid)
+    return AdequateSet(members=members, flat_invariant=invariant)
 
 
 def is_adequate(
@@ -121,10 +122,7 @@ def is_adequate(
     if (len(kept_bags) != math.prod(m + 1 for m in non_fill.values())
             or max(kept_bags.values()) > roles_per_bag):
         return False
-    try:
-        return check_flat_invariance(rule, member_set, layout.keys(), fill_bid)
-    except RuleUndefinedError:
-        return False
+    return check_flat_invariance(rule, member_set, layout.keys(), fill_bid)
 
 
 def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> Fraction:
@@ -136,25 +134,27 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
 
         rule(flat vector at fill on {i1, i2} and dom(base)) / (2 + |dom(base)|).
 
-    Verifies its own hypotheses and raises AdequacyError naming the first
-    offending member when flat-invariance fails.
+    The flat vector is evaluated once.  Flat-invariance is decided by
+    ``build_adequate_set``; only when it fails are the members scanned, in
+    ``entries`` order, for the first one where the rule is undefined or
+    differs from its flat value, and AdequacyError names it, so a set not
+    flat-invariant never returns a value.
     """
     adequate = build_adequate_set(base, fill, rule, i1, i2)
-    reference = flat(base.dom | {i1, i2}, adequate.fill)
-    if not adequate.flat_invariant:
-        try:
-            target = rule(reference)
-            for member in sorted(adequate.members, key=lambda b: b.entries):
-                if rule(member) != target:
-                    raise AdequacyError(
-                        f"adequate-set hypotheses fail: {rule.name!r} gives "
-                        f"{format_rational(rule(member))} on {member!r} but "
-                        f"{format_rational(target)} on the flat vector"
-                    )
-        except RuleUndefinedError as exc:
-            raise AdequacyError(f"adequate-set hypotheses fail: {exc}") from exc
-        raise AdequacyError("adequate-set hypotheses fail: rule not flat-invariant")
-    return rule(reference) / (2 + len(base))
+    try:
+        target = rule(flat(base.dom | {i1, i2}, fill))
+        if not adequate.flat_invariant:
+            # the rule is pure, so the member that failed the check fails again
+            member = next(m for m in sorted(adequate.members, key=lambda b: b.entries)
+                          if rule(m) != target)
+            raise AdequacyError(
+                f"adequate-set hypotheses fail: {rule.name!r} gives "
+                f"{format_rational(rule(member))} on {member!r} but "
+                f"{format_rational(target)} on the flat vector"
+            )
+    except RuleUndefinedError as exc:
+        raise AdequacyError(f"adequate-set hypotheses fail: {exc}") from exc
+    return target / (2 + len(base))
 
 
 def build_payment_table(
@@ -241,7 +241,7 @@ def forced_payment_sum(
     payments: dict[int, Fraction] = {}
     for i in sorted(vector.dom):
         partner = selector.get(i)
-        if partner is None or partner == i or partner not in vector.dom:
+        if partner == i or partner not in vector.dom:
             raise ValueError(f"invalid selector for bidder {i}: "
                              "must name another bidder in the domain")
         try:

@@ -153,20 +153,27 @@ def register_external(name: str, table: Mapping[BidVector, object]) -> PriceRule
 def check_flat_invariance(
     rule: PriceRule, vectors: Iterable[BidVector], bidders: Iterable[int], fill
 ) -> bool:
-    """Whether the rule takes its flat value on every vector.
+    """Whether the rule is defined and takes its flat value on every vector.
 
     The reference value is the rule applied to the constant vector at
-    ``fill`` on ``bidders``.  Precondition, not checked here: each vector
-    has domain exactly ``bidders``.  ``build_adequate_set`` passes
-    ``full_family`` members, which keep the holders' ids by construction,
-    and ``is_adequate`` calls this only once its structure check has
-    accepted every member's domain.
+    ``fill`` on ``bidders``.  A rule undefined on that vector or on any of
+    the vectors is not flat-invariant there: the answer is False, and no
+    ``RuleUndefinedError`` escapes.  The flat vector is evaluated first,
+    then the vectors in iteration order, up to the first that is undefined
+    or differs.  Precondition, not checked here: each vector has domain
+    exactly ``bidders``.  ``build_adequate_set`` passes ``full_family``
+    members, which keep the holders' ids by construction, and
+    ``is_adequate`` calls this only once its structure check has accepted
+    every member's domain.
 
     Values are compared as (numerator, denominator) pairs, equal exactly
     when the values are: both are in lowest terms with a positive
     denominator, an ``int``'s being 1.  This skips the Python-level
     ``Fraction.__eq__`` on every member.
     """
-    target = rule(flat(bidders, fill))
-    pair = (target.numerator, target.denominator)
-    return all((value.numerator, value.denominator) == pair for value in map(rule, vectors))
+    try:
+        target = rule(flat(bidders, fill))
+        pair = (target.numerator, target.denominator)
+        return all((value.numerator, value.denominator) == pair for value in map(rule, vectors))
+    except RuleUndefinedError:
+        return False

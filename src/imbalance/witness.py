@@ -208,11 +208,12 @@ def verify_imbalance(
     cached and recurs on every evaluation.  The flat value the eta check
     evaluates is the bidder's forced term, so when a vector's sets are
     all adequate its residual is rule(vector) minus the mean of those
-    flat values.  When all hypotheses pass, the residuals must differ.
+    flat values.  When all hypotheses pass, both residuals exist, since
+    the counterexample check has evaluated the rule on both vectors and
+    every eta value is set, and they must differ.
     """
     rule = replace(rule, fn=functools.cache(rule.fn))
-    dom = triple.b_low.dom
-    counter_ok = is_counterexample(triple, rule) and len(dom) >= 2
+    counter_ok = is_counterexample(triple, rule)  # both tags in use: at least two bidders
     counter = HypothesisCheck(
         "counterexample",
         counter_ok,
@@ -232,7 +233,7 @@ def verify_imbalance(
         eta: dict[int, Fraction] = {}
         for i in sorted(vector.dom):
             partner = selector.get(i)
-            if partner is None or partner == i or partner not in vector.dom:
+            if partner == i or partner not in vector.dom:
                 adequacy_checks.append(
                     HypothesisCheck(f"adequate[{label},{i}]", False, f"invalid partner {partner!r}")
                 )
@@ -278,7 +279,7 @@ def verify_imbalance(
     lhs, rhs = residuals
     hypotheses = (counter, *adequacy_checks, *eta_checks)
     met = all(c.passed for c in hypotheses)
-    holds = (lhs != rhs) if (met and lhs is not None and rhs is not None) else None
+    holds = (lhs != rhs) if met else None
     return ImbalanceReport(
         lhs=lhs,
         rhs=rhs,

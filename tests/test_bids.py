@@ -107,6 +107,11 @@ class TestBidMultiset:
         assert multiset_to_json(m) == ["1/2", "2", "2"]
         assert multiset_from_json(multiset_to_json(m)) == m
 
+    @pytest.mark.parametrize("obj", ["1/2", {"values": ["1/2"]}, 3])
+    def test_json_must_be_an_array(self, obj):
+        with pytest.raises(ValueError, match=r"^multiset JSON must be an array of 'p/q' strings$"):
+            multiset_from_json(obj)
+
 
 class TestRemove:
     def test_single(self):

@@ -348,6 +348,8 @@ class TestBadInput:
                 {"variables": [["1"], ["2"]], "rows": [{"coeffs": {"01": "1"}, "rhs": "1"}]},
                 "bad system in {path}: coefficient indices must be non-negative canonical decimals, got '01'",
             ),
+            ("solve-system", {"variables": ["1"], "rows": []},
+             "bad system in {path}: multiset JSON must be an array of 'p/q' strings"),
         ],
         ids=[
             "eval-float-bid",
@@ -370,6 +372,7 @@ class TestBadInput:
             "eval-eleven-bidders",
             "check-balance-eleven-bidders",
             "first-index-noncanonical",
+            "variable-not-an-array",
         ],
     )
     def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload, error):

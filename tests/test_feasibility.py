@@ -301,6 +301,12 @@ class TestJson:
         document = json.loads(result_text(empty, Infeasible(cert)))
         assert certificate_from_json(document["certificate"]) == cert
 
+    @pytest.mark.parametrize("obj", [["1"], {}, {"multipliers": "1"}, {"multipliers": {"0": "1"}}])
+    def test_malformed_certificate(self, obj):
+        with pytest.raises(ValueError) as exc:
+            certificate_from_json(obj)
+        assert str(exc.value) == 'certificate JSON must be {"multipliers": [...]}'
+
     def test_bad_coefficient_index(self):
         obj = {
             "variables": [["1"]],

@@ -322,6 +322,10 @@ class TestForcedPaymentSum:
         total, eta = forced_payment_sum(b, NEG2, {1: 4, 2: 4, 3: 4, 4: 3})
         assert total * len(b) == sum(eta.values())
 
+    def test_empty_vector_is_an_error(self):
+        with pytest.raises(ValueError, match="^bid vector must be nonempty$"):
+            forced_payment_sum(vec({}), NEG2, {})
+
     def test_invalid_selector_identifies_bidder(self):
         with pytest.raises(ValueError, match="bidder 2"):
             forced_payment_sum(vec({1: 1, 2: 2, 3: 4}), NEG2, {1: 3, 2: 2, 3: 2})

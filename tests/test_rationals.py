@@ -58,6 +58,13 @@ def test_parse_errors_carry_position(text, position):
     assert exc.value.position == position
 
 
+def test_parse_rejects_a_non_string():
+    with pytest.raises(RationalParseError) as exc:
+        parse_rational(5)
+    assert exc.value.position == 0
+    assert str(exc.value) == "invalid rational '5': not a string at position 0"
+
+
 def test_parse_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")

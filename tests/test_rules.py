@@ -83,6 +83,16 @@ class TestFlatInvariance:
         members = {vec({1: 9, 2: 1, 3: 1}), vec({1: 9, 2: 9, 3: 1})}
         assert not check_flat_invariance(get_rule("second-price"), members, {1, 2, 3}, 1)
 
+    @pytest.mark.parametrize("missing", ["flat", "member"])
+    def test_undefined_rule_is_not_invariant(self, missing):
+        # a rule undefined on the flat vector or on a member is not
+        # flat-invariant there: the answer is False, nothing is raised
+        flat_vector, member = flat({1, 2}, 9), vec({1: 9, 2: 4})
+        table = {flat_vector: 0, member: 0}
+        del table[flat_vector if missing == "flat" else member]
+        rule = register_external("partial", table)
+        assert check_flat_invariance(rule, [member], {1, 2}, 9) is False
+
     @pytest.mark.parametrize(
         "flat_value, member_value, invariant",
         [

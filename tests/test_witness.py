@@ -76,6 +76,12 @@ class TestIsCounterexample:
         )
         assert not is_counterexample(all_g, NEG2)
 
+    def test_rule_undefined_on_a_vector_fails(self):
+        # a table rule without b_low has no difference to compare
+        triple, _, _ = stock_triple()
+        high_only = register_external("high-only", {triple.b_high: -3})
+        assert not is_counterexample(triple, high_only)
+
     def test_domains_must_match(self):
         triple, _, _ = stock_triple()
         shifted = CounterexampleTriple(
