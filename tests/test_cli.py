@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 
 from imbalance import (
-    AdequacyError,
+    BidMultiset,
     Feasible,
+    HypothesisCheck,
+    ImbalanceReport,
     bid_vector_from_json,
     build_balance_system,
+    build_payment_table,
     certificate_from_json,
+    format_rational,
     get_rule,
     system_to_json,
     verify_certificate,
@@ -29,6 +33,11 @@ def write_json(path, obj):
     else:
         path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+# every rule family the command line accepts, several constants included
+TRACE_RULES = ["second-price", "neg-second-price", "first-price", "neg-first-price",
+               "constant:7/3", "constant:0", "constant:-5/2"]
 
 
 @pytest.fixture
@@ -93,26 +102,56 @@ class TestTheorem:
         assert "k_0 = 1/3 @ [4,4]" in out
         assert "k_1 = 1/3 @ [1,4]" in out
 
-    def test_trace_unavailable_when_iteration_hypotheses_fail(self, monkeypatch, capsys):
-        def fail(*args):
-            raise AdequacyError("flat-invariance fails: stub")
+    @pytest.mark.parametrize("rule", TRACE_RULES)
+    def test_trace_lines_are_the_iterations_closed_form(self, rule, capsys):
+        """The ``k_j`` lines restate what ``build_payment_table`` derives for
+        each rule the command line accepts: every step pins 1/(n + 2)."""
+        for n in range(1, 9):
+            steps = build_payment_table(n + 2, n + 3, list(range(1, n + 1)), get_rule(rule))
+            assert steps == tuple(
+                (BidMultiset.of([*range(1, j + 1), *[n + 3] * (n + 1 - j)]), Fraction(1, n + 2))
+                for j in range(n + 1)
+            )
+            expected = [
+                f"k_{j} = {format_rational(coeff)} @ [{','.join(map(format_rational, shape.values))}]\n"
+                for j, (shape, coeff) in enumerate(steps)
+            ]
+            main(["theorem", "--n", str(n), "--rule", rule, "--trace"])
+            # the k_j block sits between the HYP lines and the verdict
+            assert capsys.readouterr().out.splitlines(keepends=True)[-n - 2:-1] == expected
 
-        monkeypatch.setattr(cli, "build_payment_table", fail)
-        assert main(["theorem", "--n", "1", "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "k_0" not in out
-        assert out.endswith(
-            "iteration trace unavailable: flat-invariance fails: stub\nHOLDS lhs=4/3 rhs=2/3\n"
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_hypotheses_met_but_residuals_equal(self, trace, monkeypatch, capsys):
+        report = ImbalanceReport(
+            lhs=Fraction(1, 2), rhs=Fraction(1, 2), holds=False, eta_low={}, eta_high={},
+            witness_set=frozenset(),
+            hypotheses=(HypothesisCheck("counterexample", True),
+                        HypothesisCheck("adequate[low,1]", True, "stub")),
+        )
+        monkeypatch.setattr(cli, "verify_imbalance", lambda *args: report)
+        assert main(["theorem", "--n", "1", *(["--trace"] if trace else [])]) == 3
+        trace_lines = (
+            "HYP counterexample PASS\n"
+            "HYP adequate[low,1] PASS (stub)\n"
+            "k_0 = 1/3 @ [4,4]\n"
+            "k_1 = 1/3 @ [1,4]\n"
+        )
+        assert capsys.readouterr().out == (
+            (trace_lines if trace else "") + "HYPOTHESES MET BUT RESIDUALS EQUAL\n"
         )
 
-    def test_trace_bug_propagates_with_empty_stdout(self, monkeypatch, capsys):
+    def test_trace_bug_propagates_with_empty_stdout(self, tmp_path, monkeypatch, capsys):
+        """A bug after the trace lines are built still leaves stdout empty:
+        it is written only once the handler has returned."""
         def bug(*args):
             raise TypeError("stub")
 
-        monkeypatch.setattr(cli, "build_payment_table", bug)
+        monkeypatch.setattr(cli, "_dump", bug)
+        out = tmp_path / "r.json"
         with pytest.raises(TypeError, match="stub"):
-            main(["theorem", "--n", "1", "--trace"])
+            main(["theorem", "--n", "1", "--trace", "--out", str(out)])
         assert capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_unknown_rule(self, capsys):
         assert main(["theorem", "--n", "1", "--rule", "nth-price"]) == 2

@@ -3,11 +3,12 @@
 The package shows imbalance in two independent ways: forced closed forms
 (``payments``, ``witness``) and exact elimination (``feasibility``).  The
 elimination route may build on the shared value types and rules only,
-and the forced route never reaches into elimination.  Every module other
-than ``__init__`` also uses each name it imports, so a name moved to
-another module leaves no stale import behind, and each private
-module-level function or class is referenced somewhere in the package,
-so a helper whose last caller is gone is deleted with it.
+the forced route never reaches into elimination, and ``cli`` reaches the
+forced route only through ``witness``.  Every module other than
+``__init__`` also uses each name it imports, so a name moved to another
+module leaves no stale import behind, and each private module-level
+function or class is referenced somewhere in the package, so a helper
+whose last caller is gone is deleted with it.
 """
 
 import ast
@@ -56,6 +57,10 @@ def test_elimination_builds_on_value_types_and_rules_only():
 @pytest.mark.parametrize("module", ["payments", "witness"])
 def test_forced_route_never_imports_elimination(module):
     assert "feasibility" not in package_imports(module)
+
+
+def test_cli_reaches_the_forced_route_only_through_witness():
+    assert "payments" not in package_imports("cli")
 
 
 @pytest.mark.parametrize("module", MODULES)
