@@ -25,6 +25,7 @@ their hashes set from one hash per distinct bid object, and ``flat`` sets
 its vector's hash from the one hash of its bid; both hand those pairs to
 ``BidVector._hashed``, the one place outside ``__hash__`` that stores a
 hash.  ``rank_bids`` ranks the distinct values of a collection of bids,
+and ``flat_keys`` keys each vector by its bidders and their bids' ranks,
 so the system build and the witness and result writers can sort and key
 on integers.
 
@@ -282,6 +283,27 @@ def rank_bids(bids: Iterable[Fraction]) -> tuple[list[Fraction], dict[int, int]]
     values = sorted({(v.numerator, v.denominator): v for v in objs.values()}.values())
     rank = {(v.numerator, v.denominator): r for r, v in enumerate(values)}
     return values, {i: rank[v.numerator, v.denominator] for i, v in objs.items()}
+
+
+def flat_keys(vectors: list[BidVector]) -> tuple[list[Fraction], list[tuple[int, ...]]]:
+    """The distinct bids of ``vectors`` in increasing order, from
+    ``rank_bids``, and the flat key ``(i1, r1, i2, r2, ...)`` of each
+    vector, its bidders with their bids' ranks, in the order given.
+
+    Every (bidder, rank) pair is two integers, so flat keys order vectors
+    like ``BidVector.entries`` (a vector whose pairs are a prefix of
+    another's sorts first) with integer compares only, and are equal
+    exactly when the vectors are.
+    """
+    values, rank_of = rank_bids([v for vec in vectors for _, v in vec.entries])
+    keys = []
+    for vec in vectors:
+        key = []
+        for i, v in vec.entries:
+            key.append(i)
+            key.append(rank_of[id(v)])
+        keys.append(tuple(key))
+    return values, keys
 
 
 def extend(pairs: BidVector, family: Iterable[BidVector]) -> frozenset[BidVector]:

@@ -64,6 +64,7 @@ from .bids import (
     ParseMemo,
     bid_vector_from_json,
     bid_vector_to_json,
+    flat_keys,
     multiset_from_json,
     multiset_to_json,
     rank_bids,
@@ -135,22 +136,29 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     multisets in canonical order, rows follow the canonical vector order;
     equal vectors give one row, built from the first one given.
 
-    Rank invariant: each bid is replaced by its rank from ``rank_bids``,
-    and a vector is keyed by the flat tuple ``(i1, r1, i2, r2, ...)`` of
-    its bidders and ranks.  Every (bidder, rank) pair is two integers, so
-    flat keys order vectors like ``BidVector.entries`` (a vector whose
-    pairs are a prefix of another's sorts first) and the sort compares
-    integers only.  (size, ranks) orders multisets like
-    ``BidMultiset.canonical_key``.  The build works on those integer keys,
-    and builds one ``BidMultiset`` per variable at the end.
+    Rank invariant: each bid is replaced by its rank, and a vector is
+    keyed by its flat tuple ``(i1, r1, i2, r2, ...)`` of bidders and
+    ranks from ``flat_keys``, which orders vectors like
+    ``BidVector.entries``, so the sort compares integers only.
+    (size, ranks) orders multisets like ``BidMultiset.canonical_key``.
+    The build works on those integer keys, and builds one ``BidMultiset``
+    per variable at the end.
 
     Bag invariant: a row's coefficients depend only on the bag of its
     vector, the sorted tuple of its ranks ``key[1::2]``, never on which
     bidder holds which bid.  So the map from "bag minus one r" to the
-    multiplicity of r, and the sorted coefficient dict built from it, are
-    computed once per distinct bag.  The counts times a scale are computed
-    once per distinct (bag, scale): the first row with that key keeps the
-    dict, and each later row gets a copy, so every row owns its dict.
+    multiplicity of r, and the coefficient dict built from it, are
+    computed once per distinct bag.  The map comes from one pass over the
+    bag's runs of equal ranks, from the last run to the first: deleting
+    one r from the run that starts at position k leaves
+    ``bag[:k] + bag[k + 1:]``, and the run's length is the count.  For
+    r < s, the bag minus one s agrees with the bag minus one r below r
+    and holds one more r, so it is the smaller tuple.  Every "bag minus
+    one r" has the bag's size less one, so the runs in reverse give the
+    map, and the coefficient dict built from it, in variable index order
+    with no sort.  The counts times a scale are computed once per
+    distinct (bag, scale): the first row with that key keeps the dict,
+    and each later row gets a copy, so every row owns its dict.
 
     The rule runs in canonical vector order.  A ``symmetric`` rule runs
     once per distinct bag, on its first vector, and every vector of the
@@ -159,15 +167,11 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     Any other rule, such as a table rule, runs once per distinct vector,
     on its first-seen representative.
     """
-    vecs = list(vectors)  # holds the bids while their ids key ``rank_of``
-    values, rank_of = rank_bids([v for vec in vecs for _, v in vec.entries])
+    vecs = list(vectors)
+    values, keys = flat_keys(vecs)
     first: dict[tuple[int, ...], BidVector] = {}
-    for vec in vecs:
-        key = []
-        for i, v in vec.entries:
-            key.append(i)
-            key.append(rank_of[id(v)])
-        first.setdefault(tuple(key), vec)
+    for key, vec in zip(keys, vecs):
+        first.setdefault(key, vec)
     raw = []
     maps: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}  # bag -> its deletion counts
     rhs_of: dict[tuple[int, ...], Fraction] = {}  # bag -> rule value, filled for a symmetric rule
@@ -184,14 +188,15 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
                 rhs_of[bag] = rhs
         if bag not in maps:
             counts = maps[bag] = {}
-            for r, c in Counter(bag).items():
-                j = bag.index(r)
-                counts[bag[:j] + bag[j + 1:]] = c
+            end = len(bag)
+            for k in range(end - 1, -1, -1):
+                if k == 0 or bag[k - 1] != bag[k]:  # k starts a run of equal ranks
+                    counts[bag[:k] + bag[k + 1:]] = end - k
+                    end = k
         raw.append((vec, bag, rhs))
-    order = sorted({m for counts in maps.values() for m in counts}, key=lambda m: (len(m), m))
+    order = sorted(sorted({m for counts in maps.values() for m in counts}), key=len)
     index = {m: k for k, m in enumerate(order)}
-    coeffs = {bag: dict(sorted((index[m], c) for m, c in counts.items()))
-              for bag, counts in maps.items()}
+    coeffs = {bag: {index[m]: c for m, c in counts.items()} for bag, counts in maps.items()}
     rows = []
     scaled: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (bag, scale) -> a row's dict
     for vec, bag, rhs in raw:
@@ -223,7 +228,11 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     the column held by the fewest original rows, ties to the higher index,
     so few later rows need that pivot; a row reduced to 0 = 0 is
     dropped.  Counting the holders reads every row's column
-    indices, and nothing else of a row before its turn.
+    indices, and nothing else of a row before its turn.  The choice reads
+    one integer per column, set once: its holder count times V + 1, less
+    its index, for V variables.  Every index is below V, so these
+    integers order the columns by holder count and then by decreasing
+    index.
 
     Repeat invariant: a row equal to a row already reduced, keyed by
     value on its rhs, its scale, its column indices in order and their
@@ -268,6 +277,9 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     """
     # column -> number of rows holding it
     held = Counter(chain.from_iterable([row.coeffs for row in system.rows]))
+    # column -> its place in the pivot choice: fewest holders first, then the higher index
+    width = len(system.variables) + 1
+    priority = {c: h * width - c for c, h in held.items()}.__getitem__
     for lowest in (False, True):
         pivots: list[tuple[int, dict[int, int], int]] = []
         pivot_of: dict[int, int] = {}  # column -> number of the pivot row on it
@@ -312,7 +324,7 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
                     row_rhs //= content
                 steps.append((p, ap, fp, content))
             if ints:
-                col = min(ints) if lowest else min(ints, key=lambda c: (held[c], -c))
+                col = min(ints) if lowest else min(ints, key=priority)
                 pivot_of[col] = len(pivots)
                 pivots.append((col, ints, row_rhs))
                 reduced.append((idx, steps))

@@ -18,8 +18,11 @@ explicit set of bid vectors:
 ``verify_imbalance`` runs the three steps in one pass, logs each
 hypothesis check, and reports both residuals; ``vickrey_vectors`` and
 ``vickrey_witness_set`` build the stock instance that refutes balance for
-the negated second-price rule, and ``witness_set_text`` writes a set as
-the witness file.
+the negated second-price rule.  On the stock vectors the families of
+every bidder but the top one merge into one full family, so
+``vickrey_witness_set`` builds the union of step 3 as four families, two
+per vector.  ``witness_set_text`` writes a set as the witness file,
+sorted on the integer keys of ``flat_keys``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .bids import BidVector, flat, full_family, rank_bids, remove
+from .bids import BidVector, flat, flat_keys, full_family, remove
 from .payments import build_adequate_set
 from .rationals import format_rational
 from .rules import PriceRule, RuleUndefinedError, get_rule
@@ -169,20 +172,28 @@ def vickrey_instance(
 def vickrey_witness_set(n: int) -> frozenset[BidVector]:
     """The canonical finite set on which balance is already contradictory.
 
-    For each of the two stock vectors and each bidder i with partner j(i)
-    named by ``default_selector``: the full family, filled at j(i)'s bid,
-    of the vector with i's bid set to that fill, so i and j(i) read the
-    fill in every member.  Every non-top bidder is paired with the top
-    bidder and the top bidder with the runner-up.  The two stock vectors
-    themselves complete the set.  Duplicates merge under graph equality.
+    It is the union, over the two stock vectors v and each bidder i with
+    partner j(i) named by ``default_selector``, of the full family,
+    filled at v[j(i)], of v with i's bid set to that fill, together with
+    the two stock vectors.  It is built as four families, two per vector.
+    The selector pairs every bidder but the top bidder t with t, and t
+    with the runner-up r.  The stock bids are distinct, so bidder i's
+    family for i != t is {v with S set to v[t] : i in S, S a set of
+    non-top bidders}, and the union of those over i is
+    ``full_family(v, v[t])`` less v itself, the member that keeps every
+    bid.  Bidder t's family is ``full_family`` of v with t's bid set to
+    v[r], filled at v[r].  So each vector gives 2^(n+1) + 2^n members, and
+    not the (n+2)·2^n of one family per bidder.  Duplicates merge under
+    graph equality.
     """
-    low, high = vickrey_vectors(n)
-    out: set[BidVector] = {low, high}
-    for vector in (low, high):
-        for i, partner in default_selector(vector).items():
-            fill = vector[partner]
-            holders = BidVector(tuple((b, fill if b == i else v) for b, v in vector.entries))
-            out |= full_family(holders, fill)
+    out: set[BidVector] = set()
+    for vector in vickrey_vectors(n):
+        partner = default_selector(vector)
+        top = partner[min(vector.dom)]  # bidder 1 holds the lowest bid, so not the top one
+        fill = vector[partner[top]]
+        out |= full_family(vector, vector[top])
+        out |= full_family(BidVector(tuple((b, fill if b == top else v)
+                                           for b, v in vector.entries)), fill)
     return frozenset(out)
 
 
@@ -201,8 +212,11 @@ def verify_imbalance(
     map).  Failures are logged, never raised: the report shows why a
     candidate instance does not qualify.
 
-    One pass over (vector, bidder) builds each adequate set once and
-    reads adequacy from its recorded flat-invariance.  Adequate sets
+    One pass over (vector, bidder) builds each distinct adequate set,
+    keyed by its base, fill and two ids, once: on the stock pair, bidder
+    n + 1 gets the same set on both vectors.  Adequacy is read from the
+    set's recorded flat-invariance, which is kept for the call; the set is
+    not, since a repeat adds no member to the witness.  Adequate sets
     share most of their members, so the rule's values are cached for the
     call and each distinct vector is evaluated once; an error is not
     cached and recurs on every evaluation.  The flat value the eta check
@@ -223,6 +237,7 @@ def verify_imbalance(
     adequacy_checks: list[HypothesisCheck] = []
     eta_checks: list[HypothesisCheck] = []
     witness: set[BidVector] = {triple.b_low, triple.b_high}
+    invariant: dict[tuple, bool] = {}  # (base, fill, i, partner) -> its set's flat-invariance
     residuals: list[Fraction | None] = []
     etas: list[dict[int, Fraction]] = []
     for label, vector, selector in (
@@ -241,10 +256,13 @@ def verify_imbalance(
                 adequate_all = False
                 continue
             fill = vector[partner]
-            adequate = build_adequate_set(remove(vector, {i, partner}), fill, rule, i, partner)
-            ok = adequate.flat_invariant
-            if ok:
-                witness |= adequate.members
+            key = (remove(vector, {i, partner}), fill, i, partner)
+            ok = invariant.get(key)
+            if ok is None:
+                adequate = build_adequate_set(key[0], fill, rule, i, partner)
+                ok = invariant[key] = adequate.flat_invariant
+                if ok:
+                    witness |= adequate.members
             detail = "" if ok else f"rule not flat-invariant at fill {format_rational(fill)}"
             adequacy_checks.append(HypothesisCheck(f"adequate[{label},{i}]", ok, detail))
             adequate_all = adequate_all and ok
@@ -296,36 +314,27 @@ def witness_set_text(vectors: Iterable[BidVector]) -> str:
     per vector, sorted by ``entries``, in the bytes of
     ``json.dumps(..., indent=2, sort_keys=True)`` plus a final newline.
 
-    Vectors are sorted by their (bidder, rank) pairs from ``rank_bids``,
-    which order them as their entries do, with integer compares and no
-    bid hashed.  Each rank's text is formatted once and each (bidder,
-    rank) line built once.  Keys sort as strings ("10" before "2"), so
-    the order of a domain's positions is worked out once per distinct
-    domain.  Nothing needs escaping: a key is a canonical decimal and a
-    value a ``format_rational`` text, which hold only digits, ``-`` and
-    ``/``.  ``vectors`` is read once, into a list, so a one-shot iterable
-    such as a generator loses nothing; the list also keeps the bids alive
-    while their ids key ``rank_of``.
+    Vectors are sorted by their flat keys ``(i1, r1, i2, r2, ...)`` from
+    ``flat_keys``, which order them as their entries do, with integer
+    compares and no bid hashed.  Each rank's text is formatted once.  Keys
+    sort as strings ("10" before "2"), so for each distinct domain the
+    key positions of its ids are put in that order once, each with the
+    text its line starts with.  Nothing needs escaping: a key is a
+    canonical decimal and a value a ``format_rational`` text, which hold
+    only digits, ``-`` and ``/``.  ``vectors`` is read once, into a list,
+    so a one-shot iterable such as a generator loses nothing.
     """
-    vectors = list(vectors)
-    values, rank_of = rank_bids([v for vec in vectors for _, v in vec.entries])
-    texts = [format_rational(v) for v in values]
-    keys = sorted([tuple([(i, rank_of[id(v)]) for i, v in vec.entries]) for vec in vectors])
-    lines: dict[tuple[int, int], str] = {}
-    orders: dict[tuple[int, ...], list[int]] = {}
+    values, keys = flat_keys(list(vectors))
+    texts = [f'"{format_rational(v)}"' for v in values]
+    # domain -> (line start, position of the rank in the key) per bidder, as its ids sort
+    orders: dict[tuple[int, ...], list[tuple[str, int]]] = {}
     items = []
-    for key in keys:
-        ids = tuple([i for i, _ in key])
+    for key in sorted(keys):
+        ids = key[::2]
         order = orders.get(ids)
         if order is None:
-            order = orders[ids] = sorted(range(len(ids)), key=[str(i) for i in ids].__getitem__)
-        body = []
-        for pos in order:
-            pair = key[pos]
-            line = lines.get(pair)
-            if line is None:
-                line = lines[pair] = f'      "{pair[0]}": "{texts[pair[1]]}"'
-            body.append(line)
-        items.append('  {\n    "bids": {\n' + ",\n".join(body) + "\n    }\n  }" if body
-                     else '  {\n    "bids": {}\n  }')
+            order = orders[ids] = [(f'      "{key[p]}": ', p + 1)
+                                   for p in sorted(range(0, len(key), 2), key=lambda p: str(key[p]))]
+        items.append('  {\n    "bids": {\n' + ",\n".join([head + texts[key[r]] for head, r in order])
+                     + "\n    }\n  }" if order else '  {\n    "bids": {}\n  }')
     return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"

@@ -13,6 +13,10 @@ current build may share a coefficient dict.  Every input also checks the
 build's ``rank_bids`` against its definition (``conftest.assert_ranked``).
 The reference runs the rule once per distinct vector; the current build
 runs a ``symmetric`` rule once per bag, which the counting tests pin.
+Fixed bags pin the build's run-length deletion map (runs of equal bids at
+the start, middle and end, one bid held by all, one bid and none), and
+bidder ids from 10 up pin the integer order of the build's flat keys and
+the string order of the witness text's keys.
 """
 
 import dataclasses
@@ -42,7 +46,8 @@ from imbalance import (
     system_to_json,
     vickrey_witness_set,
 )
-from imbalance.bids import rank_bids
+from imbalance.bids import bid_vector_to_json, rank_bids
+from imbalance.witness import witness_set_text
 
 RULES = ["neg-second-price", "second-price", "first-price", "neg-first-price", "constant:7/3"]
 GRID_RULES = ["neg-second-price", "second-price", "neg-first-price", "constant:7/3"]
@@ -296,3 +301,61 @@ def test_one_bag_on_other_bidders_runs_a_built_in_rule_once():
         first, second = system.rows
         assert (first.rhs, first.scale) == (second.rhs, second.scale)
         assert first.coeffs == second.coeffs
+
+
+# Fixed bags for the run-length deletion map, each with its deletion
+# counts: a run of equal bids at the start, in the middle and at the end
+# of the sorted bag, one bid held by every bidder, one bid, and no bid.
+RUN_BAGS = {
+    "run-at-start": ([2, 2, 2, 5, 7], {(2, 2, 2, 5): 1, (2, 2, 2, 7): 1, (2, 2, 5, 7): 3}),
+    "run-in-middle": ([1, 4, 9, 4], {(1, 4, 4): 1, (1, 4, 9): 2, (4, 4, 9): 1}),
+    "run-at-end": ([8, 1, 3, 8], {(1, 3, 8): 2, (1, 8, 8): 1, (3, 8, 8): 1}),
+    "all-equal": (["1/2", "2/4", Fraction(1, 2)], {(Fraction(1, 2), Fraction(1, 2)): 3}),
+    "one-bid": (["7/3"], {(): 1}),
+    "empty": ([], {}),
+}
+
+
+def orderings(bids, ids):
+    """One vector per order of ``bids`` on ``ids``, each built on its own."""
+    return [BidVector.of(dict(zip(ids, order))) for order in itertools.permutations(bids)]
+
+
+def each_vector(vectors):
+    """A table rule with its own value on each distinct vector."""
+    return register_external("each", {v: n for n, v in enumerate(dict.fromkeys(vectors))})
+
+
+@pytest.mark.parametrize("name", RUN_BAGS)
+def test_run_length_deletion_map_matches_reference(name):
+    bids, counts = RUN_BAGS[name]
+    vectors = orderings(bids, [3, 10, 2, 11, 0][:len(bids)])
+    for rule in (get_rule("first-price"), each_vector(vectors)):
+        assert_same_build(vectors, rule)
+    system = build_balance_system(vectors, each_vector(vectors))
+    for row in system.rows:
+        got = [(system.variables[c].values, v) for c, v in row.coeffs.items()]
+        assert got == list(counts.items())  # in variable order
+        assert list(row.coeffs) == sorted(row.coeffs)
+
+
+def test_run_length_deletion_maps_of_several_bags_share_one_variable_order():
+    vectors = [v for bids, _ in RUN_BAGS.values() for v in orderings(bids, [12, 1, 10, 2, 9])]
+    assert_same_build([v for v in vectors if v], get_rule("first-price"))
+    assert_same_build(vectors, each_vector(vectors))
+
+
+def test_ids_from_10_up_sort_as_integers_in_the_build_and_as_strings_in_the_text():
+    vectors = [BidVector.of(m) for m in [
+        {2: 1, 10: 1, 11: 3}, {2: 3, 10: 1, 11: 1}, {1: 5, 9: 2, 10: 2, 100: 2},
+        {10: "1/2"}, {2: "1/2"}, {2: 1, 10: 1, 11: 3}, {3: 4, 20: 4},
+    ]]
+    text = witness_set_text(vectors)  # the repeated vector is written twice
+    assert text == json.dumps([bid_vector_to_json(v) for v in sorted(vectors, key=lambda b: b.entries)],
+                              indent=2, sort_keys=True) + "\n"
+    assert '"10": "1",\n      "11": "3",\n      "2": "1"' in text  # "10" sorts before "2"
+    assert '"100": "2",\n      "9": "2"' in text
+    want = sorted(set(vectors), key=lambda b: b.entries)
+    for rule in (get_rule("first-price"), each_vector(vectors)):
+        assert [row.origin for row in build_balance_system(vectors, rule).rows] == want
+        assert_same_build(vectors, rule)

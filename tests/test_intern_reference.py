@@ -12,10 +12,10 @@ ones parse each distinct text of a file once through a ``ParseMemo``.  The old f
 new one enumerates count tuples over bid groups, skips the group equal to
 the fill, and gives each member the hash it would compute, built from one
 hash per distinct bid object.  The old writer sorts by ``entries`` and
-dumps one dict per vector; the new one sorts by (bidder, rank) pairs
-from ``rank_bids``, checked against its definition on the same inputs
-(``conftest.assert_ranked``), and joins cached lines with the bidder
-keys in string order.
+dumps one dict per vector; the new one sorts by flat (bidder, rank) keys
+from ``flat_keys``, on ranks from ``rank_bids`` checked against their
+definition on the same inputs (``conftest.assert_ranked``), and joins
+the lines with the bidder keys in string order.
 
 Both routes must give equal results, with bids as ``Fraction`` and ids as
 ``int``, or the same exception type and message raised at the same entry.

@@ -23,6 +23,7 @@ from imbalance import (
     build_balance_system,
     default_selector,
     flat,
+    full_family,
     get_rule,
     is_counterexample,
     register_external,
@@ -128,10 +129,50 @@ class TestVickreyVectors:
             vickrey_vectors(0)
 
 
+def reference_witness_set(n):
+    """The previous ``vickrey_witness_set``: the union as the criterion
+    states it, one full family per stock vector and bidder, filled at the
+    bid of the partner ``default_selector`` names, plus the two vectors."""
+    low, high = vickrey_vectors(n)
+    out = {low, high}
+    for vector in (low, high):
+        for i, partner in default_selector(vector).items():
+            fill = vector[partner]
+            holders = BidVector(tuple((b, fill if b == i else v) for b, v in vector.entries))
+            out |= full_family(holders, fill)
+    return frozenset(out)
+
+
 class TestVickreyWitnessSet:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_per_bidder_union(self, n):
+        assert vickrey_witness_set(n) == reference_witness_set(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_text_equals_the_per_bidder_unions(self, n):
+        got, want = witness_set_text(vickrey_witness_set(n)), witness_set_text(reference_witness_set(n))
+        assert got == want, f"witness text differs at n = {n}"  # no diff of two long texts
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_four_families_of_six_times_2_to_the_n_members(self, n, monkeypatch):
+        from imbalance import witness
+
+        sizes = []
+
+        def counting(vector, fill):
+            family = full_family(vector, fill)
+            sizes.append(len(family))
+            return family
+
+        monkeypatch.setattr(witness, "full_family", counting)
+        got = vickrey_witness_set(n)
+        assert sizes == [2 ** (n + 1), 2 ** n] * 2
+        assert sum(sizes) <= 6 * 2 ** n
+        assert len(got) == 5 * 2 ** n
+
     def test_n1_members(self):
         got = vickrey_witness_set(1)
-        assert len(got) <= 14  # at most 2x(2x2 + 2) + 2 before merging
+        assert len(got) <= 12  # at most 2x(4 + 2) before merging
         assert got == {
             vec({1: 4, 2: 4, 3: 4}),
             vec({1: 4, 2: 2, 3: 4}),
@@ -243,7 +284,9 @@ class TestVerifyImbalance:
         monkeypatch.setattr(witness, "is_adequate", forbidden, raising=False)
         triple, j_low, j_high = vickrey_instance(n)
         assert verify_imbalance(NEG2, triple, j_low, j_high).holds
-        assert len(calls) == 2 * (n + 2)
+        # bidder n + 1 has the same base, fill and ids on both stock vectors
+        assert len(calls) == 2 * (n + 2) - 1
+        assert len({(base, fill, i1, i2) for base, fill, _, i1, i2 in calls}) == len(calls)
 
     def test_invalid_partner_fails_its_side_only(self):
         triple, j_low, j_high = stock_triple(2)
