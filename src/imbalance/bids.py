@@ -10,24 +10,31 @@ On top of the two value types this module provides the combinatorial
 operators the verification pipeline is assembled from:
 
 * ``remove`` / ``flat`` - restriction, constant map,
-* ``full_family`` - one completion per sub-multiset of the vector's bag.
+* ``full_family`` - one completion per sub-multiset of the vector's bag,
+* ``CompletionFamilies`` - the one enumeration of such families: the
+  families of one vector and fill, each with at most one more bidder set
+  to the fill, with every member keyed by its kept-position mask and
+  built once.  Bit p of a mask is set when position p keeps the vector's
+  own pair; every other position holds the fill, so a mask names one
+  member whichever family it came from.  ``full_family`` is its one-family
+  case, and ``payments.AdequateSets`` shares one between adequate sets.
 
 ``sub_multisets`` lists every sub-multiset in a fixed canonical order, and
 ``restrictions``, ``completion`` and ``extend`` define the family and the
 adequate sets member by member.  No other module calls these four; tests
 call them, and the benchmark tracer wraps them.  They count a bag's bids
 with ``collections.Counter`` and find each bid's holders with
-``_bid_groups``, the grouping ``full_family`` builds on.
+``_bid_groups``, the grouping ``CompletionFamilies`` builds on.
 
 A vector hashes as the tuple of its (bidder, hash(bid)) pairs and keeps
-that hash.  ``full_family`` builds its members from shared pairs, with
-their hashes set from one hash per distinct bid object, and ``flat`` sets
-its vector's hash from the one hash of its bid; both hand those pairs to
-``BidVector._hashed``, the one place outside ``__hash__`` that stores a
-hash.  ``rank_bids`` ranks the distinct values of a collection of bids,
-and ``flat_keys`` keys each vector by its bidders and their bids' ranks,
-so the system build and the witness and result writers can sort and key
-on integers.
+that hash.  ``CompletionFamilies`` builds its members from shared pairs,
+with their hashes set from one hash per distinct bid object, and ``flat``
+sets its vector's hash from the one hash of its bid; both hand those
+pairs to ``BidVector._hashed``, the one place outside ``__hash__`` that
+stores a hash.  ``rank_bids`` ranks the distinct values of a collection
+of bids, and ``flat_keys`` keys each vector by its bidders and their
+bids' ranks, so the system build and the witness and result writers can
+sort and key on integers.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
 bidder key and bid text in a file is parsed once: its tables parse a
@@ -226,45 +233,83 @@ def completion(vector: BidVector, multiset: BidMultiset, fill) -> BidVector:
                            for pos, pair in enumerate(vector.entries)))
 
 
-def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
-    """The canonical full family: one ``fill``-completion of ``vector`` per
-    sub-multiset of its bag.
+class CompletionFamilies:
+    """The ``fill``-completion families of one vector, in which at most one
+    more bidder bids ``fill``, with their members keyed by kept-position
+    mask and each built once.
+
+    Bit p of a member's mask is set when position p holds the vector's own
+    pair.  Every other position holds the fill: the bidder set to the fill
+    never keeps its bid, and a bid equal to the fill is never kept, since
+    it reads the same either way.  So the member of a mask is the vector
+    with every position outside the mask set to the fill, whichever family
+    it came from, and ``members`` maps each mask built so far to its one
+    member.  Which masks a family holds is decided per family, by the
+    first-holders rule below.
 
     A sub-multiset is a tuple of counts, one per distinct bid, and its
-    completion keeps the first holders of each bid.  A holder of a bid
-    equal to ``fill`` reads the same kept or filled, so the counts of that
-    bid all give the same member: only the other bids' counts are
-    enumerated, and each count tuple gives a distinct member.  The family
-    can therefore have fewer members than the bag has sub-multisets.
+    completion keeps the first holders of each bid.  Only the counts of
+    bids other than the fill are enumerated, and each count tuple gives a
+    distinct member, so a family can have fewer members than the bag has
+    sub-multisets.
 
     Members are built from shared pairs: each position's kept pair is the
     vector's own, and its filled pair and both (bidder, hash) pairs are
     built once, from one hash per distinct bid object.  The pair lists
     grow one bid group at a time, each list so far copied with the
-    group's first 1, 2, ... holders kept.  Each member gets its hash from
-    its pair hashes through ``BidVector._hashed`` when it is built, and
-    families of vectors that share bid objects share them too, so their
-    equal members compare equal by identity.
+    group's first 1, 2, ... holders kept, and each row carries its mask
+    along.  A member gets its hash from its pair hashes through
+    ``BidVector._hashed`` when it is built, and families of vectors that
+    share bid objects share them too, so their equal members compare
+    equal by identity.
     """
-    fill_bid = ensure_rational(fill)
-    hashes = {id(fill_bid): hash(fill_bid)}
-    for _, v in vector.entries:
-        if id(v) not in hashes:
-            hashes[id(v)] = hash(v)
-    kept = vector.entries
-    kept_hashes = [(i, hashes[id(v)]) for i, v in kept]
-    rows = [([(i, fill_bid) for i, _ in kept], [(i, hashes[id(fill_bid)]) for i, _ in kept])]
-    for positions in [g for v, g in _bid_groups(kept).items() if v != fill_bid]:
-        grown = []
-        for pairs, pair_hashes in rows:
-            grown.append((pairs, pair_hashes))
-            for pos in positions:
-                pairs, pair_hashes = pairs[:], pair_hashes[:]
-                pairs[pos], pair_hashes[pos] = kept[pos], kept_hashes[pos]
-                grown.append((pairs, pair_hashes))
-        rows = grown
-    return frozenset([BidVector._hashed(tuple(pairs), tuple(pair_hashes))
-                      for pairs, pair_hashes in rows])
+
+    def __init__(self, vector: BidVector, fill):
+        self.fill = fill_bid = ensure_rational(fill)
+        hashes = {id(fill_bid): hash(fill_bid)}
+        for _, v in vector.entries:
+            if id(v) not in hashes:
+                hashes[id(v)] = hash(v)
+        self._kept = kept = vector.entries
+        self._kept_hashes = [(i, hashes[id(v)]) for i, v in kept]
+        self._filled = ([(i, fill_bid) for i, _ in kept], [(i, hashes[id(fill_bid)]) for i, _ in kept])
+        self._groups = [g for v, g in _bid_groups(kept).items() if v != fill_bid]
+        self.members: dict[int, BidVector] = {}
+
+    def masks(self, filled: int | None = None) -> list[int]:
+        """The masks of the family of the vector with bidder ``filled``'s
+        bid set to the fill, in enumeration order; a member not built
+        before is built and kept in ``members``."""
+        kept, kept_hashes, members = self._kept, self._kept_hashes, self.members
+        rows = [(0, *self._filled)]
+        for group in self._groups:
+            positions = [(pos, 1 << pos) for pos in group if kept[pos][0] != filled]
+            grown = []
+            for mask, pairs, pair_hashes in rows:
+                grown.append((mask, pairs, pair_hashes))
+                for pos, bit in positions:
+                    pairs, pair_hashes = pairs[:], pair_hashes[:]
+                    pairs[pos], pair_hashes[pos] = kept[pos], kept_hashes[pos]
+                    mask |= bit
+                    grown.append((mask, pairs, pair_hashes))
+            rows = grown
+        for mask, pairs, pair_hashes in rows:
+            if mask not in members:
+                members[mask] = BidVector._hashed(tuple(pairs), tuple(pair_hashes))
+        return [mask for mask, _, _ in rows]
+
+
+def full_family(vector: BidVector, fill) -> frozenset[BidVector]:
+    """The canonical full family: one ``fill``-completion of ``vector`` per
+    sub-multiset of its bag, each built once by ``CompletionFamilies``.
+
+    A holder of a bid equal to ``fill`` reads the same kept or filled, so
+    the counts of that bid all give the same member, and the family can
+    have fewer members than the bag has sub-multisets.
+    """
+    family = CompletionFamilies(vector, fill)
+    family.masks()
+    return frozenset(family.members.values())
 
 
 def rank_bids(bids: Iterable[Fraction]) -> tuple[list[Fraction], dict[int, int]]:

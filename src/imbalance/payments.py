@@ -20,7 +20,12 @@ it, summed per bidder for a whole vector (``forced_payment_sum``).
 Whether the rule is flat-invariant on a set, a rule undefined on some
 member or on the flat vector counting as not, is decided in one place,
 ``rules.check_flat_invariance``: ``build_adequate_set`` records its answer
-and ``forced_payment`` reads it.  ``is_adequate`` checks both adequacy
+and ``forced_payment`` reads it.  Adequate sets are built in one way,
+through ``AdequateSets``: the sets of one vector and fill share one member
+table, keyed by kept-position mask, so each member is built once and
+checked until one set has shown it flat.  ``build_adequate_set`` is its
+one-set case, and ``witness.verify_imbalance`` keeps one table per vector
+and fill.  ``is_adequate`` checks both adequacy
 predicates, structure and flat-invariance, on a set supplied from
 outside.  Along the all-equal-bids iteration (``build_payment_table``)
 every forced value is the same closed form f / N, once the rule is
@@ -40,8 +45,8 @@ from typing import Iterable, Mapping
 from .bids import (
     BidMultiset,
     BidVector,
+    CompletionFamilies,
     flat,
-    full_family,
     remove,
 )
 from .rationals import ensure_rational, format_rational
@@ -66,22 +71,62 @@ class AdequateSet:
     flat_invariant: bool
 
 
+class AdequateSets:
+    """The adequate sets of one vector and fill, which share one member
+    table: the set of bidder i is the full family of the vector with i's
+    bid set to the fill.
+
+    Bidder i reads the fill in every member of its set, so a member of any
+    set of the table is fixed by the positions that keep their own bid:
+    it is the vector with every other position set to the fill.  The
+    members are therefore keyed by kept-position mask, and each is built
+    once, by ``CompletionFamilies``; which masks a set holds is decided
+    per set, by the first-holders rule, so repeated bids are covered too.
+    Every set of the table has the same flat vector, the fill on the
+    vector's domain, so a member shown flat for one set is flat for every
+    set: ``decide`` passes ``check_flat_invariance`` only the members no
+    earlier set has shown flat, and ``flat_masks`` gathers those that
+    passed.  A set that fails shows nothing flat, since the check stops at
+    its first failing member, and a later set checks those members again.
+    So ``flat_masks`` is the union of the masks of the sets that passed.
+    """
+
+    def __init__(self, vector: BidVector, fill, rule: PriceRule):
+        self.vector = vector
+        self.family = CompletionFamilies(vector, fill)
+        self.flat_masks: set[int] = set()
+        self._rule = rule
+
+    def decide(self, bidder: int) -> bool:
+        """Whether the rule is flat-invariant on ``bidder``'s set."""
+        shown = self.flat_masks
+        fresh = [mask for mask in self.family.masks(bidder) if mask not in shown]
+        members = self.family.members
+        invariant = check_flat_invariance(
+            self._rule, [members[mask] for mask in fresh], self.vector.dom, self.family.fill)
+        if invariant:
+            shown.update(fresh)
+        return invariant
+
+
 def build_adequate_set(
     base: BidVector, fill, rule: PriceRule, i1: int, i2: int
 ) -> AdequateSet:
     """The full family of base + {i1: fill, i2: fill}: every fill-holder
     reads ``fill`` in every member, so this is the family of ``base`` with
-    fresh bidders i1, i2 adjoined at ``fill``."""
+    fresh bidders i1, i2 adjoined at ``fill``.  It is the one-set case of
+    ``AdequateSets``, on that vector with i1 as the bidder set to the
+    fill, which it already bids."""
     if i1 == i2 or i1 in base.dom or i2 in base.dom:
         raise ValueError(
             f"i1,i2 must be fresh and distinct: got {i1}, {i2} with base domain "
             f"{sorted(base.dom)}"
         )
     fill_bid = ensure_rational(fill)
-    holders = BidVector.of([*base.entries, (i1, fill_bid), (i2, fill_bid)])
-    members = full_family(holders, fill_bid)
-    invariant = check_flat_invariance(rule, members, holders.dom, fill_bid)
-    return AdequateSet(members=members, flat_invariant=invariant)
+    table = AdequateSets(BidVector.of([*base.entries, (i1, fill_bid), (i2, fill_bid)]),
+                         fill_bid, rule)
+    invariant = table.decide(i1)
+    return AdequateSet(members=frozenset(table.family.members.values()), flat_invariant=invariant)
 
 
 def is_adequate(

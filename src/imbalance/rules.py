@@ -161,10 +161,10 @@ def check_flat_invariance(
     ``RuleUndefinedError`` escapes.  The flat vector is evaluated first,
     then the vectors in iteration order, up to the first that is undefined
     or differs.  Precondition, not checked here: each vector has domain
-    exactly ``bidders``.  ``build_adequate_set`` passes ``full_family``
-    members, which keep the holders' ids by construction, and
-    ``is_adequate`` calls this only once its structure check has accepted
-    every member's domain.
+    exactly ``bidders``.  ``AdequateSets.decide`` passes members of its
+    ``CompletionFamilies``, which keep the vector's ids by construction,
+    and ``is_adequate`` calls this only once its structure check has
+    accepted every member's domain.
 
     Values are compared as (numerator, denominator) pairs, equal exactly
     when the values are: both are in lowest terms with a positive

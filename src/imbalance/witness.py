@@ -9,7 +9,9 @@ explicit set of bid vectors:
    (``CounterexampleTriple`` / ``is_counterexample``);
 2. for each bidder and each vector, build the adequate set that forces
    the payment on the corresponding deletion multiset: the full family of
-   the vector with the bidder's bid set to its partner's, the fill;
+   the vector with the bidder's bid set to its partner's, the fill.  The
+   sets of one vector and fill differ only in which bidder is filled, so
+   they share one member table (``payments.AdequateSets``);
 3. with every forced payment substituted, the residual
    f(vector) - (1/n) * sum of tagged rule values differs between the two
    vectors, so balance cannot hold on both - the union of the adequate
@@ -33,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .bids import BidVector, flat, flat_keys, full_family, remove
-from .payments import build_adequate_set
+from .payments import AdequateSets
 from .rationals import format_rational
 from .rules import PriceRule, RuleUndefinedError, get_rule
 
@@ -212,14 +214,17 @@ def verify_imbalance(
     map).  Failures are logged, never raised: the report shows why a
     candidate instance does not qualify.
 
-    One pass over (vector, bidder) builds each distinct adequate set,
+    One pass over (vector, bidder) decides each distinct adequate set,
     keyed by its base, fill and two ids, once: on the stock pair, bidder
-    n + 1 gets the same set on both vectors.  Adequacy is read from the
-    set's recorded flat-invariance, which is kept for the call; the set is
-    not, since a repeat adds no member to the witness.  Adequate sets
-    share most of their members, so the rule's values are cached for the
-    call and each distinct vector is evaluated once; an error is not
-    cached and recurs on every evaluation.  The flat value the eta check
+    n + 1 gets the same set on both vectors.  Bidder i's set is the full
+    family of the vector with i's bid set to the fill, so the sets of one
+    (vector, fill) share one ``AdequateSets`` table, made once per call:
+    each member, keyed by the positions that keep their own bid, is built
+    once and checked until a set has shown it flat.  The witness gets the
+    members of every set that passed, which are the members each table
+    has shown flat.  The rule's values are also cached for the call, so
+    each distinct vector is evaluated once; an error is not cached and
+    recurs on every evaluation.  The flat value the eta check
     evaluates is the bidder's forced term, so when a vector's sets are
     all adequate its residual is rule(vector) minus the mean of those
     flat values.  When all hypotheses pass, both residuals exist, since
@@ -238,6 +243,7 @@ def verify_imbalance(
     eta_checks: list[HypothesisCheck] = []
     witness: set[BidVector] = {triple.b_low, triple.b_high}
     invariant: dict[tuple, bool] = {}  # (base, fill, i, partner) -> its set's flat-invariance
+    tables: dict[tuple, AdequateSets] = {}  # (vector, fill) -> the sets that share its members
     residuals: list[Fraction | None] = []
     etas: list[dict[int, Fraction]] = []
     for label, vector, selector in (
@@ -259,10 +265,10 @@ def verify_imbalance(
             key = (remove(vector, {i, partner}), fill, i, partner)
             ok = invariant.get(key)
             if ok is None:
-                adequate = build_adequate_set(key[0], fill, rule, i, partner)
-                ok = invariant[key] = adequate.flat_invariant
-                if ok:
-                    witness |= adequate.members
+                table = tables.get((vector, fill))
+                if table is None:
+                    table = tables[vector, fill] = AdequateSets(vector, fill, rule)
+                ok = invariant[key] = table.decide(i)
             detail = "" if ok else f"rule not flat-invariant at fill {format_rational(fill)}"
             adequacy_checks.append(HypothesisCheck(f"adequate[{label},{i}]", ok, detail))
             adequate_all = adequate_all and ok
@@ -294,6 +300,9 @@ def verify_imbalance(
         residuals.append(residual)
         etas.append(eta)
 
+    for table in tables.values():  # the members of every set that passed
+        members = table.family.members
+        witness.update([members[mask] for mask in table.flat_masks])
     lhs, rhs = residuals
     hypotheses = (counter, *adequacy_checks, *eta_checks)
     met = all(c.passed for c in hypotheses)

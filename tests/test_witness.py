@@ -19,7 +19,7 @@ from imbalance import (
     RuleDomainError,
     RuleUndefinedError,
     bid_vector_from_json,
-    build_adequate_set,
+    check_flat_invariance,
     build_balance_system,
     default_selector,
     flat,
@@ -266,27 +266,79 @@ class TestVerifyImbalance:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_single_pass_builds_each_set_once(self, n, monkeypatch):
-        from imbalance import payments, witness
+        from imbalance import payments
 
-        calls = []
-        original = payments.build_adequate_set
+        decided = []
+        original = payments.AdequateSets.decide
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(table, bidder):
+            # the set's own vector: the table's vector with the bidder's bid set to the fill
+            fill = table.family.fill
+            holders = BidVector(tuple((b, fill if b == bidder else v)
+                                      for b, v in table.vector.entries))
+            decided.append((holders, bidder))
+            return original(table, bidder)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a set built here needs no structure re-check")
 
-        monkeypatch.setattr(witness, "build_adequate_set", counting)
-        monkeypatch.setattr(payments, "build_adequate_set", counting)
+        monkeypatch.setattr(payments.AdequateSets, "decide", counting)
         monkeypatch.setattr(payments, "is_adequate", forbidden)
-        monkeypatch.setattr(witness, "is_adequate", forbidden, raising=False)
         triple, j_low, j_high = vickrey_instance(n)
         assert verify_imbalance(NEG2, triple, j_low, j_high).holds
         # bidder n + 1 has the same base, fill and ids on both stock vectors
-        assert len(calls) == 2 * (n + 2) - 1
-        assert len({(base, fill, i1, i2) for base, fill, _, i1, i2 in calls}) == len(calls)
+        assert len(decided) == 2 * (n + 2) - 1
+        assert len(set(decided)) == len(decided)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_member_is_built_twice_per_call(self, n, monkeypatch):
+        from imbalance import bids
+
+        families, builds, inside = [], Counter(), []
+        original_init, original_masks = bids.CompletionFamilies.__init__, bids.CompletionFamilies.masks
+        original_hashed = BidVector._hashed
+
+        def recording_init(family, vector, fill):
+            families.append(((vector, fill), family))
+            original_init(family, vector, fill)
+
+        def recording_masks(family, filled=None):
+            inside.append(family)
+            try:
+                return original_masks(family, filled)
+            finally:
+                inside.pop()
+
+        def counting_hashed(entries, pair_hashes):
+            if inside:  # flat vectors are built outside any family
+                builds[id(inside[-1])] += 1
+            return original_hashed(entries, pair_hashes)
+
+        monkeypatch.setattr(bids.CompletionFamilies, "__init__", recording_init)
+        monkeypatch.setattr(bids.CompletionFamilies, "masks", recording_masks)
+        monkeypatch.setattr(BidVector, "_hashed", staticmethod(counting_hashed))
+        triple, j_low, j_high = vickrey_instance(n)
+        assert verify_imbalance(NEG2, triple, j_low, j_high).holds
+        # one table per (vector, fill), and each of its masks built once
+        assert len({key for key, _ in families}) == len(families) == 4
+        for _, family in families:
+            assert builds[id(family)] == len(family.members)
+
+    def test_the_rule_runs_once_per_witness_vector(self):
+        seen = Counter()
+
+        def counting(vector):
+            seen[vector] += 1
+            return NEG2.fn(vector)
+
+        for n in (1, 2, 3, 4):
+            seen.clear()
+            triple, j_low, j_high = vickrey_instance(n)
+            report = verify_imbalance(PriceRule(NEG2.name, NEG2.min_arity, counting),
+                                      triple, j_low, j_high)
+            assert report.holds
+            assert sum(seen.values()) == len(seen) == len(report.witness_set) == 5 * 2 ** n
+            assert set(seen) == report.witness_set
 
     def test_invalid_partner_fails_its_side_only(self):
         triple, j_low, j_high = stock_triple(2)
@@ -334,11 +386,11 @@ class TestVerifyImbalance:
         rule = TaggedRule(NEG2.name, NEG2.min_arity, NEG2.fn, symmetric=True, tag="kept")
         seen = []
 
-        def capturing(base, fill, rule, i, partner):
+        def capturing(rule, vectors, bidders, fill):
             seen.append(rule)
-            return build_adequate_set(base, fill, rule, i, partner)
+            return check_flat_invariance(rule, vectors, bidders, fill)
 
-        monkeypatch.setattr("imbalance.witness.build_adequate_set", capturing)
+        monkeypatch.setattr("imbalance.payments.check_flat_invariance", capturing)
         triple, j_low, j_high = vickrey_instance(2)
         assert verify_imbalance(rule, triple, j_low, j_high).holds
         assert seen and {type(r) for r in seen} == {TaggedRule}
