@@ -255,13 +255,18 @@ class CompletionFamilies:
 
     Members are built from shared pairs: each position's kept pair is the
     vector's own, and its filled pair and both (bidder, hash) pairs are
-    built once, from one hash per distinct bid object.  The pair lists
-    grow one bid group at a time, each list so far copied with the
-    group's first 1, 2, ... holders kept, and each row carries its mask
-    along.  A member gets its hash from its pair hashes through
-    ``BidVector._hashed`` when it is built, and families of vectors that
-    share bid objects share them too, so their equal members compare
-    equal by identity.
+    built once, from one hash per distinct bid object.  The masks grow one
+    bid group at a time, each mask so far followed by the masks with the
+    group's first 1, 2, ... holders kept, so every mask follows its
+    parent, the mask with one bit fewer, and every parent is a mask of the
+    family too.  A mask not in ``members`` yet is built then, from its
+    parent's pairs with one more position kept: one copy per new member,
+    none for a mask built before.  The (bidder, hash) pairs of the members
+    a call builds are kept for that call only, and those of a parent that
+    an earlier call built are read off its mask.  A member gets its hash
+    from its pair hashes through ``BidVector._hashed``, and
+    families of vectors that share bid objects share them too, so their
+    equal members compare equal by identity.
     """
 
     def __init__(self, vector: BidVector, fill):
@@ -272,7 +277,8 @@ class CompletionFamilies:
                 hashes[id(v)] = hash(v)
         self._kept = kept = vector.entries
         self._kept_hashes = [(i, hashes[id(v)]) for i, v in kept]
-        self._filled = ([(i, fill_bid) for i, _ in kept], [(i, hashes[id(fill_bid)]) for i, _ in kept])
+        self._filled = (tuple([(i, fill_bid) for i, _ in kept]),
+                        tuple([(i, hashes[id(fill_bid)]) for i, _ in kept]))
         self._groups = [g for v, g in _bid_groups(kept).items() if v != fill_bid]
         self.members: dict[int, BidVector] = {}
 
@@ -281,22 +287,30 @@ class CompletionFamilies:
         bid set to the fill, in enumeration order; a member not built
         before is built and kept in ``members``."""
         kept, kept_hashes, members = self._kept, self._kept_hashes, self.members
-        rows = [(0, *self._filled)]
+        filled_pairs, filled_hashes = self._filled
+        if not members:
+            members[0] = BidVector._hashed(filled_pairs, filled_hashes)
+        hashes_of = {0: filled_hashes}  # mask -> its member's (bidder, hash) pairs, this call only
+        masks = [0]
         for group in self._groups:
             positions = [(pos, 1 << pos) for pos in group if kept[pos][0] != filled]
             grown = []
-            for mask, pairs, pair_hashes in rows:
-                grown.append((mask, pairs, pair_hashes))
+            for mask in masks:
+                grown.append(mask)
                 for pos, bit in positions:
-                    pairs, pair_hashes = pairs[:], pair_hashes[:]
-                    pairs[pos], pair_hashes[pos] = kept[pos], kept_hashes[pos]
-                    mask |= bit
-                    grown.append((mask, pairs, pair_hashes))
-            rows = grown
-        for mask, pairs, pair_hashes in rows:
-            if mask not in members:
-                members[mask] = BidVector._hashed(tuple(pairs), tuple(pair_hashes))
-        return [mask for mask, _, _ in rows]
+                    parent, mask = mask, mask | bit
+                    if mask not in members:
+                        pair_hashes = hashes_of.get(parent)
+                        if pair_hashes is None:  # the parent was built by an earlier call
+                            pair_hashes = [kept_hashes[p] if parent >> p & 1 else h
+                                           for p, h in enumerate(filled_hashes)]
+                        pairs, pair_hashes = list(members[parent].entries), list(pair_hashes)
+                        pairs[pos], pair_hashes[pos] = kept[pos], kept_hashes[pos]
+                        hashes_of[mask] = pair_hashes = tuple(pair_hashes)
+                        members[mask] = BidVector._hashed(tuple(pairs), pair_hashes)
+                    grown.append(mask)
+            masks = grown
+        return masks
 
 
 def full_family(vector: BidVector, fill) -> frozenset[BidVector]:

@@ -18,17 +18,23 @@ row in row order.  It is re-checked by substituting it into every row
 
 Rows are eliminated in their original order, so each pivot row is
 independent of all rows before it: the pivot rows are the greedy row
-basis, whichever column each one pivots on.  The first row that reduces
-to 0 = nonzero ends the solve: no later row is copied or reduced.  A row
-equal to one already reduced would reduce to 0 = 0, so it is skipped.  The
-certificate is the unique combination of that row with the basis rows
-before it, rebuilt from the recorded elimination steps; the assignment
-is the unique solution that is zero on every column in the span of
-lower-index columns.  Neither depends on the pivot columns, so the
-choice of column (the one held by the fewest original rows) changes
-only the work, never the bytes.  When that choice leaves a column that
-holds an entry without a pivot, a second pass eliminates the first
-pass's pivot rows again, each pivoting on its lowest column, and
+basis, whichever column each one pivots on.  A working row is divided by
+its content (the gcd of its integers) only on a step that rescales the
+whole row and at the end of its reduction, so a step costs the
+length of its pivot row, not of the working row, and a row that absorbs
+hundreds of pivots is not rescanned on each.  The row between divisions
+is a positive multiple of the fully divided one, so the pivot rows end
+primitive and the same as with a division on every step.  The first row
+that reduces to 0 = nonzero ends the solve: no later row is copied or
+reduced.  A row equal to one already reduced would reduce to 0 = 0, so
+it is skipped.  The certificate is the unique combination of that row
+with the basis rows before it, rebuilt from the recorded elimination
+steps; the assignment is the unique solution that is zero on every
+column in the span of lower-index columns.  Neither depends on the pivot
+columns, so the choice of column (the one held by the fewest original
+rows) changes only the work, never the bytes.  When that choice leaves a
+column that holds an entry without a pivot, a second pass eliminates the
+first pass's pivot rows again, each pivoting on its lowest column, and
 back-substitution with every column but the pivot columns at zero gives
 the assignment.
 
@@ -218,11 +224,21 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     index order.  Each row's integers are copied, so the system is left
     unchanged, and reduced against the pivot rows accepted before it, in
     the order they were accepted; only ``_certificate`` reads its scale.
-    Each step is ``(a/g)*row - (f/g)*pivot`` (``a`` the pivot entry,
-    ``f`` the row's entry, ``g`` their gcd), divided by the content (the
-    gcd of all the row's integers), and is recorded as ``(pivot number,
-    a/g, f/g, content)``.  A pivot row is zero only at the pivot columns
-    accepted before it, so reducing by pivot p adds entries at later
+    Each step makes the row ``((a/g)*row - (f/g)*pivot) / content``
+    (``a`` the pivot entry, ``f`` the row's entry, ``g`` their gcd) and is
+    recorded as ``(pivot number, a/g, f/g, content)``.  The content, the
+    gcd of all the row's integers, is taken on a step with a/g != 1,
+    which has rescaled the whole row anyway and leaves it primitive, and
+    once more at the row's end when its last step had a/g == 1; that
+    content is recorded in the last step.  Every other step records 1 and
+    costs only the length of its pivot row.  A row with no steps is left
+    as it is, and a row reduced to 0 = 0 (content 0) is never divided.
+    Between divisions the row is a positive
+    multiple of the row that a division on every step would keep, so it
+    has the same zero pattern, meets the same pivots, and ends as the
+    same primitive row: the pivot rows, and so the certificate and the
+    assignment, are unchanged.  A pivot row is zero only at the pivot
+    columns accepted before it, so reducing by pivot p adds entries at later
     pivots' columns only; a heap of the pivot numbers the row holds
     applies them in order.  A row with entries left becomes a pivot row on
     the column held by the fewest original rows, ties to the higher index,
@@ -317,12 +333,14 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
                     elif c in ints:
                         del ints[c]
                 row_rhs = ap * row_rhs - fp * p_rhs
-                content = gcd(row_rhs, *ints.values())
-                if content > 1:
-                    for c in ints:
-                        ints[c] //= content
-                    row_rhs //= content
+                content = 1
+                if ap != 1:  # the whole row was rescaled, so its content costs no more
+                    content, row_rhs = _divide_out_content(ints, row_rhs)
                 steps.append((p, ap, fp, content))
+            if steps and steps[-1][1] == 1:  # a last step with ap != 1 left the row primitive
+                content, row_rhs = _divide_out_content(ints, row_rhs)
+                if content > 1:  # fold it into the last step, which recorded 1
+                    steps[-1] = steps[-1][:3] + (content,)
             if ints:
                 col = min(ints) if lowest else min(ints, key=priority)
                 pivot_of[col] = len(pivots)
@@ -352,6 +370,18 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
             solution[col] = Fraction(num, den * p_coeffs[col])
     zero = Fraction(0)
     return Feasible(tuple(solution.get(col, zero) for col in range(len(system.variables))))
+
+
+def _divide_out_content(ints: dict[int, int], rhs: int) -> tuple[int, int]:
+    """Divide a working row by its content, the gcd of its integers; return
+    the content and the new rhs.  A row 0 = 0 has content 0 and is left
+    as it is."""
+    content = gcd(rhs, *ints.values())
+    if content > 1:
+        for c in ints:
+            ints[c] //= content
+        rhs //= content
+    return content, rhs
 
 
 def _certificate(

@@ -342,6 +342,23 @@ def test_full_family_matches_reference(base, fill):
         assert_masks_name_own_pairs(base, fill, i)
 
 
+@settings(max_examples=200, deadline=None)
+@given(bases, fills)
+def test_one_table_serves_every_bidder_in_turn(base, fill):
+    """One table grows every bidder's family in turn, as ``AdequateSets``
+    uses it: each call names the members a fresh table names, and a member
+    grown from a parent that an earlier call built holds the hash of its
+    own entries."""
+    family = CompletionFamilies(base, fill)
+    for filled in [None, *base.dom]:
+        fresh = CompletionFamilies(base, fill)
+        masks = family.masks(filled)
+        assert masks == fresh.masks(filled)
+        assert [family.members[m] for m in masks] == [fresh.members[m] for m in masks]
+    for member in family.members.values():
+        assert member.__dict__["_hash"] == hash(BidVector(member.entries))
+
+
 @pytest.mark.parametrize("fill", [5, "5", Fraction(5), "10/2", 3])
 def test_fill_equal_to_a_bid(fill):
     base = BidVector.of({1: 5, 2: 3, 4: 5, 6: 3})

@@ -10,6 +10,13 @@ every certificate and every assignment must be equal value for value, in
 the same order.  The current solver also skips a row equal to one it has
 already reduced, which the reference never does, so systems with copied
 rows pin that skipping changes nothing.
+
+The solver takes a working row's content only on a step that rescales
+the whole row, and at the row's end when its last step did not.  Chain systems, in which one
+late row absorbs every earlier pivot, drive both kinds of step on long
+rows; replaying the recorded steps pins that every pivot row still ends
+primitive, and a count of ``gcd`` arguments pins that the work stays
+linear in the stored entries.
 """
 
 import contextlib
@@ -18,6 +25,7 @@ import json
 import random
 from fractions import Fraction
 from heapq import heapify
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -335,3 +343,178 @@ def test_an_equal_row_is_never_reduced(monkeypatch):
     assert len(system.rows) == 6 ** 4
     assert isinstance(solve_or_refute(system), Feasible)
     assert len(calls) == 126  # C(6 + 4 - 1, 4) bags
+
+
+# --- when a working row's content is taken ------------------------------
+
+
+@pytest.mark.parametrize("rule", WITNESS_RULES)
+@pytest.mark.parametrize("k", [7, 8])
+def test_gcd_work_is_linear_in_the_stored_entries(k, rule, monkeypatch):
+    """``gcd`` reads at most three arguments per stored entry over a whole
+    solve: a step with ap == 1 reads only its pivot row, and a working
+    row's content is taken only when a step rescales the whole row, and
+    at the row's end when its last step did not.  Taking it on every
+    step read 23 (k = 7) and 42 (k = 8) arguments per entry, as a few
+    rows absorb hundreds of pivots."""
+    system = build_balance_system(vickrey_witness_set(k), get_rule(rule))
+    nnz = sum(len(row.coeffs) for row in system.rows)
+    read = []
+
+    def counted(*args):
+        read.append(len(args))
+        return gcd(*args)
+
+    monkeypatch.setattr(feasibility, "gcd", counted)
+    solve_or_refute(system)
+    assert sum(read) <= 3 * nnz
+
+
+def replayed_rows(rows, reduced):
+    """The integers ``(coeffs, rhs)`` of each recorded row after its steps,
+    replayed from the system's rows: a step ``(p, ap, fp, content)`` makes
+    its row ``(ap*row - fp*pivot_p) / content``, and the content must divide
+    exactly."""
+    out = []
+    for idx, steps in reduced:
+        ints, rhs = dict(rows[idx].coeffs), rows[idx].rhs
+        for p, ap, fp, content in steps:
+            p_ints, p_rhs = out[p]
+            combined = {c: ap * ints.get(c, 0) - fp * p_ints.get(c, 0)
+                        for c in ints.keys() | p_ints}
+            rhs = ap * rhs - fp * p_rhs
+            assert content > 0 and rhs % content == 0
+            assert all(v % content == 0 for v in combined.values())
+            ints, rhs = {c: v // content for c, v in combined.items() if v}, rhs // content
+        out.append((ints, rhs))
+    return out
+
+
+def recorded_steps(system):
+    """The rows, steps and final rhs that ``_certificate`` receives when
+    ``system`` is solved with a contradiction row appended, the sum of its
+    rows with the rhs shifted by one: the original rows, each recorded
+    row's index and steps (the pivot rows, then the certificate row), and
+    the certificate row's rhs.  The appended row lies in the span of the
+    rows, so it changes no pivot row, and it makes every solve end in a
+    certificate, so ``_certificate`` receives every pivot row when the
+    system is consistent."""
+    summed: dict[int, Fraction] = {}
+    total = Fraction(1)
+    for row in system.rows:
+        coeffs, rhs = rational_row(row)
+        for c, v in coeffs.items():
+            summed[c] = summed.get(c, 0) + v
+        total += rhs
+    appended = linear_rows([({c: v for c, v in summed.items() if v}, total)])
+    seen = []
+    real = feasibility._certificate
+
+    def recording(rows, reduced, row_rhs):
+        seen.append((rows, reduced, row_rhs))
+        return real(rows, reduced, row_rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_certificate", recording)
+        assert isinstance(solve_or_refute(LinearSystem(system.variables, system.rows + appended)),
+                          Infeasible)
+    (found,) = seen
+    return found
+
+
+def assert_primitive_pivot_rows(system):
+    """Every recorded step replays exactly, every pivot row reduced by a
+    step is primitive, one with no step is the stored row, and the
+    certificate row ends at 0 = ±1."""
+    rows, reduced, row_rhs = recorded_steps(system)
+    replayed = replayed_rows(rows, reduced)
+    for (idx, steps), (ints, rhs) in zip(reduced[:-1], replayed):
+        assert ints  # a pivot row holds its pivot entry
+        if steps:
+            assert gcd(rhs, *ints.values()) == 1
+        else:
+            assert (ints, rhs) == (rows[idx].coeffs, rows[idx].rhs)
+    assert replayed[-1] == ({}, row_rhs) and abs(row_rhs) == 1
+
+
+entries = st.integers(-7, 7).filter(bool)
+rhs_20_bits = st.integers(-(1 << 20), 1 << 20)
+
+
+@st.composite
+def chain_systems(draw):
+    """Rows 0..n-1 each hold a pivot entry drawn from 1..7 on column i and
+    drawn entries on later columns, with 20-bit right-hand sides; then a
+    late row holding every column absorbs every earlier pivot, with steps
+    of ap == 1 (the pivot entry divides the row's) and of ap != 1 on one
+    long row.  The late row either contradicts (0 = c, |c| mostly above
+    1), reduces to 0 = 0 only after its steps, or holds one more column
+    and becomes a long pivot row; a first row may share a factor in all
+    its integers, which its no-step pivot row keeps."""
+    n = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["contradiction", "zero", "pivot"]))
+    rows = []
+    for i in range(n):
+        coeffs = {i: Fraction(draw(st.integers(1, 7)))}
+        for c in range(i + 1, n):
+            if draw(st.booleans()):
+                coeffs[c] = Fraction(draw(entries))
+        rows.append((coeffs, Fraction(draw(rhs_20_bits))))
+    factor = draw(st.integers(1, 6))
+    rows[0] = ({c: factor * v for c, v in rows[0][0].items()}, factor * rows[0][1])
+    late = {c: Fraction(draw(entries)) for c in range(n)}
+    if kind == "zero":  # the rhs that makes the late row the combination its coefficients are
+        solution = reference_solve_or_refute(chain_system(n, rows)).assignment
+        rows.append((late, sum(v * solution[c] for c, v in late.items())))
+    else:
+        if kind == "pivot":
+            late[n] = Fraction(draw(entries))
+        rows.append((late, Fraction(draw(rhs_20_bits))))
+    return chain_system(n + (kind == "pivot"), rows)
+
+
+def chain_system(n_vars, rows):
+    return LinearSystem(variables=tuple(BidMultiset.of([k]) for k in range(n_vars)),
+                        rows=linear_rows(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_systems())
+def test_chain_systems_match_reference(system):
+    assert_same_result(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_systems())
+def test_chain_pivot_rows_are_primitive(system):
+    assert_primitive_pivot_rows(system)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("rule", WITNESS_RULES)
+def test_witness_pivot_rows_are_primitive(n, rule):
+    assert_primitive_pivot_rows(build_balance_system(vickrey_witness_set(n), get_rule(rule)))
+
+
+def test_steps_with_ap_one_fold_the_content_into_the_last_step():
+    """Rows x0 = 2 and x1 = 3 leave steps with ap == 1 only: the late row
+    5*x0 + 10*x1 = 45 becomes 0 = 5 with no division on the way, and its
+    content 5 is taken once, at its end, and recorded in its last step,
+    so the certificate row ends at 0 = 1."""
+    system = chain_system(2, [({0: 1}, 2), ({1: 1}, 3), ({0: 5, 1: 10}, 45)])
+    _, reduced, row_rhs = recorded_steps(system)
+    assert reduced == [(0, []), (1, []), (2, [(0, 1, 5, 1), (1, 1, 10, 5)])]
+    assert row_rhs == 1
+    assert_same_result(system)
+
+
+def test_a_rescaling_step_takes_the_content_at_once():
+    """Pivot entry 2 against the row's 3 rescales the whole row (ap = 2), so
+    that step takes the content: 2*(3, 9 | 6) - 3*(2, 0 | 4) = (0, 18 | 0)
+    has content 18, and nothing is left to fold.  The late row x1 = 5 then
+    becomes 0 = 5 on a step with ap == 1, and folds 5 at its end."""
+    system = chain_system(2, [({0: 2}, 4), ({0: 3, 1: 9}, 6), ({1: 1}, 5)])
+    _, reduced, row_rhs = recorded_steps(system)
+    assert reduced == [(0, []), (1, [(0, 2, 3, 18)]), (2, [(1, 1, 1, 5)])]
+    assert row_rhs == 1
+    assert_same_result(system)
