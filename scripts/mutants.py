@@ -63,6 +63,12 @@ MUTANTS = [
      "return not any(combined.values()) and rhs_total != 0", "return not any(combined.values())"),
     ("assignment-check-skips-last-row", "feasibility.py",
      "        for row in system.rows\n    )", "        for row in system.rows[:-1]\n    )"),
+    ("deletion-count-short-first-run", "feasibility.py",
+     "len(ids)), end - k))", "len(ids)), end - k - (k == 0 and end - k > 1)))"),
+    ("second-price-bag-takes-top", "rules.py",
+     "_second_price, lambda s: s[-2])", "_second_price, lambda s: s[-1])"),
+    ("variable-order-by-size-only", "feasibility.py",
+     "order = sorted(sorted(ids), key=len)", "order = sorted(ids, key=len)"),
 ]
 
 # a pytest plugin, loaded with -p, that records the time of each failing test report

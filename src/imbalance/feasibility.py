@@ -161,14 +161,26 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     r < s, the bag minus one s agrees with the bag minus one r below r
     and holds one more r, so it is the smaller tuple.  Every "bag minus
     one r" has the bag's size less one, so the runs in reverse give the
-    map, and the coefficient dict built from it, in variable index order
-    with no sort.  The counts times a scale are computed once per
-    distinct (bag, scale): the first row with that key keeps the dict,
-    and each later row gets a copy, so every row owns its dict.
+    map in increasing deletion order with no sort.
 
-    The rule runs in canonical vector order.  A ``symmetric`` rule runs
-    once per distinct bag, on its first vector, and every vector of the
-    bag takes that rhs; its arity check reads only the bag's size, so the
+    Interning: each deletion a bag yields is hashed once, in the lookup
+    that gives it a provisional id (the number of distinct deletions seen
+    before it) or reads the one it has; a bag's map holds (id, count)
+    pairs.  The distinct deletions are then sorted once by (size, ranks),
+    the variable order, and a list maps each provisional id to its
+    variable index.  That list is increasing in the deletion order, so
+    each bag's coefficient dict, built through it from the pairs in their
+    increasing order, is inserted in variable index order with no sort
+    per bag.  The counts times a scale are computed once per distinct
+    (bag, scale): the first row with that key keeps the dict, and each
+    later row gets a copy, so every row owns its dict.
+
+    The rule runs in canonical vector order.  A rule with a bag form
+    (``PriceRule.bag``, every built-in rule) runs once per distinct bag,
+    through ``of_bag`` on the bag's bids in increasing order
+    ``[values[r] for r in bag]``, and reads no bidder and no ``Fraction``
+    field; every vector of the bag takes that rhs.  It runs at the bag's
+    first vector, and its arity check reads only the bag's size, so the
     first error names the same vector as one evaluation per vector would.
     Any other rule, such as a table rule, runs once per distinct vector,
     on its first-seen representative.
@@ -178,31 +190,35 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     first: dict[tuple[int, ...], BidVector] = {}
     for key, vec in zip(keys, vecs):
         first.setdefault(key, vec)
+    by_bag = rule.bag is not None
     raw = []
-    maps: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}  # bag -> its deletion counts
-    rhs_of: dict[tuple[int, ...], Fraction] = {}  # bag -> rule value, filled for a symmetric rule
+    ids: dict[tuple[int, ...], int] = {}  # deletion -> provisional id, in first-seen order
+    maps: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # bag -> its (id, count) pairs
+    rhs_of: dict[tuple[int, ...], Fraction] = {}  # bag -> rule value, filled for a bag form
     for key in sorted(first):
         vec = first[key]
         bag = tuple(sorted(key[1::2]))
         rhs = rhs_of.get(bag)
         if rhs is None:
             try:
-                rhs = rule(vec)
+                rhs = rule.of_bag([values[r] for r in bag]) if by_bag else rule(vec)
             except RuleUndefinedError as exc:
                 raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
-            if rule.symmetric:
+            if by_bag:
                 rhs_of[bag] = rhs
         if bag not in maps:
-            counts = maps[bag] = {}
+            counts = maps[bag] = []
             end = len(bag)
             for k in range(end - 1, -1, -1):
                 if k == 0 or bag[k - 1] != bag[k]:  # k starts a run of equal ranks
-                    counts[bag[:k] + bag[k + 1:]] = end - k
+                    counts.append((ids.setdefault(bag[:k] + bag[k + 1:], len(ids)), end - k))
                     end = k
         raw.append((vec, bag, rhs))
-    order = sorted(sorted({m for counts in maps.values() for m in counts}), key=len)
-    index = {m: k for k, m in enumerate(order)}
-    coeffs = {bag: {index[m]: c for m, c in counts.items()} for bag, counts in maps.items()}
+    order = sorted(sorted(ids), key=len)
+    remap = [0] * len(order)  # provisional id -> variable index
+    for k, m in enumerate(order):
+        remap[ids[m]] = k
+    coeffs = {bag: {remap[p]: c for p, c in counts} for bag, counts in maps.items()}
     rows = []
     scaled: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (bag, scale) -> a row's dict
     for vec, bag, rhs in raw:

@@ -14,12 +14,15 @@ finite set of vectors only, which lets tests and experiments plug in
 arbitrary maps.  Rules are immutable after construction and evaluation is
 pure, so they are safe to share.
 
-``PriceRule.symmetric`` marks a rule whose value, and whether it is
-defined at all, depend only on the bag of bids, so callers may evaluate it
-once per bag.  ``get_rule`` sets it on every built-in rule.
-``register_external`` never does: a table is defined one vector at a time,
-so another ordering of a bag, or the same bids on other bidders, may be
-missing from it, and a value read by bag would hide that error.
+``PriceRule.bag`` is a rule's bag form: the same rule as a function of
+the bag's bids in increasing order, ``s``.  The built-in forms are
+``s[-2]``, ``-s[-2]``, ``s[-1]``, ``-s[-1]`` and the constant, and
+``get_rule`` gives one to every built-in rule, so callers that hold the
+bags, not the vectors, evaluate it once per bag through
+``PriceRule.of_bag`` and read no bidder.  ``register_external`` never
+gives one: a table is defined one vector at a time, so another ordering
+of a bag, or the same bids on other bidders, may be missing from it, and
+a value read by bag would hide that error.
 """
 
 from __future__ import annotations
@@ -50,25 +53,37 @@ class RuleDomainError(RuleUndefinedError):
 class PriceRule:
     """Named total map BidVector -> Fraction (total above ``min_arity``).
 
-    ``symmetric`` promises that ``fn`` gives equal values on any two
-    vectors with equal bags (the same bids, counted with multiplicity,
-    whoever holds them), and that the rule is defined on both or on
-    neither; the arity check reads only the bag's size.  A caller may then
-    evaluate the rule on one vector per bag.  It is False unless set.
+    ``bag``, when set, is the rule's bag form: ``bag(sorted(v.values()))``
+    equals ``fn(v)`` on every vector ``v`` the rule is defined on, so the
+    value depends only on the bag (the same bids, counted with
+    multiplicity, whoever holds them), and the arity check reads only the
+    bag's size.  A caller may then evaluate the rule once per bag, on its
+    bids alone, through ``of_bag``.  It is None unless set.
     """
 
     name: str
     min_arity: int
     fn: Callable[[BidVector], Fraction] = field(compare=False, repr=False)
-    symmetric: bool = False
+    bag: Callable[[list[Fraction]], Fraction] | None = field(
+        default=None, compare=False, repr=False)
 
     def __call__(self, vector: BidVector) -> Fraction:
         if len(vector) < self.min_arity:
-            raise RuleArityError(
-                f"rule undefined on this arity: {self.name!r} needs at least "
-                f"{self.min_arity} bidders, got {len(vector)}"
-            )
+            raise self._arity_error(len(vector))
         return self.fn(vector)
+
+    def of_bag(self, bids: list[Fraction]) -> Fraction:
+        """The rule on any vector whose bids, in increasing order, are
+        ``bids``, with ``__call__``'s arity check and error."""
+        if len(bids) < self.min_arity:
+            raise self._arity_error(len(bids))
+        return self.bag(bids)
+
+    def _arity_error(self, size: int) -> RuleArityError:
+        return RuleArityError(
+            f"rule undefined on this arity: {self.name!r} needs at least "
+            f"{self.min_arity} bidders, got {size}"
+        )
 
 
 def _second_price(vector: BidVector) -> Fraction:
@@ -108,17 +123,17 @@ def _first_price(vector: BidVector) -> Fraction:
 def get_rule(name: str) -> PriceRule:
     """Look up a built-in rule by its registry name."""
     if name == "second-price":
-        return PriceRule(name, 2, _second_price, symmetric=True)
+        return PriceRule(name, 2, _second_price, lambda s: s[-2])
     if name == "neg-second-price":
-        return PriceRule(name, 2, lambda b: -_second_price(b), symmetric=True)
+        return PriceRule(name, 2, lambda b: -_second_price(b), lambda s: -s[-2])
     if name == "first-price":
-        return PriceRule(name, 1, _first_price, symmetric=True)
+        return PriceRule(name, 1, _first_price, lambda s: s[-1])
     if name == "neg-first-price":
-        return PriceRule(name, 1, lambda b: -_first_price(b), symmetric=True)
+        return PriceRule(name, 1, lambda b: -_first_price(b), lambda s: -s[-1])
     if name.startswith("constant:"):
         value = ensure_rational(name.split(":", 1)[1])
         canonical = f"constant:{format_rational(value)}"
-        return PriceRule(canonical, 1, lambda b: value, symmetric=True)
+        return PriceRule(canonical, 1, lambda b: value, lambda s: value)
     raise ValueError(
         f"unknown rule {name!r}; expected second-price, neg-second-price, "
         "first-price, neg-first-price, or constant:<p/q>"

@@ -12,7 +12,8 @@ same JSON bytes and the same errors, and no two rows of the
 current build may share a coefficient dict.  Every input also checks the
 build's ``rank_bids`` against its definition (``conftest.assert_ranked``).
 The reference runs the rule once per distinct vector; the current build
-runs a ``symmetric`` rule once per bag, which the counting tests pin.
+runs a rule's bag form once per bag, on the bag's bids alone, which the
+counting tests pin.
 Fixed bags pin the build's run-length deletion map (runs of equal bids at
 the start, middle and end, one bid held by all, one bid and none), and
 bidder ids from 10 up pin the integer order of the build's flat keys and
@@ -269,14 +270,20 @@ def test_flat_keys_sort_prefixes_first_and_ids_as_integers():
 
 
 def counted(rule):
-    """The rule with a counter on its ``fn``, every other field kept."""
-    calls = Counter()
+    """The rule with a counter on its ``fn`` and one on its bag form, when it
+    has one, every other field kept; the bag counter is keyed by the bids."""
+    vector_calls, bag_calls = Counter(), Counter()
 
     def fn(vector):
-        calls[vector] += 1
+        vector_calls[vector] += 1
         return rule.fn(vector)
 
-    return dataclasses.replace(rule, fn=fn), calls
+    def bag(bids):
+        bag_calls[tuple(bids)] += 1
+        return rule.bag(bids)
+
+    counting = dataclasses.replace(rule, fn=fn, bag=bag if rule.bag else None)
+    return counting, vector_calls, bag_calls
 
 
 def benchmark_grid(seed, k, b):
@@ -295,23 +302,28 @@ def test_a_symmetric_rule_runs_once_per_bag_and_a_table_once_per_vector():
     vectors = benchmark_grid(0, 4, 6)
     assert len(vectors) == 1296
     for name in GRID_RULES:
-        rule, calls = counted(get_rule(name))
+        rule, vector_calls, bag_calls = counted(get_rule(name))
         system = build_balance_system(vectors, rule)
-        assert sum(calls.values()) == len(calls) == 126  # one per bag of 4 among 6 bids
+        assert not vector_calls
+        assert sum(bag_calls.values()) == len(bag_calls) == 126  # one per bag of 4 among 6 bids
+        assert all(list(bids) == sorted(bids) for bids in bag_calls)
         assert_same_json(system, reference_build_balance_system(vectors, get_rule(name)))
     neg2 = get_rule("neg-second-price")
-    rule, calls = counted(register_external("grid", {v: neg2(v) for v in vectors}))
+    table = register_external("grid", {v: neg2(v) for v in vectors})
+    rule, vector_calls, bag_calls = counted(table)
     build_balance_system(vectors, rule)
-    assert sum(calls.values()) == len(calls) == 1296
+    assert sum(vector_calls.values()) == len(vector_calls) == 1296
+    assert not bag_calls
 
 
 def test_one_bag_on_other_bidders_runs_a_built_in_rule_once():
     a, b = Fraction(5, 3), Fraction(1, 4)
     for name in RULES:
-        rule, calls = counted(get_rule(name))
+        rule, vector_calls, bag_calls = counted(get_rule(name))
         system = build_balance_system([BidVector.of({1: a, 2: b}), BidVector.of({3: b, 4: a})],
                                       rule)
-        assert sum(calls.values()) == 1
+        assert not vector_calls
+        assert dict(bag_calls) == {(b, a): 1}  # the bag's bids in increasing order
         first, second = system.rows
         assert (first.rhs, first.scale) == (second.rhs, second.scale)
         assert first.coeffs == second.coeffs

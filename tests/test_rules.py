@@ -56,13 +56,15 @@ class TestEval:
         assert get_rule("constant:4/6").name == "constant:2/3"
 
     def test_only_built_in_rules_are_symmetric(self):
+        # a built-in rule has a bag form; a table may hold one ordering of a
+        # bag and not another, so it has none, and a rule made from an fn
+        # alone has none either
         names = ["second-price", "neg-second-price", "first-price", "neg-first-price",
                  "constant:2/4"]
-        assert all(get_rule(name).symmetric for name in names)
+        assert all(get_rule(name).bag is not None for name in names)
         assert get_rule("constant:2/4").name == "constant:1/2"
-        # a table may hold one ordering of a bag and not another
-        assert not register_external("t", {vec({1: 1, 2: 2}): 3}).symmetric
-        assert not PriceRule("positional", 1, lambda b: Fraction(0)).symmetric
+        assert register_external("t", {vec({1: 1, 2: 2}): 3}).bag is None
+        assert PriceRule("positional", 1, lambda b: Fraction(0)).bag is None
 
 
 class TestFlatInvariance:
@@ -244,6 +246,30 @@ def test_rules_make_no_fraction_order_compares(name, monkeypatch):
     value = get_rule(name)(b)
     assert calls == []
     assert value == (-want[name[4:]] if name.startswith("neg-") else want[name])
+
+
+@pytest.mark.parametrize("name", [
+    "second-price", "neg-second-price", "first-price", "neg-first-price", "constant:7/3",
+    "constant:-2", "constant:0",
+])
+@given(st.lists(st.one_of(TIED_BIDS, WIDE_BIDS, rationals), max_size=8), st.randoms())
+def test_bag_form_agrees_with_the_vector_form(name, bids, rnd):
+    # lists of 0 and 1 bids fall below every arity; TIED_BIDS repeats values,
+    # spells some as ints next to equal Fractions, and holds negatives
+    rule = get_rule(name)
+    ids = rnd.sample(range(20), len(bids))
+    vector = BidVector(tuple(sorted(zip(ids, bids))))
+    try:
+        want = rule(vector)
+    except RuleArityError as exc:
+        assert len(bids) < rule.min_arity
+        with pytest.raises(RuleArityError) as got:
+            rule.of_bag(sorted(vector.values()))
+        assert str(got.value) == str(exc)
+        return
+    got = rule.of_bag(sorted(vector.values()))
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 @given(bid_vectors(min_size=2, max_size=6))

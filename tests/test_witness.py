@@ -383,7 +383,7 @@ class TestVerifyImbalance:
         class TaggedRule(PriceRule):
             tag: str = "untagged"
 
-        rule = TaggedRule(NEG2.name, NEG2.min_arity, NEG2.fn, symmetric=True, tag="kept")
+        rule = TaggedRule(NEG2.name, NEG2.min_arity, NEG2.fn, NEG2.bag, tag="kept")
         seen = []
 
         def capturing(rule, vectors, bidders, fill):
@@ -395,7 +395,7 @@ class TestVerifyImbalance:
         assert verify_imbalance(rule, triple, j_low, j_high).holds
         assert seen and {type(r) for r in seen} == {TaggedRule}
         for used in seen:
-            assert used == rule and used.symmetric and used.tag == "kept"
+            assert used == rule and used.bag is NEG2.bag and used.tag == "kept"
             assert used.fn is not rule.fn and used.fn.__wrapped__ is rule.fn
 
     def test_rule_errors_are_not_cached(self):
