@@ -69,6 +69,12 @@ MUTANTS = [
      "_second_price, lambda s: s[-2])", "_second_price, lambda s: s[-1])"),
     ("variable-order-by-size-only", "feasibility.py",
      "order = sorted(sorted(ids), key=len)", "order = sorted(ids, key=len)"),
+    ("forced-payment-one-bidder-short", "payments.py",
+     "target / (2 + len(base))", "target / (1 + len(base))"),
+    ("flat-invariance-numerators-only", "rules.py",
+     "(value.numerator, value.denominator) == pair", "value.numerator == pair[0]"),
+    ("masks-drop-last-holder", "bids.py",
+     "for pos in group if", "for pos in group[:-1] if"),
 ]
 
 # a pytest plugin, loaded with -p, that records the time of each failing test report

@@ -54,11 +54,9 @@ from .rationals import (
 from .rules import (
     PriceRule,
     RuleArityError,
-    RuleDomainError,
     RuleUndefinedError,
     check_flat_invariance,
     get_rule,
-    register_external,
 )
 from .witness import (
     RULE_F,

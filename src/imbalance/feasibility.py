@@ -171,64 +171,53 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     variable index.  That list is increasing in the deletion order, so
     each bag's coefficient dict, built through it from the pairs in their
     increasing order, is inserted in variable index order with no sort
-    per bag.  The counts times a scale are computed once per distinct
-    (bag, scale): the first row with that key keeps the dict, and each
-    later row gets a copy, so every row owns its dict.
+    per bag.  Each bag's dict is built once, already scaled: its counts
+    times the bag's one scale, the denominator of its rule value.  The
+    bag's first row keeps the dict and each later row gets a copy, so
+    every row owns its dict.
 
-    The rule runs in canonical vector order.  A rule with a bag form
-    (``PriceRule.bag``, every built-in rule) runs once per distinct bag,
+    The rule runs in canonical vector order, once per distinct bag,
     through ``of_bag`` on the bag's bids in increasing order
     ``[values[r] for r in bag]``, and reads no bidder and no ``Fraction``
     field; every vector of the bag takes that rhs.  It runs at the bag's
     first vector, and its arity check reads only the bag's size, so the
     first error names the same vector as one evaluation per vector would.
-    Any other rule, such as a table rule, runs once per distinct vector,
-    on its first-seen representative.
     """
     vecs = list(vectors)
     values, keys = flat_keys(vecs)
     first: dict[tuple[int, ...], BidVector] = {}
     for key, vec in zip(keys, vecs):
         first.setdefault(key, vec)
-    by_bag = rule.bag is not None
     raw = []
     ids: dict[tuple[int, ...], int] = {}  # deletion -> provisional id, in first-seen order
-    maps: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # bag -> its (id, count) pairs
-    rhs_of: dict[tuple[int, ...], Fraction] = {}  # bag -> rule value, filled for a bag form
+    bags: dict[tuple[int, ...], tuple[list[tuple[int, int]], Fraction]] = {}  # bag -> pairs, rhs
     for key in sorted(first):
         vec = first[key]
         bag = tuple(sorted(key[1::2]))
-        rhs = rhs_of.get(bag)
-        if rhs is None:
+        new = bag not in bags
+        if new:
             try:
-                rhs = rule.of_bag([values[r] for r in bag]) if by_bag else rule(vec)
+                rhs = rule.of_bag([values[r] for r in bag])
             except RuleUndefinedError as exc:
                 raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
-            if by_bag:
-                rhs_of[bag] = rhs
-        if bag not in maps:
-            counts = maps[bag] = []
+            counts = []
             end = len(bag)
             for k in range(end - 1, -1, -1):
                 if k == 0 or bag[k - 1] != bag[k]:  # k starts a run of equal ranks
                     counts.append((ids.setdefault(bag[:k] + bag[k + 1:], len(ids)), end - k))
                     end = k
-        raw.append((vec, bag, rhs))
+            bags[bag] = counts, rhs
+        raw.append((vec, bag, new))
     order = sorted(sorted(ids), key=len)
     remap = [0] * len(order)  # provisional id -> variable index
     for k, m in enumerate(order):
         remap[ids[m]] = k
-    coeffs = {bag: {remap[p]: c for p, c in counts} for bag, counts in maps.items()}
+    scaled = {bag: ({remap[p]: c * rhs.denominator for p, c in counts}, rhs.numerator,
+                    rhs.denominator) for bag, (counts, rhs) in bags.items()}
     rows = []
-    scaled: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}  # (bag, scale) -> a row's dict
-    for vec, bag, rhs in raw:
-        den = rhs.denominator
-        ints = scaled.get((bag, den))
-        if ints is None:
-            ints = scaled[bag, den] = {c: v * den for c, v in coeffs[bag].items()}
-        else:
-            ints = dict(ints)
-        rows.append(LinearRow(ints, rhs.numerator, den, vec))
+    for vec, bag, new in raw:
+        ints, num, den = scaled[bag]  # the bag's first row keeps the dict
+        rows.append(LinearRow(ints if new else dict(ints), num, den, vec))
     variables = tuple(BidMultiset(tuple(values[r] for r in m)) for m in order)
     return LinearSystem(variables=variables, rows=rows)
 

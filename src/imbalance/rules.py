@@ -9,28 +9,23 @@ The built-in rules are symmetric (they factor through the bid multiset):
 * ``neg-second-price`` / ``neg-first-price``   negations of the above,
 * ``constant:<p/q>`` ignores the bids entirely.
 
-Table-backed rules (``register_external``) are defined on an explicit
-finite set of vectors only, which lets tests and experiments plug in
-arbitrary maps.  Rules are immutable after construction and evaluation is
-pure, so they are safe to share.
+Rules are immutable after construction and evaluation is pure, so they
+are safe to share.
 
-``PriceRule.bag`` is a rule's bag form: the same rule as a function of
-the bag's bids in increasing order, ``s``.  The built-in forms are
-``s[-2]``, ``-s[-2]``, ``s[-1]``, ``-s[-1]`` and the constant, and
-``get_rule`` gives one to every built-in rule, so callers that hold the
-bags, not the vectors, evaluate it once per bag through
-``PriceRule.of_bag`` and read no bidder.  ``register_external`` never
-gives one: a table is defined one vector at a time, so another ordering
-of a bag, or the same bids on other bidders, may be missing from it, and
-a value read by bag would hide that error.
+Every rule has a bag form, ``PriceRule.bag``: the same rule as a function
+of the bag's bids in increasing order, ``s``.  The built-in forms are
+``s[-2]``, ``-s[-2]``, ``s[-1]``, ``-s[-1]`` and the constant.  The balance
+equation's left side depends only on the bag, so a rule that gave two
+orderings of one bag different values would be refuted by those two rows
+alone; callers that hold the bags, not the vectors, evaluate a rule once
+per bag through ``PriceRule.of_bag`` and read no bidder.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .bids import BidVector, flat
 from .rationals import ensure_rational, format_rational
@@ -45,27 +40,22 @@ class RuleArityError(RuleUndefinedError):
     """The rule is undefined on vectors with this few bidders."""
 
 
-class RuleDomainError(RuleUndefinedError):
-    """A table-backed rule was evaluated outside its table."""
-
-
 @dataclass(frozen=True)
 class PriceRule:
     """Named total map BidVector -> Fraction (total above ``min_arity``).
 
-    ``bag``, when set, is the rule's bag form: ``bag(sorted(v.values()))``
-    equals ``fn(v)`` on every vector ``v`` the rule is defined on, so the
-    value depends only on the bag (the same bids, counted with
-    multiplicity, whoever holds them), and the arity check reads only the
-    bag's size.  A caller may then evaluate the rule once per bag, on its
-    bids alone, through ``of_bag``.  It is None unless set.
+    ``fn`` is the vector form and ``bag``, required, the bag form:
+    ``bag(sorted(v.values())) == fn(v)`` on every vector ``v`` the rule is
+    defined on, so the value depends only on the bag (the same bids,
+    counted with multiplicity, whoever holds them), and the arity check
+    reads only the bag's size.  A caller may evaluate the rule once per
+    bag, on its bids alone, through ``of_bag``.
     """
 
     name: str
     min_arity: int
     fn: Callable[[BidVector], Fraction] = field(compare=False, repr=False)
-    bag: Callable[[list[Fraction]], Fraction] | None = field(
-        default=None, compare=False, repr=False)
+    bag: Callable[[list[Fraction]], Fraction] = field(compare=False, repr=False)
 
     def __call__(self, vector: BidVector) -> Fraction:
         if len(vector) < self.min_arity:
@@ -138,31 +128,6 @@ def get_rule(name: str) -> PriceRule:
         f"unknown rule {name!r}; expected second-price, neg-second-price, "
         "first-price, neg-first-price, or constant:<p/q>"
     )
-
-
-def register_external(name: str, table: Mapping[BidVector, object]) -> PriceRule:
-    """Rule defined exactly on the table's vectors; lookups elsewhere fail.
-
-    Two keys that name the same vector, such as the same pairs listed in
-    another order, are an error, never a silent overwrite.
-    """
-    if not table:
-        raise ValueError("external rule table must be nonempty")
-    frozen = {BidVector.of(k): ensure_rational(v) for k, v in table.items()}
-    if len(frozen) != len(table):  # the dict kept only the last value of a repeated vector
-        counts = Counter(BidVector.of(k) for k in table)
-        repeated = next(v for v, c in counts.items() if c > 1)
-        raise ValueError(f"external rule table repeats the vector {repeated!r}")
-
-    def lookup(vector: BidVector) -> Fraction:
-        try:
-            return frozen[vector]
-        except KeyError:
-            raise RuleDomainError(
-                f"rule undefined at this bid vector: {name!r} has no entry for {vector!r}"
-            ) from None
-
-    return PriceRule(f"external:{name}", 0, lookup)
 
 
 def check_flat_invariance(

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from imbalance import RULE_F, BidMultiset, BidVector
+from imbalance import RULE_F, BidMultiset, BidVector, PriceRule, RuleUndefinedError
 from imbalance.bids import rank_bids
+from imbalance.rationals import ensure_rational
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=20)
 
@@ -20,6 +21,26 @@ def bid_vectors(min_size=0, max_size=6):
 
 def multisets(max_size=5):
     return st.lists(rationals, max_size=max_size).map(BidMultiset.of)
+
+
+def bag_rule(name, values, min_arity=0) -> PriceRule:
+    """A rule read from one table: ``values`` maps bids, in any order, to a
+    value, and both forms read the table at the sorted bids.  A bag missing
+    from the table raises ``RuleUndefinedError``; two values on one bag are
+    an error of the caller."""
+    table = {}
+    for bids, value in values.items():
+        key, value = tuple(sorted(bids)), ensure_rational(value)
+        assert table.setdefault(key, value) == value, f"two values on the bag {key!r}"
+
+    def bag(bids):
+        try:
+            return table[tuple(bids)]
+        except KeyError:
+            raise RuleUndefinedError(f"rule undefined on this bag: {name!r} has no value "
+                                     f"on {tuple(bids)!r}") from None
+
+    return PriceRule(name, min_arity, lambda vector: bag(sorted(vector.values())), bag)
 
 
 def assert_canonical(obj):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rational, rational_row, tag_residual
+from conftest import bag_rule, random_rational, rational_row, tag_residual
 from imbalance import (
     BidVector,
     CounterexampleTriple,
@@ -29,7 +29,6 @@ from imbalance import (
     get_rule,
     is_adequate,
     is_counterexample,
-    register_external,
     solve_or_refute,
     verify_certificate,
     verify_imbalance,
@@ -207,10 +206,12 @@ def test_criterion_8_counterexample_and_residuals(capsys):
                 f_high, g_high = f_low, g_low + shift
             else:
                 f_high, g_high = f_low + shift, g_low
-            f = register_external("f", {b_low: f_low, b_high: f_high})
-            g = register_external("g", {b_low: g_low, b_high: g_high})
             tags = {i: (RULE_F if rng.random() < 0.5 else RULE_G) for i in ids}
             tags[ids[0]], tags[ids[1]] = RULE_F, RULE_G
+            if sorted(b_low.values()) == sorted(b_high.values()):
+                continue  # one bag: a symmetric rule takes one value on both
+            f = bag_rule("f", {b_low.values(): f_low, b_high.values(): f_high})
+            g = bag_rule("g", {b_low.values(): g_low, b_high.values(): g_high})
             generated = CounterexampleTriple(b_low, b_high, tags, g)
             assert is_counterexample(generated, f)
             assert tag_residual(f, generated, b_low) != tag_residual(f, generated, b_high)

@@ -31,18 +31,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import assert_canonical, assert_ranked
+from conftest import assert_canonical, assert_ranked, bag_rule
 from imbalance import (
     BidMultiset,
     BidVector,
     LinearRow,
     LinearSystem,
     PriceRule,
-    RuleArityError,
-    RuleDomainError,
+    RuleUndefinedError,
     build_balance_system,
     get_rule,
-    register_external,
     remove,
     system_to_json,
     vickrey_witness_set,
@@ -52,6 +50,12 @@ from imbalance.witness import witness_set_text
 
 RULES = ["neg-second-price", "second-price", "first-price", "neg-first-price", "constant:7/3"]
 GRID_RULES = ["neg-second-price", "second-price", "neg-first-price", "constant:7/3"]
+
+
+def each_bag(vectors):
+    """A rule with its own value on each distinct bag of the vectors."""
+    bags = dict.fromkeys(tuple(sorted(v.values())) for v in vectors)
+    return bag_rule("each", {bag: n for n, bag in enumerate(bags)})
 
 
 def reference_build_balance_system(vectors, rule: PriceRule) -> LinearSystem:
@@ -68,7 +72,7 @@ def reference_build_balance_system(vectors, rule: PriceRule) -> LinearSystem:
     for vec in vecs:
         try:
             rhs = rule(vec)
-        except (RuleArityError, RuleDomainError) as exc:
+        except RuleUndefinedError as exc:
             raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
         counts: dict[BidMultiset, int] = {}
         for i in vec.dom:
@@ -183,19 +187,16 @@ def shared_bag_lists(draw):
 def test_shared_bags_match_reference(vectors, data):
     for rule in RULES:
         assert_same_build(vectors, get_rule(rule))
-    distinct = list(dict.fromkeys(vectors))
-    # its own value per vector pins each row's rhs to its own vector, not to its bag
-    assert_same_build(vectors, register_external("own", {v: n for n, v in enumerate(distinct)}))
-    # values over several denominators: orderings of one bag share a scaled
-    # coefficient dict only where their values share a denominator
+    bags = list(dict.fromkeys(tuple(sorted(v.values())) for v in vectors))
+    # values over several denominators, drawn per bag: each bag's rows share
+    # its one scale, never one coefficient dict
     values = [Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(-5, 6)]
-    assert_same_build(vectors, register_external("dens", {
-        v: values[data.draw(st.integers(0, len(values) - 1))] for v in distinct}))
-    # one vector left out pins the "undefined on" error; the filler keeps the table nonempty
-    omitted = data.draw(st.sampled_from(distinct))
-    table = {v: n for n, v in enumerate(distinct) if v != omitted}
-    table[BidVector.of({9: 0})] = 0
-    assert_same_build(vectors, register_external("omit", table))
+    assert_same_build(vectors, bag_rule("dens", {
+        bag: values[data.draw(st.integers(0, len(values) - 1))] for bag in bags}))
+    # one bag left out pins the "undefined on" error to the bag's first vector
+    omitted = data.draw(st.sampled_from(bags))
+    assert_same_build(vectors, bag_rule("omit", {bag: n for n, bag in enumerate(bags)
+                                                 if bag != omitted}))
 
 
 def test_unnormalized_int_bid_shares_a_variable_with_its_fraction():
@@ -216,7 +217,7 @@ def test_equal_bids_share_a_rank_whatever_their_spelling():
 
 def test_empty_vector_under_a_table_rule():
     empty = BidVector.of({})
-    rule = register_external("tiny", {empty: 1, BidVector.of({1: 3}): "1/2"})
+    rule = bag_rule("tiny", {(): 1, (3,): "1/2"})
     assert_same_build([BidVector.of({1: "6/2"}), empty, BidVector.of({})], rule)
 
 
@@ -266,12 +267,12 @@ def test_flat_keys_sort_prefixes_first_and_ids_as_integers():
     for rule in ["first-price", "constant:7/3"]:
         assert [row.origin for row in build_balance_system(vectors, get_rule(rule)).rows] == want
         assert_same_build(vectors, get_rule(rule))
-    assert_same_build(vectors, register_external("each", {v: n for n, v in enumerate(vectors)}))
+    assert_same_build(vectors, each_bag(vectors))
 
 
 def counted(rule):
-    """The rule with a counter on its ``fn`` and one on its bag form, when it
-    has one, every other field kept; the bag counter is keyed by the bids."""
+    """The rule with a counter on its ``fn`` and one on its bag form, every
+    other field kept; the bag counter is keyed by the bids."""
     vector_calls, bag_calls = Counter(), Counter()
 
     def fn(vector):
@@ -282,7 +283,7 @@ def counted(rule):
         bag_calls[tuple(bids)] += 1
         return rule.bag(bids)
 
-    counting = dataclasses.replace(rule, fn=fn, bag=bag if rule.bag else None)
+    counting = dataclasses.replace(rule, fn=fn, bag=bag)
     return counting, vector_calls, bag_calls
 
 
@@ -298,22 +299,17 @@ def benchmark_grid(seed, k, b):
     return [BidVector.of(dict(enumerate(t, 1))) for t in itertools.product(bids, repeat=k)]
 
 
-def test_a_symmetric_rule_runs_once_per_bag_and_a_table_once_per_vector():
+def test_every_cli_rule_runs_once_per_bag_and_never_per_vector():
+    # one rule of each family ``get_rule`` knows, the only rules the CLI reaches
     vectors = benchmark_grid(0, 4, 6)
     assert len(vectors) == 1296
-    for name in GRID_RULES:
+    for name in RULES:
         rule, vector_calls, bag_calls = counted(get_rule(name))
         system = build_balance_system(vectors, rule)
         assert not vector_calls
         assert sum(bag_calls.values()) == len(bag_calls) == 126  # one per bag of 4 among 6 bids
         assert all(list(bids) == sorted(bids) for bids in bag_calls)
         assert_same_json(system, reference_build_balance_system(vectors, get_rule(name)))
-    neg2 = get_rule("neg-second-price")
-    table = register_external("grid", {v: neg2(v) for v in vectors})
-    rule, vector_calls, bag_calls = counted(table)
-    build_balance_system(vectors, rule)
-    assert sum(vector_calls.values()) == len(vector_calls) == 1296
-    assert not bag_calls
 
 
 def test_one_bag_on_other_bidders_runs_a_built_in_rule_once():
@@ -347,18 +343,13 @@ def orderings(bids, ids):
     return [BidVector.of(dict(zip(ids, order))) for order in itertools.permutations(bids)]
 
 
-def each_vector(vectors):
-    """A table rule with its own value on each distinct vector."""
-    return register_external("each", {v: n for n, v in enumerate(dict.fromkeys(vectors))})
-
-
 @pytest.mark.parametrize("name", RUN_BAGS)
 def test_run_length_deletion_map_matches_reference(name):
     bids, counts = RUN_BAGS[name]
     vectors = orderings(bids, [3, 10, 2, 11, 0][:len(bids)])
-    for rule in (get_rule("first-price"), each_vector(vectors)):
+    for rule in (get_rule("first-price"), each_bag(vectors)):
         assert_same_build(vectors, rule)
-    system = build_balance_system(vectors, each_vector(vectors))
+    system = build_balance_system(vectors, each_bag(vectors))
     for row in system.rows:
         got = [(system.variables[c].values, v) for c, v in row.coeffs.items()]
         assert got == list(counts.items())  # in variable order
@@ -368,7 +359,7 @@ def test_run_length_deletion_map_matches_reference(name):
 def test_run_length_deletion_maps_of_several_bags_share_one_variable_order():
     vectors = [v for bids, _ in RUN_BAGS.values() for v in orderings(bids, [12, 1, 10, 2, 9])]
     assert_same_build([v for v in vectors if v], get_rule("first-price"))
-    assert_same_build(vectors, each_vector(vectors))
+    assert_same_build(vectors, each_bag(vectors))
 
 
 def test_ids_from_10_up_sort_as_integers_in_the_build_and_as_strings_in_the_text():
@@ -382,6 +373,6 @@ def test_ids_from_10_up_sort_as_integers_in_the_build_and_as_strings_in_the_text
     assert '"10": "1",\n      "11": "3",\n      "2": "1"' in text  # "10" sorts before "2"
     assert '"100": "2",\n      "9": "2"' in text
     want = sorted(set(vectors), key=lambda b: b.entries)
-    for rule in (get_rule("first-price"), each_vector(vectors)):
+    for rule in (get_rule("first-price"), each_bag(vectors)):
         assert [row.origin for row in build_balance_system(vectors, rule).rows] == want
         assert_same_build(vectors, rule)

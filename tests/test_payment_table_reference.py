@@ -20,19 +20,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import bag_rule
 from imbalance import (
     AdequacyError,
     BidMultiset,
     BidVector,
     PriceRule,
-    RuleArityError,
-    RuleDomainError,
+    RuleUndefinedError,
     build_payment_table,
     ensure_rational,
     flat,
     format_rational,
     get_rule,
-    register_external,
     sub_multisets,
 )
 
@@ -98,7 +97,7 @@ def reference_build_payment_table(
             shape = BidMultiset.of(list(m.values) + [fill_bid] * (n_fill - 1))
             payment = remainder / n_fill
             assert table.setdefault(shape, payment) == payment, f"conflicting payment for {shape!r}"
-    except (RuleArityError, RuleDomainError) as exc:
+    except RuleUndefinedError as exc:
         raise AdequacyError(f"flat-invariance fails: {exc}") from exc
 
     steps = []
@@ -122,7 +121,7 @@ def outcome(build, n_bidders, fill, extras, rule):
         seen.append(vector)
         return rule(vector)
 
-    watched = PriceRule(rule.name, rule.min_arity, recording)
+    watched = PriceRule(rule.name, rule.min_arity, recording, rule.bag)
     try:
         steps = build(n_bidders, fill, extras, watched)
     except Exception as exc:
@@ -154,15 +153,14 @@ def iteration_inputs(draw):
     if draw(st.booleans()):
         rule = get_rule(draw(st.sampled_from(RULES)))
     else:
-        # a table over the visited vectors: some dropped, some off the flat value
+        # a table over the bags of the visited vectors: some dropped, some off the flat value
         table = {}
-        for vector in visited_vectors(n_bidders, fill, extras[: n_bidders - 2]):
+        visited = visited_vectors(n_bidders, fill, extras[: n_bidders - 2])
+        for bag in dict.fromkeys(tuple(sorted(vector.values())) for vector in visited):
             kind = draw(st.sampled_from(["flat", "flat", "flat", "flat", "missing", "other"]))
             if kind != "missing":
-                table[vector] = Fraction(1) if kind == "flat" else draw(small)
-        if not table:
-            table[flat([99], 0)] = Fraction(0)
-        rule = register_external("drawn", table)
+                table[bag] = Fraction(1) if kind == "flat" else draw(small)
+        rule = bag_rule("drawn", table)
     return n_bidders, fill, extras, rule
 
 
@@ -196,13 +194,14 @@ class TestAgainstReference:
 
 
 def off_mid_lattice(n):
-    """A table rule over the vectors ``theorem --trace`` visits at size n:
-    the flat value everywhere but at the middle step of the lattice."""
+    """A table rule over the bags of the vectors ``theorem --trace`` visits
+    at size n: the flat value everywhere but at the middle step of the
+    lattice."""
     visited = visited_vectors(n + 2, Fraction(n + 3), [Fraction(e) for e in range(1, n + 1)])
     table = dict.fromkeys(visited, Fraction(1))
     lattice = visited[1:]
     table[lattice[len(lattice) // 2]] = Fraction(2)
-    return register_external("off-mid-lattice", table)
+    return bag_rule("off-mid-lattice", {v.values(): value for v, value in table.items()})
 
 
 @pytest.mark.parametrize("name", [*RULES, "off-mid-lattice"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import random_rational, rationals
+from conftest import bag_rule, random_rational, rationals
 from imbalance import (
     AdequacyError,
     BidMultiset,
@@ -23,7 +23,6 @@ from imbalance import (
     full_family,
     get_rule,
     is_adequate,
-    register_external,
     solve_or_refute,
     verify_assignment,
     verify_certificate,
@@ -179,7 +178,7 @@ class TestForcedPayment:
         st.dictionaries(st.integers(0, 6), rationals, max_size=3),
         st.fractions(min_value=-10, max_value=10, max_denominator=8),
         st.sampled_from(["neg-second-price", "second-price", "neg-first-price", "first-price",
-                         "constant:0", "constant:7/3", "external"]),
+                         "constant:0", "constant:7/3", "table"]),
         rationals,
     )
     def test_forced_value_matches_elimination(self, mapping, offset, name, constant):
@@ -187,13 +186,13 @@ class TestForcedPayment:
         # P(bag(base) + {fill}) that the adequate set's own balance system admits
         base = vec(mapping)
         i1, i2 = 7, 8  # outside the drawn ids
-        if name == "external" or name.startswith("constant:"):
+        if name == "table" or name.startswith("constant:"):
             fill = max(base.values(), default=Fraction(0)) + offset
         else:  # a price rule is flat-invariant on the adequate set when fill tops the base
             fill = max(base.values(), default=Fraction(0)) + abs(offset)
-        if name == "external":
+        if name == "table":
             members = build_adequate_set(base, fill, NEG2, i1, i2).members
-            rule = register_external("flat", {m: constant for m in members})
+            rule = bag_rule("flat", {m.values(): constant for m in members})
         else:
             rule = get_rule(name)
         forced = forced_payment(base, fill, rule, i1, i2)
@@ -256,9 +255,9 @@ class TestBuildPaymentTable:
     @pytest.mark.parametrize(
         "rule",
         [
-            register_external("t", {flat(range(1, 4), 5): -5}),
-            register_external("t", {vec({1: 1, 2: 5, 3: 5}): -5}),
-            PriceRule("wide", 4, lambda b: Fraction(0)),
+            bag_rule("t", {(5, 5, 5): -5}),
+            bag_rule("t", {(1, 5, 5): -5}),
+            PriceRule("wide", 4, lambda b: Fraction(0), lambda s: Fraction(0)),
         ],
         ids=["undefined-on-visited-vector", "undefined-on-flat-vector", "undefined-on-arity"],
     )

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from conftest import bid_vectors, rationals
+from conftest import bag_rule, bid_vectors, rationals
 from imbalance import (
     BidMultiset,
     BidVector,
     PriceRule,
     RuleArityError,
-    RuleDomainError,
     RuleUndefinedError,
     build_adequate_set,
     check_flat_invariance,
@@ -18,7 +17,6 @@ from imbalance import (
     flat,
     get_rule,
     is_adequate,
-    register_external,
 )
 
 
@@ -55,16 +53,16 @@ class TestEval:
     def test_constant_name_is_canonical(self):
         assert get_rule("constant:4/6").name == "constant:2/3"
 
-    def test_only_built_in_rules_are_symmetric(self):
-        # a built-in rule has a bag form; a table may hold one ordering of a
-        # bag and not another, so it has none, and a rule made from an fn
-        # alone has none either
-        names = ["second-price", "neg-second-price", "first-price", "neg-first-price",
-                 "constant:2/4"]
-        assert all(get_rule(name).bag is not None for name in names)
-        assert get_rule("constant:2/4").name == "constant:1/2"
-        assert register_external("t", {vec({1: 1, 2: 2}): 3}).bag is None
-        assert PriceRule("positional", 1, lambda b: Fraction(0)).bag is None
+    def test_a_rule_needs_a_bag_form(self):
+        # the bag form is required: a rule made from an fn alone is refused
+        with pytest.raises(TypeError, match="bag"):
+            PriceRule("positional", 1, lambda b: Fraction(0))
+
+    def test_undefined_errors_share_one_base(self):
+        assert issubclass(RuleArityError, RuleUndefinedError)
+        assert issubclass(RuleUndefinedError, ValueError)
+        with pytest.raises(RuleUndefinedError):
+            get_rule("second-price")(vec({1: 1}))
 
 
 class TestFlatInvariance:
@@ -90,9 +88,8 @@ class TestFlatInvariance:
         # a rule undefined on the flat vector or on a member is not
         # flat-invariant there: the answer is False, nothing is raised
         flat_vector, member = flat({1, 2}, 9), vec({1: 9, 2: 4})
-        table = {flat_vector: 0, member: 0}
-        del table[flat_vector if missing == "flat" else member]
-        rule = register_external("partial", table)
+        kept = member if missing == "flat" else flat_vector
+        rule = bag_rule("partial", {kept.values(): 0})
         assert check_flat_invariance(rule, [member], {1, 2}, 9) is False
 
     @pytest.mark.parametrize(
@@ -107,12 +104,13 @@ class TestFlatInvariance:
         ],
     )
     def test_int_and_fraction_values_compare_by_value(self, flat_value, member_value, invariant):
-        # a rule's fn may return an int where the flat value is a Fraction
-        def fn(b):
-            return flat_value if set(b.values()) == {Fraction(9)} else member_value
+        # a rule may return an int where the flat value is a Fraction
+        def bag(bids):
+            return flat_value if set(bids) == {Fraction(9)} else member_value
 
+        rule = PriceRule("mixed", 1, lambda b: bag(b.values()), bag)
         members = {vec({1: 1, 2: 9}), vec({1: 9, 2: 3})}
-        assert check_flat_invariance(PriceRule("mixed", 1, fn), members, {1, 2}, 9) is invariant
+        assert check_flat_invariance(rule, members, {1, 2}, 9) is invariant
 
     def test_domain_mismatch_is_an_error(self):
         # check_flat_invariance trusts its vectors' domains; a set from
@@ -134,41 +132,6 @@ class TestFlatInvariance:
         order = tuple(sorted(base.dom | {i1, i2}))
         members = build_adequate_set(base, fill, get_rule("neg-second-price"), i1, i2).members
         assert all(tuple(member) == order for member in members)
-
-
-class TestExternalRules:
-    def test_two_vector_table(self):
-        low, high = vec({1: 1, 2: 2, 3: 4}), vec({1: 1, 2: 3, 3: 4})
-        g = register_external("g", {low: -4, high: -4})
-        assert g(high) - g(low) == 0
-
-    def test_singleton_round_trip(self):
-        b = vec({1: 1})
-        rule = register_external("one", {b: Fraction(7, 2)})
-        assert rule(b) == Fraction(7, 2)
-
-    def test_lookup_outside_table(self):
-        rule = register_external("one", {vec({1: 1}): 0})
-        with pytest.raises(RuleDomainError, match="rule undefined at this bid vector"):
-            rule(vec({1: 2}))
-
-    def test_undefined_errors_share_one_base(self):
-        assert issubclass(RuleArityError, RuleUndefinedError)
-        assert issubclass(RuleDomainError, RuleUndefinedError)
-        assert issubclass(RuleUndefinedError, ValueError)
-        with pytest.raises(RuleUndefinedError):
-            get_rule("second-price")(vec({1: 1}))
-        with pytest.raises(RuleUndefinedError):
-            register_external("one", {vec({1: 1}): 0})(vec({1: 2}))
-
-    def test_repeated_vector_rejected(self):
-        # the same pairs listed in two orders name one vector
-        with pytest.raises(ValueError, match=r"repeats the vector BidVector\(\{1: 1, 2: 2\}\)"):
-            register_external("t", {((1, 1), (2, 2)): 3, ((2, 2), (1, 1)): 4})
-
-    def test_empty_table_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            register_external("none", {})
 
 
 @pytest.mark.parametrize(
@@ -250,20 +213,25 @@ def test_rules_make_no_fraction_order_compares(name, monkeypatch):
 
 @pytest.mark.parametrize("name", [
     "second-price", "neg-second-price", "first-price", "neg-first-price", "constant:7/3",
-    "constant:-2", "constant:0",
+    "constant:-2", "constant:0", "bag-rule",
 ])
 @given(st.lists(st.one_of(TIED_BIDS, WIDE_BIDS, rationals), max_size=8), st.randoms())
 def test_bag_form_agrees_with_the_vector_form(name, bids, rnd):
-    # lists of 0 and 1 bids fall below every arity; TIED_BIDS repeats values,
-    # spells some as ints next to equal Fractions, and holds negatives
-    rule = get_rule(name)
+    # lists of 0 and 1 bids fall below every built-in arity; TIED_BIDS repeats
+    # values, spells some as ints next to equal Fractions, and holds
+    # negatives.  The tests' ``bag_rule`` holds the drawn bag half the time.
+    if name == "bag-rule":
+        rule = bag_rule(name, {tuple(bids): Fraction(len(bids), 3)} if rnd.random() < 0.5 else {},
+                        min_arity=1)
+    else:
+        rule = get_rule(name)
     ids = rnd.sample(range(20), len(bids))
     vector = BidVector(tuple(sorted(zip(ids, bids))))
     try:
         want = rule(vector)
-    except RuleArityError as exc:
-        assert len(bids) < rule.min_arity
-        with pytest.raises(RuleArityError) as got:
+    except RuleUndefinedError as exc:
+        assert len(bids) < rule.min_arity or name == "bag-rule"
+        with pytest.raises(type(exc)) as got:
             rule.of_bag(sorted(vector.values()))
         assert str(got.value) == str(exc)
         return

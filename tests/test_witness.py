@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import tag_residual
+from conftest import bag_rule, tag_residual
 from imbalance import (
     BidMultiset,
     BidVector,
@@ -16,7 +16,6 @@ from imbalance import (
     RULE_G,
     PriceRule,
     RuleArityError,
-    RuleDomainError,
     RuleUndefinedError,
     bid_vector_from_json,
     check_flat_invariance,
@@ -26,7 +25,6 @@ from imbalance import (
     full_family,
     get_rule,
     is_counterexample,
-    register_external,
     remove,
     solve_or_refute,
     verify_imbalance,
@@ -66,7 +64,7 @@ class TestIsCounterexample:
         triple, _, _ = stock_triple()
         # first price also changes between the two stock vectors... use a
         # helper g that moves along with f
-        g = register_external("moving", {triple.b_low: 0, triple.b_high: 5})
+        g = bag_rule("moving", {triple.b_low.values(): 0, triple.b_high.values(): 5})
         moved = CounterexampleTriple(triple.b_low, triple.b_high, triple.h, g)
         assert not is_counterexample(moved, NEG2)
 
@@ -78,9 +76,9 @@ class TestIsCounterexample:
         assert not is_counterexample(all_g, NEG2)
 
     def test_rule_undefined_on_a_vector_fails(self):
-        # a table rule without b_low has no difference to compare
+        # a table rule without b_low's bag has no difference to compare
         triple, _, _ = stock_triple()
-        high_only = register_external("high-only", {triple.b_high: -3})
+        high_only = bag_rule("high-only", {triple.b_high.values(): -3})
         assert not is_counterexample(triple, high_only)
 
     def test_domains_must_match(self):
@@ -334,7 +332,7 @@ class TestVerifyImbalance:
         for n in (1, 2, 3, 4):
             seen.clear()
             triple, j_low, j_high = vickrey_instance(n)
-            report = verify_imbalance(PriceRule(NEG2.name, NEG2.min_arity, counting),
+            report = verify_imbalance(PriceRule(NEG2.name, NEG2.min_arity, counting, NEG2.bag),
                                       triple, j_low, j_high)
             assert report.holds
             assert sum(seen.values()) == len(seen) == len(report.witness_set) == 5 * 2 ** n
@@ -370,7 +368,7 @@ class TestVerifyImbalance:
             seen[vector] += 1
             return NEG2.fn(vector)
 
-        rule = PriceRule(NEG2.name, NEG2.min_arity, counting)
+        rule = PriceRule(NEG2.name, NEG2.min_arity, counting, NEG2.bag)
         triple, j_low, j_high = vickrey_instance(3)
         first = verify_imbalance(rule, triple, j_low, j_high)
         assert first.holds and set(seen.values()) == {1}
@@ -401,25 +399,25 @@ class TestVerifyImbalance:
     def test_rule_errors_are_not_cached(self):
         triple, j_low, j_high = vickrey_instance(2)
         top_flat = flat(triple.b_low.dom, triple.b_low[4])
-        table = {b: NEG2(b) for b in vickrey_witness_set(2) if b != top_flat}
+        table = {b.values(): NEG2(b) for b in vickrey_witness_set(2) if b != top_flat}
         asked = Counter()
-        lookup = register_external("gap", table)
+        lookup = bag_rule("gap", table)
 
         def counting(vector):
             asked[vector] += 1
             return lookup.fn(vector)
 
-        rule = PriceRule(lookup.name, lookup.min_arity, counting)
+        rule = PriceRule(lookup.name, lookup.min_arity, counting, lookup.bag)
         reports = [verify_imbalance(rule, triple, j_low, j_high) for _ in range(3)]
         assert reports[0].hypotheses == reports[1].hypotheses == reports[2].hypotheses
         failed = {c.name: c.detail for c in reports[0].hypotheses if not c.passed}
-        assert "rule undefined at this bid vector" in failed["eta[low,1]"]
+        assert "rule undefined on this bag" in failed["eta[low,1]"]
         # the missing vector is asked for on every evaluation; each other once a call
         assert asked[top_flat] > 3 * 2
         assert {count for b, count in asked.items() if b != top_flat} == {3}
 
     @pytest.mark.parametrize(
-        "error", [RuleUndefinedError, RuleArityError, RuleDomainError, ValueError]
+        "error", [RuleUndefinedError, RuleArityError, ValueError]
     )
     def test_rule_undefined_on_a_base_vector(self, error):
         # all-G tags: the counterexample check fails before it evaluates the
@@ -435,7 +433,7 @@ class TestVerifyImbalance:
                 raise error("no value on the low vector")
             return NEG2.fn(vector)
 
-        rule = PriceRule("partial", 2, partial)
+        rule = PriceRule("partial", 2, partial, NEG2.bag)
         if error is ValueError:  # not a rule-undefined error: it propagates
             with pytest.raises(ValueError, match="no value on the low vector"):
                 verify_imbalance(rule, untagged, j_low, j_high)
