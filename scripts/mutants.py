@@ -75,6 +75,10 @@ MUTANTS = [
      "(value.numerator, value.denominator) == pair", "value.numerator == pair[0]"),
     ("masks-drop-last-holder", "bids.py",
      "for pos in group if", "for pos in group[:-1] if"),
+    ("collector-left-paused", "cli.py",
+     "gc.enable()", "pass"),
+    ("substitution-rescale-dropped", "feasibility.py",
+     "num *= common // den", "pass"),
 ]
 
 # a pytest plugin, loaded with -p, that records the time of each failing test report

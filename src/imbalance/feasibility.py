@@ -294,7 +294,8 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     back-substitution with every other column at zero gives the unique
     solution supported on them: the assignment.  Back-substitution runs
     from the last pivot row to the first, as a pivot row holds no earlier
-    pivot's column.
+    pivot's column.  It works on integer (numerator, denominator) pairs in
+    lowest terms, and makes one ``Fraction`` per distinct value at the end.
     """
     # column -> number of rows holding it
     held = Counter(chain.from_iterable([row.coeffs for row in system.rows]))
@@ -359,22 +360,26 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
         system = LinearSystem(system.variables, [system.rows[idx] for idx, _ in reduced])
 
     # Back-substitution, the last pivot first, with every other column at zero.
-    solution: dict[int, Fraction] = {}  # pivot column -> its value, if nonzero
+    solution: dict[int, tuple[int, int]] = {}  # pivot column -> its nonzero value (num, den)
     for col, p_coeffs, p_rhs in reversed(pivots):
         num, den = p_rhs, 1  # the residual num/den, over a common denominator
         for c, v in p_coeffs.items():
             value = solution.get(c)  # None for col itself, which is not set yet
-            if value:
-                d = value.denominator
+            if value is not None:
+                n, d = value
                 if den % d:
                     common = lcm(den, d)
                     num *= common // den
                     den = common
-                num -= v * value.numerator * (den // d)
+                num -= v * n * (den // d)
         if num:
-            solution[col] = Fraction(num, den * p_coeffs[col])
+            den *= p_coeffs[col]
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
+            solution[col] = (num // g, den // g)
+    values = {value: Fraction(*value) for value in set(solution.values())}
     zero = Fraction(0)
-    return Feasible(tuple(solution.get(col, zero) for col in range(len(system.variables))))
+    return Feasible(tuple(values[solution[col]] if col in solution else zero
+                          for col in range(len(system.variables))))
 
 
 def _divide_out_content(ints: dict[int, int], rhs: int) -> tuple[int, int]:
@@ -405,7 +410,8 @@ def _certificate(
     raised only when a content does not divide a weight (ap and fp are
     coprime, so content divides both w*ap and w*fp exactly when it divides
     w).  The weight left on a row's integers, times its ``scale``, is its
-    multiplier times the denominator times ``row_rhs``.
+    multiplier times the denominator times ``row_rhs``.  Many rows share a
+    multiplier, so one ``Fraction`` is made per distinct numerator.
     """
     den = 1
     weights = {len(reduced) - 1: 1}  # position in ``reduced`` -> weight on that row
@@ -428,9 +434,10 @@ def _certificate(
             w *= ap
         numerators[idx] = w * rows[idx].scale
     den *= row_rhs
+    multipliers = {n: Fraction(n, den) for n in set(numerators.values())}
     zero = Fraction(0)
     return Certificate(tuple(
-        Fraction(numerators[r], den) if r in numerators else zero for r in range(len(rows))
+        multipliers[numerators[r]] if r in numerators else zero for r in range(len(rows))
     ))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 from fractions import Fraction
@@ -564,3 +565,71 @@ class TestUsage:
             assert capsys.readouterr() == cached, argv
             if code == 2:
                 assert cached.out == "" and cached.err, argv
+
+
+class TestCollector:
+    """``main`` pauses the cyclic garbage collector while the handler runs
+    and leaves it as the caller had it, on every way out of ``main``."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def handler_states(self, monkeypatch):
+        """Whether the collector was enabled at each ``_load_json`` call,
+        which every case below that reaches a handler makes."""
+        states = []
+        load = cli._load_json
+
+        def recording(path):
+            states.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_json", recording)
+        return states
+
+    @staticmethod
+    def argv(case, tmp_path):
+        one_row = {"variables": [["1"]], "rows": [{"coeffs": {"0": "2"}, "rhs": "1"}]}
+        contradiction = {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}, "rhs": "1"},
+                                                        {"coeffs": {"0": "1"}, "rhs": "2"}]}
+        if case in ("exit-0", "handler-raises"):
+            return ["solve-system", "--system", write_json(tmp_path / "s.json", one_row)]
+        if case == "exit-3":
+            return ["solve-system", "--system", write_json(tmp_path / "s.json", contradiction)]
+        if case == "usage-error":
+            return ["solve-system", "--system", str(tmp_path / "missing.json")]
+        return ["solve-system"]  # argparse exits: --system is required
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case, code", [
+        ("exit-0", 0), ("usage-error", 2), ("exit-3", 3), ("argparse-exit", 2),
+        ("handler-raises", None),
+    ])
+    def test_every_exit_restores_the_callers_state(self, case, code, enabled, tmp_path,
+                                                   handler_states, monkeypatch, capsys):
+        argv = self.argv(case, tmp_path)
+        if case == "handler-raises":  # a FEASIBLE assignment that violates its row
+            monkeypatch.setattr(cli, "solve_or_refute", lambda system: Feasible((Fraction(1),)))
+        (gc.enable if enabled else gc.disable)()
+        if code is None:
+            with pytest.raises(AssertionError, match="violates a row"):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is enabled
+        assert handler_states == ([] if case == "argparse-exit" else [False])
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_a_collection_of_the_young_generations_follows_the_pause(self, enabled, bids_file,
+                                                                     monkeypatch, capsys):
+        """Only a pause that ``main`` ended itself is followed by a
+        collection, of generations 0 and 1."""
+        collected = []
+        monkeypatch.setattr(gc, "collect", lambda generation=2: collected.append(generation) or 0)
+        (gc.enable if enabled else gc.disable)()
+        assert main(["eval", "--rule", "second-price", "--bids", bids_file]) == 0
+        assert collected == ([1] if enabled else [])

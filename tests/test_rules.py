@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from conftest import bag_rule, bid_vectors, rationals
@@ -111,6 +111,26 @@ class TestFlatInvariance:
         rule = PriceRule("mixed", 1, lambda b: bag(b.values()), bag)
         members = {vec({1: 1, 2: 9}), vec({1: 9, 2: 3})}
         assert check_flat_invariance(rule, members, {1, 2}, 9) is invariant
+
+    @given(rationals.filter(bool), st.integers(1, 30), st.booleans(), st.randoms())
+    def test_a_member_value_sharing_the_flat_numerator_is_not_flat(self, flat_value, denominator,
+                                                                   as_int, rnd):
+        """A member value with the flat value's numerator over another
+        denominator is another value, whichever member holds it; an integer
+        flat value may be an ``int``."""
+        member_value = Fraction(flat_value.numerator, denominator)
+        assume(member_value.denominator == denominator and member_value != flat_value)
+        if as_int and flat_value.denominator == 1:
+            flat_value = int(flat_value)
+        members = [vec({1: k, 2: 9}) for k in range(1, 5)]
+        odd = rnd.choice(members).values()
+
+        def bag(bids):
+            return member_value if sorted(bids) == sorted(odd) else flat_value
+
+        rule = PriceRule("shared-numerator", 1, lambda b: bag(b.values()), bag)
+        assert check_flat_invariance(rule, members, {1, 2}, 9) is False
+        assert check_flat_invariance(rule, [m for m in members if m.values() != odd], {1, 2}, 9)
 
     def test_domain_mismatch_is_an_error(self):
         # check_flat_invariance trusts its vectors' domains; a set from

@@ -29,7 +29,7 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 
 from conftest import rational_row
 from imbalance import (
@@ -110,6 +110,12 @@ def reference_solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     return Feasible(tuple(solution[col] for col in range(len(system.variables))))
 
 
+# A wrong solver fails most drawn systems, and shrinking a failing system
+# takes many times longer than finding it: the heaviest differential tests
+# report their first failing example as drawn.
+UNSHRUNK = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
+
+
 def assert_same_result(system):
     got, want = solve_or_refute(system), reference_solve_or_refute(system)
     assert type(got) is type(want)
@@ -187,7 +193,7 @@ def test_appended_rows_only_pad_the_certificate(system, data):
     assert solve_or_refute(prefix).certificate.multipliers == want[:last + 1]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, phases=UNSHRUNK)
 @given(systems())
 def test_rational_system_files_solve_like_reference(tmp_path_factory, system):
     """A drawn system written as a ``solve-system`` file: the file's rational
@@ -204,6 +210,42 @@ def test_rational_system_files_solve_like_reference(tmp_path_factory, system):
     with contextlib.redirect_stdout(out):
         assert main(["solve-system", "--system", str(path)]) == code
     assert out.getvalue() == f"{verdict}\n{answer_text(system, want)}"
+
+
+@st.composite
+def feasible_systems(draw):
+    """A system with one solution x, and x: row i holds column i with a
+    pivot entry of either sign and drawn entries on later columns, x holds
+    values over several distinct denominators, and each rhs is its row
+    at x.  Sums of two rows, also at x, are appended, and the rows are
+    shuffled, so back-substitution meets negative pivot entries and mixes
+    the denominators of the values it has already set."""
+    n = draw(st.integers(1, 6))
+    x = [Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3, 4, 5, 7, 9, 10])))
+         for _ in range(n)]
+    rows = []
+    for i in range(n):
+        coeffs = {i: draw(nonzero)}  # of either sign
+        coeffs.update({c: draw(nonzero) for c in range(i + 1, n) if draw(st.booleans())})
+        rows.append(coeffs)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        summed = {c: a.get(c, 0) + b.get(c, 0) for c in a.keys() | b.keys()}
+        rows.append({c: v for c, v in summed.items() if v})
+    rows = draw(st.permutations(rows))
+    pairs = [(coeffs, sum(v * x[c] for c, v in coeffs.items())) for coeffs in rows]
+    return LinearSystem(tuple(BidMultiset.of([k]) for k in range(n)), linear_rows(pairs)), tuple(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(feasible_systems())
+def test_feasible_systems_over_several_denominators_match_reference(drawn):
+    """Back-substitution on integer (numerator, denominator) pairs gives
+    the one solution, value for value, as the reference's ``Fraction``
+    arithmetic does."""
+    system, x = drawn
+    assert solve_or_refute(system).assignment == x
+    assert_same_result(system)
 
 
 WITNESS_RULES = ["neg-second-price", "constant:7/3"]
@@ -289,7 +331,7 @@ def copied_row(row, kind, data):
 COPY_KINDS = ["same", "same", "shifted", "reordered", "rescaled"]  # exact copies drawn twice as often
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=UNSHRUNK)
 @given(systems(), st.data())
 def test_repeated_rows_match_reference(system, data):
     """Copies of rows at random positions, copies of copies included: a row
@@ -478,7 +520,7 @@ def chain_system(n_vars, rows):
                         rows=linear_rows(rows))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=UNSHRUNK)
 @given(chain_systems())
 def test_chain_systems_match_reference(system):
     assert_same_result(system)
