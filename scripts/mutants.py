@@ -70,7 +70,9 @@ MUTANTS = [
     ("variable-order-by-size-only", "feasibility.py",
      "order = sorted(sorted(ids), key=len)", "order = sorted(ids, key=len)"),
     ("forced-payment-one-bidder-short", "payments.py",
-     "target / (2 + len(base))", "target / (1 + len(base))"),
+     "Fraction(target, 2 + len(base))", "Fraction(target, 1 + len(base))"),
+    ("forced-payment-true-division", "payments.py",
+     "Fraction(target, 2 + len(base))", "target / (2 + len(base))"),
     ("flat-invariance-numerators-only", "rules.py",
      "(value.numerator, value.denominator) == pair", "value.numerator == pair[0]"),
     ("masks-drop-last-holder", "bids.py",

@@ -1,10 +1,12 @@
 """Bid vectors and bid multisets with the restriction/completion operators.
 
-A bid vector is a finite map from bidder id to exact rational bid, modeled
-extensionally as its graph (a set of pairs): two vectors are equal exactly
-when they hold the same pairs.  A bid multiset is the vector's range
-counted with multiplicity; symmetric payment rules only ever look at the
-multiset, never at who placed which bid.
+A bid vector is a finite map from bidder id to exact rational bid (an
+``int`` or a ``Fraction``, see ``rationals``), modeled extensionally as
+its graph (a set of pairs): two vectors are equal exactly when they hold
+the same pairs, and then hash equal, an ``int`` bid like its equal
+``Fraction``.  A bid multiset is the vector's range counted with
+multiplicity; symmetric payment rules only ever look at the multiset,
+never at who placed which bid.
 
 On top of the two value types this module provides the combinatorial
 operators the verification pipeline is assembled from:
@@ -26,15 +28,10 @@ call them, and the benchmark tracer wraps them.  They count a bag's bids
 with ``collections.Counter`` and find each bid's holders with
 ``_bid_groups``, the grouping ``CompletionFamilies`` builds on.
 
-A vector hashes as the tuple of its (bidder, hash(bid)) pairs and keeps
-that hash.  ``CompletionFamilies`` builds its members from shared pairs,
-with their hashes set from one hash per distinct bid object, and ``flat``
-sets its vector's hash from the one hash of its bid; both hand those
-pairs to ``BidVector._hashed``, the one place outside ``__hash__`` that
-stores a hash.  ``rank_bids`` ranks the distinct values of a collection
-of bids, and ``flat_keys`` keys each vector by its bidders and their
-bids' ranks, so the system build and the witness and result writers can
-sort and key on integers.
+``rank_bids`` ranks the distinct values of a collection of bids, and
+``flat_keys`` keys each vector by its bidders and their bids' ranks, so
+the system build and the witness and result writers can sort and key on
+integers.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
 bidder key and bid text in a file is parsed once: its tables parse a
@@ -66,35 +63,17 @@ class BidVector:
     """Finite map bidder id -> bid, stored as its sorted graph: ids strictly
     increase, which the raw constructor trusts and ``of`` establishes.
 
-    The hash is that of the tuple of (bidder, hash(bid)) pairs, so equal
-    vectors hash equal, an ``int`` bid like its ``Fraction``.  It is kept
-    in the instance once asked for, or set by ``_hashed`` when the builder
-    already holds those pairs, so a vector that keys several lookups
-    hashes its bids once.  Truthiness comes from ``__len__``: only the
-    empty vector is false.
+    Equality and hash are the dataclass's, on ``entries``: an ``int`` bid
+    compares and hashes like its equal ``Fraction``, so equal vectors hash
+    equal however their bids are spelled.  Truthiness comes from
+    ``__len__``: only the empty vector is false.
     """
 
     entries: tuple[tuple[int, Fraction], ...] = ()
 
-    def __hash__(self) -> int:
-        value = self.__dict__.get("_hash")
-        if value is None:
-            value = self.__dict__["_hash"] = hash(tuple([(i, hash(v)) for i, v in self.entries]))
-        return value
-
     @staticmethod
-    def _hashed(entries: tuple[tuple[int, Fraction], ...], pair_hashes: tuple) -> "BidVector":
-        """The raw vector on ``entries`` with its hash set from
-        ``pair_hashes``, its (bidder, hash(bid)) pairs in the same order."""
-        vector = BidVector(entries)
-        vector.__dict__["_hash"] = hash(pair_hashes)
-        return vector
-
-    @staticmethod
-    def of(entries: Mapping[int, object] | Iterable[tuple[int, object]] | "BidVector") -> "BidVector":
+    def of(entries: Mapping[int, object] | Iterable[tuple[int, object]]) -> "BidVector":
         """Build from a mapping or iterable of (bidder, bid) pairs."""
-        if isinstance(entries, BidVector):
-            return entries
         items = entries.items() if isinstance(entries, Mapping) else entries
         normalized = []
         for bidder, bid in items:
@@ -167,15 +146,10 @@ def remove(vector: BidVector, bidders: Iterable[int]) -> BidVector:
 
 
 def flat(bidders: Iterable[int], value) -> BidVector:
-    """Constant vector: every id in ``bidders`` maps to ``value``.
-
-    ``BidVector.of`` checks and sorts the ids; the vector's hash is set
-    through ``BidVector._hashed`` from one hash of the bid.
+    """Constant vector: every id in ``bidders`` maps to ``value``, one bid
+    object held by every bidder; ``BidVector.of`` checks and sorts the ids.
     """
-    bid = ensure_rational(value)
-    entries = BidVector.of(dict.fromkeys(bidders, bid)).entries
-    bid_hash = hash(bid)
-    return BidVector._hashed(entries, tuple([(i, bid_hash) for i, _ in entries]))
+    return BidVector.of(dict.fromkeys(bidders, ensure_rational(value)))
 
 
 def _bid_groups(entries) -> dict[Fraction, list[int]]:
@@ -254,31 +228,20 @@ class CompletionFamilies:
     sub-multisets.
 
     Members are built from shared pairs: each position's kept pair is the
-    vector's own, and its filled pair and both (bidder, hash) pairs are
-    built once, from one hash per distinct bid object.  The masks grow one
-    bid group at a time, each mask so far followed by the masks with the
-    group's first 1, 2, ... holders kept, so every mask follows its
-    parent, the mask with one bit fewer, and every parent is a mask of the
-    family too.  A mask not in ``members`` yet is built then, from its
+    vector's own, and its filled pair is the first member's.  The masks
+    grow one bid group at a time, each mask so far followed by the masks
+    with the group's first 1, 2, ... holders kept, so every mask follows
+    its parent, the mask with one bit fewer, and every parent is a mask of
+    the family too.  A mask not in ``members`` yet is built then, as its
     parent's pairs with one more position kept: one copy per new member,
-    none for a mask built before.  The (bidder, hash) pairs of the members
-    a call builds are kept for that call only, and those of a parent that
-    an earlier call built are read off its mask.  A member gets its hash
-    from its pair hashes through ``BidVector._hashed``, and
-    families of vectors that share bid objects share them too, so their
-    equal members compare equal by identity.
+    none for a mask built before.  Families of vectors that share bid
+    objects share them too, so their equal members compare equal by
+    identity.
     """
 
     def __init__(self, vector: BidVector, fill):
         self.fill = fill_bid = ensure_rational(fill)
-        hashes = {id(fill_bid): hash(fill_bid)}
-        for _, v in vector.entries:
-            if id(v) not in hashes:
-                hashes[id(v)] = hash(v)
         self._kept = kept = vector.entries
-        self._kept_hashes = [(i, hashes[id(v)]) for i, v in kept]
-        self._filled = (tuple([(i, fill_bid) for i, _ in kept]),
-                        tuple([(i, hashes[id(fill_bid)]) for i, _ in kept]))
         self._groups = [g for v, g in _bid_groups(kept).items() if v != fill_bid]
         self.members: dict[int, BidVector] = {}
 
@@ -286,11 +249,9 @@ class CompletionFamilies:
         """The masks of the family of the vector with bidder ``filled``'s
         bid set to the fill, in enumeration order; a member not built
         before is built and kept in ``members``."""
-        kept, kept_hashes, members = self._kept, self._kept_hashes, self.members
-        filled_pairs, filled_hashes = self._filled
+        kept, members = self._kept, self.members
         if not members:
-            members[0] = BidVector._hashed(filled_pairs, filled_hashes)
-        hashes_of = {0: filled_hashes}  # mask -> its member's (bidder, hash) pairs, this call only
+            members[0] = BidVector(tuple([(i, self.fill) for i, _ in kept]))
         masks = [0]
         for group in self._groups:
             positions = [(pos, 1 << pos) for pos in group if kept[pos][0] != filled]
@@ -300,14 +261,9 @@ class CompletionFamilies:
                 for pos, bit in positions:
                     parent, mask = mask, mask | bit
                     if mask not in members:
-                        pair_hashes = hashes_of.get(parent)
-                        if pair_hashes is None:  # the parent was built by an earlier call
-                            pair_hashes = [kept_hashes[p] if parent >> p & 1 else h
-                                           for p, h in enumerate(filled_hashes)]
-                        pairs, pair_hashes = list(members[parent].entries), list(pair_hashes)
-                        pairs[pos], pair_hashes[pos] = kept[pos], kept_hashes[pos]
-                        hashes_of[mask] = pair_hashes = tuple(pair_hashes)
-                        members[mask] = BidVector._hashed(tuple(pairs), pair_hashes)
+                        pairs = list(members[parent].entries)
+                        pairs[pos] = kept[pos]
+                        members[mask] = BidVector(tuple(pairs))
                     grown.append(mask)
             masks = grown
         return masks

@@ -199,7 +199,7 @@ def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> 
             )
     except RuleUndefinedError as exc:
         raise AdequacyError(f"adequate-set hypotheses fail: {exc}") from exc
-    return target / (2 + len(base))
+    return Fraction(target, 2 + len(base))
 
 
 def build_payment_table(

@@ -1,10 +1,13 @@
 """Exact rational scalars: coercion, parsing, formatting.
 
 Every quantity in this package (bids, payments, rule values, certificate
-multipliers) is an arbitrary-precision rational backed by the standard
-library's :class:`fractions.Fraction`: immutable, always in lowest terms
-with a positive denominator, exact field arithmetic.  No floating point
-is used anywhere.
+multipliers) is an exact rational: an ``int`` or a standard library
+:class:`fractions.Fraction`, immutable, always in lowest terms with a
+positive denominator, with exact field arithmetic.  An ``int`` stays an
+``int``: it already compares and hashes equal to the equal ``Fraction``
+and has ``numerator`` and ``denominator`` (PEP 3141), so only a true
+division needs a ``Fraction``.  Text always parses to a ``Fraction``.  No
+floating point is used anywhere.
 
 The external text encoding is ``"p/q"`` with the denominator omitted when
 it equals 1, e.g. ``"-5/4"``, ``"10"``.  It is used in all JSON files and
@@ -61,12 +64,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def ensure_rational(value) -> Fraction:
-    """Coerce an int, ``p/q`` string, or Fraction; floats are rejected."""
+def ensure_rational(value) -> int | Fraction:
+    """An exact rational: an int or Fraction unchanged, a ``p/q`` string
+    parsed to a Fraction; bools and floats are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"exact rational expected, got {type(value).__name__}")
-    return Fraction(value)
+    return value

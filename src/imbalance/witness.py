@@ -132,15 +132,15 @@ def is_counterexample(triple: CounterexampleTriple, rule: PriceRule) -> bool:
 
 def vickrey_vectors(n: int) -> tuple[BidVector, BidVector]:
     """The stock pair on bidders 1..n+2: bids 1..n+1 then n+3, and the
-    same with the (n+1)-th bid raised to n+2.  Both hold one ``Fraction``
-    object per value, so their families' members compare by identity."""
+    same with the (n+1)-th bid raised to n+2.  The bids are ``int``s,
+    which hash and compare in C, and every fill the stock instance uses is
+    one of them."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bid = [Fraction(v) for v in range(n + 4)]
-    low = {i: bid[i] for i in range(1, n + 2)}
-    low[n + 2] = bid[n + 3]
+    low = {i: i for i in range(1, n + 2)}
+    low[n + 2] = n + 3
     high = dict(low)
-    high[n + 1] = bid[n + 2]
+    high[n + 1] = n + 2
     return BidVector.of(low), BidVector.of(high)
 
 

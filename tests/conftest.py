@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from imbalance import RULE_F, BidMultiset, BidVector, PriceRule, RuleUndefinedError
 from imbalance.bids import rank_bids
-from imbalance.rationals import ensure_rational
+from imbalance.rationals import ensure_rational, format_rational
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=20)
 
@@ -26,8 +26,9 @@ def multisets(max_size=5):
 def bag_rule(name, values, min_arity=0) -> PriceRule:
     """A rule read from one table: ``values`` maps bids, in any order, to a
     value, and both forms read the table at the sorted bids.  A bag missing
-    from the table raises ``RuleUndefinedError``; two values on one bag are
-    an error of the caller."""
+    from the table raises ``RuleUndefinedError``, which names the bag's
+    bids as ``p/q`` texts, so an ``int`` bid reads like its equal
+    ``Fraction``; two values on one bag are an error of the caller."""
     table = {}
     for bids, value in values.items():
         key, value = tuple(sorted(bids)), ensure_rational(value)
@@ -37,8 +38,9 @@ def bag_rule(name, values, min_arity=0) -> PriceRule:
         try:
             return table[tuple(bids)]
         except KeyError:
+            shown = ", ".join(format_rational(v) for v in bids)
             raise RuleUndefinedError(f"rule undefined on this bag: {name!r} has no value "
-                                     f"on {tuple(bids)!r}") from None
+                                     f"on ({shown})") from None
 
     return PriceRule(name, min_arity, lambda vector: bag(sorted(vector.values())), bag)
 

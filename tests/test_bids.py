@@ -79,16 +79,18 @@ class TestBidVector:
         assert bid_vector_to_json(b) == {"bids": {"1": "-5/4", "3": "10"}}
         assert bid_vector_from_json(bid_vector_to_json(b)) == b
 
-    def test_kept_hash_is_the_hash_of_bid_hashes(self):
-        text, exact = vec({1: "2/4", 3: -2}), vec({1: Fraction(1, 2), 3: Fraction(-2)})
-        raw_int = BidVector(((1, Fraction(1, 2)), (3, -2)))  # an int bid next to its Fraction
-        assert text == exact == raw_int
-        for b in (text, exact, raw_int):
-            assert hash(b) == hash(((1, hash(Fraction(1, 2))), (3, hash(-2))))
-            assert hash(b) == hash(b)  # the kept value on the second ask
-            assert b.__dict__["_hash"] == hash(b)
-        assert hash(text) == hash(exact) == hash(raw_int)
-        assert hash(vec({})) == hash(())
+    def test_equal_vectors_hash_equal_in_any_spelling(self):
+        spellings = [
+            vec({1: "2/4", 3: -2}),
+            vec({1: Fraction(1, 2), 3: Fraction(-2)}),
+            vec({1: Fraction(1, 2), 3: "-2"}),
+            BidVector(((1, Fraction(1, 2)), (3, -2))),  # an int bid next to its Fraction
+        ]
+        assert type(spellings[0][3]) is int and type(spellings[1][3]) is Fraction
+        for b in spellings:
+            assert b == spellings[0] and hash(b) == hash(spellings[0])
+        assert hash(vec({})) == hash(BidVector())
+        assert len(set(spellings)) == 1
 
     @pytest.mark.parametrize("hashed_first", [False, True])
     def test_copies_keep_equality_and_hash(self, hashed_first):
@@ -97,8 +99,8 @@ class TestBidVector:
             hash(b)
         for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
             assert twin == b and twin.entries == b.entries
-            assert hash(twin) == hash(b) == hash(((2, hash(Fraction(7, 3))), (5, hash(1))))
-            assert hash(twin) == hash(BidVector(twin.entries))  # fresh, nothing kept
+            assert hash(twin) == hash(b) == hash(vec({2: Fraction(7, 3), 5: Fraction(1)}))
+            assert hash(twin) == hash(BidVector(twin.entries))
 
 
 class TestBidMultiset:
@@ -135,23 +137,11 @@ class TestFlat:
         assert flat({5}, Fraction(-1, 2)) == vec({5: Fraction(-1, 2)})
 
     @given(st.sets(bidder_ids, max_size=8), st.one_of(rationals, st.integers(-5, 5)))
-    def test_stored_hash_is_the_vector_hash(self, ids, value):
+    def test_equals_and_hashes_like_a_built_vector(self, ids, value):
         v = flat(ids, value)
-        assert v.__dict__["_hash"] == hash(BidVector(v.entries))
-
-    def test_hashes_its_bid_once(self, monkeypatch):
-        calls = []
-        original = Fraction.__hash__
-
-        def counted(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(Fraction, "__hash__", counted)
-        bid = Fraction(7, 3)
-        v = flat(range(1, 11), bid)
-        hash(v)
-        assert calls == [bid]
+        built = vec({i: format_rational(Fraction(value)) for i in ids})
+        assert v == built and hash(v) == hash(built)
+        assert all(bid is v.entries[0][1] for _, bid in v.entries)  # one bid object
 
 
 class TestSubMultisets:

@@ -10,9 +10,9 @@ parsers coerce every entry on its own (a bid went through
 ones parse each distinct text of a file once through a ``ParseMemo``.  The old family builds a
 ``BidMultiset`` and a ``Fraction``-keyed count dict per sub-multiset; the
 new one enumerates count tuples over bid groups, skips the group equal to
-the fill, and gives each member the hash it would compute, built from one
-hash per distinct bid object.  The old writer sorts by ``entries`` and
-dumps one dict per vector; the new one sorts by flat (bidder, rank) keys
+the fill, and builds each member from its parent's pairs with one more
+position kept.  The old writer sorts by ``entries`` and dumps one dict
+per vector; the new one sorts by flat (bidder, rank) keys
 from ``flat_keys``, on ranks from ``rank_bids`` checked against their
 definition on the same inputs (``conftest.assert_ranked``), and joins
 the lines with the bidder keys in string order.
@@ -29,7 +29,6 @@ Mutants these tests catch (each checked on a broken copy of the package):
 * keeping the last holders of a bid instead of the first;
 * enumerating counts ``0..m-1`` instead of ``0..m``;
 * a fill that is not coerced, so a ``str`` fill lands in the vectors;
-* a member's kept hash that uses the fill's hash at a kept position;
 * checking the domain cap after every vector's parse, so a bad bid in
   vector 1 hides vector 0's cap error.
 """
@@ -55,7 +54,13 @@ from imbalance import (
     sub_multisets,
     system_from_json,
 )
-from imbalance.bids import ParseMemo, bid_vector_from_json, bid_vector_to_json, canonical_id
+from imbalance.bids import (
+    CompletionFamilies,
+    ParseMemo,
+    bid_vector_from_json,
+    bid_vector_to_json,
+    canonical_id,
+)
 from imbalance.cli import main
 from imbalance.rationals import ensure_rational, format_rational
 from imbalance import witness
@@ -275,14 +280,13 @@ fills = st.sampled_from(POOL + [Fraction(7)]).flatmap(
 )
 
 
-def assert_kept_hashes(family):
-    """Each member holds its hash from the build, and it is the hash of a
-    fresh vector on the same entries and of one built by ``BidVector.of``
-    from equal but distinct bid objects."""
+def assert_hash_like_text_spelling(family):
+    """Each member equals, and hashes like, the vector ``BidVector.of``
+    parses from its ``p/q`` texts, whose bids are all distinct
+    ``Fraction`` objects."""
     for member in family:
-        kept = member.__dict__["_hash"]
-        assert kept == hash(BidVector(member.entries))
-        assert kept == hash(BidVector.of({i: format_rational(v) for i, v in member.entries}))
+        spelled = BidVector.of({i: format_rational(v) for i, v in member.entries})
+        assert member == spelled and hash(member) == hash(spelled)
 
 
 @settings(max_examples=300, deadline=None)
@@ -291,7 +295,7 @@ def test_full_family_matches_reference(base, fill):
     got = full_family(base, fill)
     assert got == reference_full_family(base, fill)
     assert {typed(v) for v in got} == {typed(v) for v in reference_full_family(base, fill)}
-    assert_kept_hashes(got)
+    assert_hash_like_text_spelling(got)
 
 
 @pytest.mark.parametrize("fill", [5, "5", Fraction(5), "10/2"])
@@ -300,14 +304,14 @@ def test_fill_equal_to_a_repeated_base_bid(fill):
     family = full_family(base, fill)
     assert family == reference_full_family(base, fill)
     assert len(family) == 3  # only the two 3-holders vary
-    assert_kept_hashes(family)
+    assert_hash_like_text_spelling(family)
 
 
 @pytest.mark.parametrize("fill", [0, "0", Fraction(0)])
 def test_empty_base(fill):
     family = full_family(BidVector.of({}), fill)
     assert family == reference_full_family(BidVector.of({}), fill)
-    assert_kept_hashes(family)
+    assert_hash_like_text_spelling(family)
 
 
 # --- the witness writer ------------------------------------------------
@@ -352,7 +356,7 @@ def test_witness_writer_matches_reference_on_stock_sets(n):
     assert_same_text(witness_set_text(vectors), reference_witness_set_text(vectors))
 
 
-# --- cost guard: bids hashed per distinct bid, never per member ----------
+# --- cost guard: bids hashed per held bid, never per member --------------
 
 @pytest.fixture
 def fraction_hashes(monkeypatch):
@@ -368,25 +372,37 @@ def fraction_hashes(monkeypatch):
     return calls
 
 
-# Ten bids each time.  A call hashes each bid once to group the bids, and
-# each distinct bid object, the fill's included, once more: at most
-# 2 * 10 + 1, whatever the family's size.
+# Ten bids each time.  Building the family hashes each held bid once, to
+# group the bids, and no bid per member, whatever the family's size.
 @pytest.mark.parametrize(
-    "bids, size, hashes",
+    "bids, size",
     [
         # ten distinct values, one equal to the fill: the largest family
-        ({i: Fraction(i) for i in range(1, 11)}, 512, 10 + 11),
+        ({i: Fraction(i) for i in range(1, 11)}, 512),
         # one object equal to the fill, held ten times: a single member
-        (dict.fromkeys(range(1, 11), Fraction(1)), 1, 10 + 2),
+        (dict.fromkeys(range(1, 11), Fraction(1)), 1),
         # ten distinct objects of one value other than the fill
-        ({i: Fraction(3) for i in range(1, 11)}, 11, 10 + 11),
+        ({i: Fraction(3) for i in range(1, 11)}, 11),
     ],
     ids=["distinct", "all-fill", "repeated"],
 )
-def test_full_family_hashes_each_bid_object_once(bids, size, hashes, fraction_hashes):
-    family = full_family(BidVector(tuple(bids.items())), Fraction(1))
-    assert len(family) == size
-    assert len(fraction_hashes) == hashes
+def test_full_family_hashes_each_bid_object_once(bids, size, fraction_hashes):
+    family = CompletionFamilies(BidVector(tuple(bids.items())), Fraction(1))
+    assert len(family.masks()) == size
+    assert len(fraction_hashes) == 10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stock_commands_hash_at_most_one_fraction(n, fraction_hashes, capsys):
+    """``theorem`` hashes one ``Fraction``, the ``Fraction(0)`` that the
+    counterexample check compares the two differences with; ``witness``
+    hashes none, building its families or writing the file."""
+    assert main(["theorem", "--n", str(n)]) == 0
+    assert fraction_hashes == [0]
+    fraction_hashes.clear()
+    assert main(["witness", "--n", str(n)]) == 0
+    assert fraction_hashes == []
+    assert capsys.readouterr().out.count('"bids"') == 5 * 2 ** n
 
 
 def test_witness_writer_hashes_no_bid(fraction_hashes):

@@ -294,7 +294,7 @@ class TestVerifyImbalance:
 
         families, builds, inside = [], Counter(), []
         original_init, original_masks = bids.CompletionFamilies.__init__, bids.CompletionFamilies.masks
-        original_hashed = BidVector._hashed
+        original_build = BidVector.__init__
 
         def recording_init(family, vector, fill):
             families.append(((vector, fill), family))
@@ -307,14 +307,14 @@ class TestVerifyImbalance:
             finally:
                 inside.pop()
 
-        def counting_hashed(entries, pair_hashes):
+        def counting_build(vector, *args, **kwargs):
             if inside:  # flat vectors are built outside any family
                 builds[id(inside[-1])] += 1
-            return original_hashed(entries, pair_hashes)
+            original_build(vector, *args, **kwargs)
 
         monkeypatch.setattr(bids.CompletionFamilies, "__init__", recording_init)
         monkeypatch.setattr(bids.CompletionFamilies, "masks", recording_masks)
-        monkeypatch.setattr(BidVector, "_hashed", staticmethod(counting_hashed))
+        monkeypatch.setattr(BidVector, "__init__", counting_build)
         triple, j_low, j_high = vickrey_instance(n)
         assert verify_imbalance(NEG2, triple, j_low, j_high).holds
         # one table per (vector, fill), and each of its masks built once
