@@ -75,6 +75,8 @@ MUTANTS = [
      "Fraction(target, 2 + len(base))", "target / (2 + len(base))"),
     ("flat-invariance-numerators-only", "rules.py",
      "(value.numerator, value.denominator) == pair", "value.numerator == pair[0]"),
+    ("table-flat-wrong-fill", "payments.py",
+     "flat(vector.dom, self.family.fill)", "flat(vector.dom, vector.entries[0][1])"),
     ("masks-drop-last-holder", "bids.py",
      "for pos in group if", "for pos in group[:-1] if"),
     ("collector-left-paused", "cli.py",

@@ -396,9 +396,10 @@ def bid_vector_from_json(obj, memo: ParseMemo | None = None) -> BidVector:
 
     Each key and each ``str`` text is one subscript of a ``memo`` table,
     which parses it on a miss; a text that is not a ``str`` goes through
-    ``ensure_rational`` and is never stored.
+    ``ensure_rational`` and is never stored.  A key other than ``"bids"``
+    is rejected, so no misspelled field is dropped silently.
     """
-    if not isinstance(obj, dict) or not isinstance(obj.get("bids"), dict):
+    if not isinstance(obj, dict) or len(obj) != 1 or not isinstance(obj.get("bids"), dict):
         raise ValueError('bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}')
     memo = ParseMemo() if memo is None else memo
     bidders, texts = memo.bidders, memo.texts

@@ -506,8 +506,13 @@ def system_to_json(system: LinearSystem) -> dict:
     }
 
 
+_ROW_KEYS = {"coeffs", "rhs", "origin"}
+
+
 def system_from_json(obj) -> LinearSystem:
-    if not isinstance(obj, dict) or "variables" not in obj or "rows" not in obj:
+    """Parse a system file.  A key it does not name is rejected, so a
+    misspelled field such as ``"orgin"`` is never dropped silently."""
+    if not isinstance(obj, dict) or len(obj) != 2 or "variables" not in obj or "rows" not in obj:
         raise ValueError('linear system JSON must have "variables" and "rows"')
     for field in ("variables", "rows"):
         if not isinstance(obj[field], list):
@@ -519,7 +524,8 @@ def system_from_json(obj) -> LinearSystem:
         raise ValueError("variables must be distinct multisets")
     rows = []
     for row in obj["rows"]:
-        if not isinstance(row, dict) or not isinstance(row.get("coeffs"), dict) or "rhs" not in row:
+        if (not isinstance(row, dict) or not isinstance(row.get("coeffs"), dict) or "rhs" not in row
+                or not row.keys() <= _ROW_KEYS):
             raise ValueError('each row must be an object with "coeffs" and "rhs"')
         coeffs = {}
         for key, text in row["coeffs"].items():

@@ -22,15 +22,16 @@ member or on the flat vector counting as not, is decided in one place,
 ``rules.check_flat_invariance``: ``build_adequate_set`` records its answer
 and ``forced_payment`` reads it.  Adequate sets are built in one way,
 through ``AdequateSets``: the sets of one vector and fill share one member
-table, keyed by kept-position mask, so each member is built once and
-checked until one set has shown it flat.  ``build_adequate_set`` is its
-one-set case, and ``witness.verify_imbalance`` keeps one table per vector
-and fill.  ``is_adequate`` checks both adequacy
-predicates, structure and flat-invariance, on a set supplied from
-outside.  Along the all-equal-bids iteration (``build_payment_table``)
-every forced value is the same closed form f / N, once the rule is
-checked to keep its flat value f on each N-bidder vector visited, so that
-function returns only the iteration's steps and records no values.
+table, keyed by kept-position mask, and one flat vector, so each member
+and the flat vector are built once, and each member is checked until one
+set has shown it flat.  ``build_adequate_set`` is its one-set case, and
+``witness.verify_imbalance`` keeps one table per vector and fill.
+``is_adequate`` checks both adequacy predicates, structure and
+flat-invariance, on a set supplied from outside.  Along the
+all-equal-bids iteration (``build_payment_table``) every forced value is
+the same closed form f / N, once the rule is checked to keep its flat
+value f on each N-bidder vector visited, so that function returns only
+the iteration's steps and records no values.
 """
 
 from __future__ import annotations
@@ -83,17 +84,19 @@ class AdequateSets:
     once, by ``CompletionFamilies``; which masks a set holds is decided
     per set, by the first-holders rule, so repeated bids are covered too.
     Every set of the table has the same flat vector, the fill on the
-    vector's domain, so a member shown flat for one set is flat for every
-    set: ``decide`` passes ``check_flat_invariance`` only the members no
-    earlier set has shown flat, and ``flat_masks`` gathers those that
-    passed.  A set that fails shows nothing flat, since the check stops at
-    its first failing member, and a later set checks those members again.
-    So ``flat_masks`` is the union of the masks of the sets that passed.
+    vector's domain, built once as ``flat``, so a member shown flat for
+    one set is flat for every set: ``decide`` passes
+    ``check_flat_invariance`` that vector and only the members no earlier
+    set has shown flat, and ``flat_masks`` gathers those that passed.  A
+    set that fails shows nothing flat, since the check stops at its first
+    failing member, and a later set checks those members again.  So
+    ``flat_masks`` is the union of the masks of the sets that passed.
     """
 
     def __init__(self, vector: BidVector, fill, rule: PriceRule):
         self.vector = vector
         self.family = CompletionFamilies(vector, fill)
+        self.flat = flat(vector.dom, self.family.fill)
         self.flat_masks: set[int] = set()
         self._rule = rule
 
@@ -102,8 +105,7 @@ class AdequateSets:
         shown = self.flat_masks
         fresh = [mask for mask in self.family.masks(bidder) if mask not in shown]
         members = self.family.members
-        invariant = check_flat_invariance(
-            self._rule, [members[mask] for mask in fresh], self.vector.dom, self.family.fill)
+        invariant = check_flat_invariance(self._rule, [members[mask] for mask in fresh], self.flat)
         if invariant:
             shown.update(fresh)
         return invariant
@@ -167,7 +169,7 @@ def is_adequate(
     if (len(kept_bags) != math.prod(m + 1 for m in non_fill.values())
             or max(kept_bags.values()) > roles_per_bag):
         return False
-    return check_flat_invariance(rule, member_set, layout.keys(), fill_bid)
+    return check_flat_invariance(rule, member_set, flat(layout.keys(), fill_bid))
 
 
 def forced_payment(base: BidVector, fill, rule: PriceRule, i1: int, i2: int) -> Fraction:

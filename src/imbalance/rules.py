@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .bids import BidVector, flat
+from .bids import BidVector
 from .rationals import ensure_rational, format_rational
 
 
@@ -58,8 +58,8 @@ class PriceRule:
     bag: Callable[[list[Fraction]], Fraction] = field(compare=False, repr=False)
 
     def __call__(self, vector: BidVector) -> Fraction:
-        if len(vector) < self.min_arity:
-            raise self._arity_error(len(vector))
+        if len(vector.entries) < self.min_arity:  # skips the Python-level BidVector.__len__
+            raise self._arity_error(len(vector.entries))
         return self.fn(vector)
 
     def of_bag(self, bids: list[Fraction]) -> Fraction:
@@ -131,20 +131,21 @@ def get_rule(name: str) -> PriceRule:
 
 
 def check_flat_invariance(
-    rule: PriceRule, vectors: Iterable[BidVector], bidders: Iterable[int], fill
+    rule: PriceRule, vectors: Iterable[BidVector], flat_vector: BidVector
 ) -> bool:
     """Whether the rule is defined and takes its flat value on every vector.
 
-    The reference value is the rule applied to the constant vector at
-    ``fill`` on ``bidders``.  A rule undefined on that vector or on any of
-    the vectors is not flat-invariant there: the answer is False, and no
-    ``RuleUndefinedError`` escapes.  The flat vector is evaluated first,
-    then the vectors in iteration order, up to the first that is undefined
-    or differs.  Precondition, not checked here: each vector has domain
-    exactly ``bidders``.  ``AdequateSets.decide`` passes members of its
-    ``CompletionFamilies``, which keep the vector's ids by construction,
-    and ``is_adequate`` calls this only once its structure check has
-    accepted every member's domain.
+    The reference value is the rule applied to ``flat_vector``, the
+    constant vector at the fill on the vectors' bidders.  A rule undefined
+    on that vector or on any of the vectors is not flat-invariant there:
+    the answer is False, and no ``RuleUndefinedError`` escapes.  The flat
+    vector is evaluated first, then the vectors in iteration order, up to
+    the first that is undefined or differs.  Precondition, not checked
+    here: ``flat_vector`` is constant, and each vector has its domain.
+    ``AdequateSets.decide`` passes its table's flat vector and members of
+    its ``CompletionFamilies``, which keep the vector's ids by
+    construction, and ``is_adequate`` calls this only once its structure
+    check has accepted every member's domain.
 
     Values are compared as (numerator, denominator) pairs, equal exactly
     when the values are: both are in lowest terms with a positive
@@ -152,7 +153,7 @@ def check_flat_invariance(
     ``Fraction.__eq__`` on every member.
     """
     try:
-        target = rule(flat(bidders, fill))
+        target = rule(flat_vector)
         pair = (target.numerator, target.denominator)
         return all((value.numerator, value.denominator) == pair for value in map(rule, vectors))
     except RuleUndefinedError:

@@ -29,12 +29,11 @@ sorted on the integer keys of ``flat_keys``.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .bids import BidVector, flat, flat_keys, full_family, remove
+from .bids import BidVector, flat_keys, full_family, remove
 from .payments import AdequateSets
 from .rationals import format_rational
 from .rules import PriceRule, RuleUndefinedError, get_rule
@@ -220,18 +219,18 @@ def verify_imbalance(
     family of the vector with i's bid set to the fill, so the sets of one
     (vector, fill) share one ``AdequateSets`` table, made once per call:
     each member, keyed by the positions that keep their own bid, is built
-    once and checked until a set has shown it flat.  The witness gets the
-    members of every set that passed, which are the members each table
-    has shown flat.  The rule's values are also cached for the call, so
-    each distinct vector is evaluated once; an error is not cached and
-    recurs on every evaluation.  The flat value the eta check
-    evaluates is the bidder's forced term, so when a vector's sets are
-    all adequate its residual is rule(vector) minus the mean of those
-    flat values.  When all hypotheses pass, both residuals exist, since
-    the counterexample check has evaluated the rule on both vectors and
-    every eta value is set, and they must differ.
+    once and checked until a set has shown it flat, and the table holds
+    the sets' one flat vector, the fill on the vector's domain.  The
+    witness gets the members of every set that passed, which are the
+    members each table has shown flat.  The rule is the caller's own: its
+    values are not cached, so no lookup hashes a vector, and a rule error
+    recurs on every evaluation.  The eta check evaluates the table's flat
+    vector, whose value is the bidder's forced term, so when a vector's
+    sets are all adequate its residual is rule(vector) minus the mean of
+    those flat values.  When all hypotheses pass, both residuals exist,
+    since the counterexample check has evaluated the rule on both vectors
+    and every eta value is set, and they must differ.
     """
-    rule = replace(rule, fn=functools.cache(rule.fn))
     counter_ok = is_counterexample(triple, rule)  # both tags in use: at least two bidders
     counter = HypothesisCheck(
         "counterexample",
@@ -262,12 +261,12 @@ def verify_imbalance(
                 adequate_all = False
                 continue
             fill = vector[partner]
+            table = tables.get((vector, fill))
+            if table is None:
+                table = tables[vector, fill] = AdequateSets(vector, fill, rule)
             key = (remove(vector, {i, partner}), fill, i, partner)
             ok = invariant.get(key)
             if ok is None:
-                table = tables.get((vector, fill))
-                if table is None:
-                    table = tables[vector, fill] = AdequateSets(vector, fill, rule)
                 ok = invariant[key] = table.decide(i)
             detail = "" if ok else f"rule not flat-invariant at fill {format_rational(fill)}"
             adequacy_checks.append(HypothesisCheck(f"adequate[{label},{i}]", ok, detail))
@@ -275,7 +274,7 @@ def verify_imbalance(
 
             tag = triple.h.get(i)
             try:
-                eta[i] = rule(flat(vector.dom, fill))
+                eta[i] = rule(table.flat)
                 if tag not in (RULE_F, RULE_G):
                     ok, detail = False, f"invalid tag {tag!r}, expected {RULE_F!r} or {RULE_G!r}"
                 else:
@@ -300,7 +299,7 @@ def verify_imbalance(
         residuals.append(residual)
         etas.append(eta)
 
-    for table in tables.values():  # the members of every set that passed
+    for table in tables.values():  # the members of every set that passed, none if never decided
         members = table.family.members
         witness.update([members[mask] for mask in table.flat_masks])
     lhs, rhs = residuals

@@ -25,6 +25,7 @@ from imbalance import (
     build_balance_system,
     check_flat_invariance,
     default_selector,
+    flat,
     forced_payment,
     get_rule,
     is_adequate,
@@ -172,7 +173,7 @@ def test_criterion_7_adequacy_mutations(capsys):
                 }
             )
             polluted = aset.members | {intruder}
-            assert not check_flat_invariance(NEG2, polluted, base.dom | {i1, i2}, fill)
+            assert not check_flat_invariance(NEG2, polluted, flat(base.dom | {i1, i2}, fill))
             assert not is_adequate(polluted, base, fill, NEG2, i1, i2)
 
 

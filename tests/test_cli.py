@@ -330,6 +330,7 @@ _FEASIBLE_PAST_STR_LIMIT = {
     "rows": [{"coeffs": {"0": f"1/{_A}"}, "rhs": str(_A + 1)}],
 }
 
+_NOT_A_VECTOR = 'bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}'
 _NOT_A_ROW = 'bad system in {path}: each row must be an object with "coeffs" and "rhs"'
 _STR_LIMIT = ("cannot write the result: Exceeds the limit (4300 digits) for integer string conversion;"
               " use sys.set_int_max_str_digits() to increase the limit")
@@ -390,6 +391,17 @@ class TestBadInput:
             ),
             ("solve-system", {"variables": ["1"], "rows": []},
              "bad system in {path}: multiset JSON must be an array of 'p/q' strings"),
+            ("eval", {"bids": {"1": "1"}, "other": 2}, "bad bid vector in {path}: " + _NOT_A_VECTOR),
+            ("check-balance", [{"bids": {"1": "1"}, "other": 2}],
+             "bad bid vector in {path}: " + _NOT_A_VECTOR),
+            ("solve-system", {"variables": [["1"]], "rows": [], "extra": 1},
+             'bad system in {path}: linear system JSON must have "variables" and "rows"'),
+            ("solve-system",
+             {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}, "rhs": "2", "orgin": {"bids": {"1": "1"}}}]},
+             _NOT_A_ROW),
+            ("solve-system",
+             {"variables": [["1"]], "rows": [{"coeffs": {"0": "1"}, "rhs": "2", "origin": {"bids": {}, "x": 1}}]},
+             "bad system in {path}: " + _NOT_A_VECTOR),
         ],
         ids=[
             "eval-float-bid",
@@ -413,6 +425,11 @@ class TestBadInput:
             "check-balance-eleven-bidders",
             "first-index-noncanonical",
             "variable-not-an-array",
+            "eval-unknown-key",
+            "check-balance-unknown-key",
+            "system-unknown-key",
+            "row-misspelled-origin",
+            "origin-unknown-key",
         ],
     )
     def test_exits_2_with_error_line(self, tmp_path, capsys, command, payload, error):

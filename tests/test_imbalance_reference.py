@@ -81,7 +81,7 @@ def reference_build_adequate_set(
     fill_bid = ensure_rational(fill)
     holders = BidVector.of([*base.entries, (i1, fill_bid), (i2, fill_bid)])
     members = reference_full_family(holders, fill_bid)
-    invariant = check_flat_invariance(rule, members, holders.dom, fill_bid)
+    invariant = check_flat_invariance(rule, members, flat(holders.dom, fill_bid))
     return AdequateSet(members=members, flat_invariant=invariant)
 
 

@@ -365,5 +365,5 @@ class TestForcedPaymentAgainstFlatInvariance:
         base = vec(mapping)
         fill = max(base.values(), default=Fraction(0)) + slack
         aset = build_adequate_set(base, fill, NEG2, 1, 2)
-        assert check_flat_invariance(NEG2, aset.members, base.dom | {1, 2}, fill)
+        assert check_flat_invariance(NEG2, aset.members, flat(base.dom | {1, 2}, fill))
         assert forced_payment(base, fill, NEG2, 1, 2) == -fill / (2 + len(base))

@@ -73,15 +73,15 @@ class TestFlatInvariance:
             vec({1: 9, 2: 9, 3: 4}),
             vec({1: 9, 2: 9, 3: 1}),
         }
-        assert check_flat_invariance(get_rule("neg-second-price"), members, {1, 2, 3}, 9)
+        assert check_flat_invariance(get_rule("neg-second-price"), members, flat({1, 2, 3}, 9))
 
     def test_constant_rule_always_invariant(self):
         members = {vec({1: 1, 2: 2}), vec({1: 5, 2: 5})}
-        assert check_flat_invariance(get_rule("constant:3"), members, {1, 2}, 0)
+        assert check_flat_invariance(get_rule("constant:3"), members, flat({1, 2}, 0))
 
     def test_violation_detected(self):
         members = {vec({1: 9, 2: 1, 3: 1}), vec({1: 9, 2: 9, 3: 1})}
-        assert not check_flat_invariance(get_rule("second-price"), members, {1, 2, 3}, 1)
+        assert not check_flat_invariance(get_rule("second-price"), members, flat({1, 2, 3}, 1))
 
     @pytest.mark.parametrize("missing", ["flat", "member"])
     def test_undefined_rule_is_not_invariant(self, missing):
@@ -90,7 +90,7 @@ class TestFlatInvariance:
         flat_vector, member = flat({1, 2}, 9), vec({1: 9, 2: 4})
         kept = member if missing == "flat" else flat_vector
         rule = bag_rule("partial", {kept.values(): 0})
-        assert check_flat_invariance(rule, [member], {1, 2}, 9) is False
+        assert check_flat_invariance(rule, [member], flat({1, 2}, 9)) is False
 
     @pytest.mark.parametrize(
         "flat_value, member_value, invariant",
@@ -110,7 +110,7 @@ class TestFlatInvariance:
 
         rule = PriceRule("mixed", 1, lambda b: bag(b.values()), bag)
         members = {vec({1: 1, 2: 9}), vec({1: 9, 2: 3})}
-        assert check_flat_invariance(rule, members, {1, 2}, 9) is invariant
+        assert check_flat_invariance(rule, members, flat({1, 2}, 9)) is invariant
 
     @given(rationals.filter(bool), st.integers(1, 30), st.booleans(), st.randoms())
     def test_a_member_value_sharing_the_flat_numerator_is_not_flat(self, flat_value, denominator,
@@ -129,8 +129,8 @@ class TestFlatInvariance:
             return member_value if sorted(bids) == sorted(odd) else flat_value
 
         rule = PriceRule("shared-numerator", 1, lambda b: bag(b.values()), bag)
-        assert check_flat_invariance(rule, members, {1, 2}, 9) is False
-        assert check_flat_invariance(rule, [m for m in members if m.values() != odd], {1, 2}, 9)
+        assert check_flat_invariance(rule, members, flat({1, 2}, 9)) is False
+        assert check_flat_invariance(rule, [m for m in members if m.values() != odd], flat({1, 2}, 9))
 
     def test_domain_mismatch_is_an_error(self):
         # check_flat_invariance trusts its vectors' domains; a set from

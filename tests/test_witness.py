@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -322,20 +321,34 @@ class TestVerifyImbalance:
         for _, family in families:
             assert builds[id(family)] == len(family.members)
 
-    def test_the_rule_runs_once_per_witness_vector(self):
-        seen = Counter()
+    def test_each_member_object_is_evaluated_once(self, monkeypatch):
+        from imbalance import payments
+
+        tables, seen = [], []
+        original_init = payments.AdequateSets.__init__
+
+        def recording_init(table, *args):
+            tables.append(table)
+            original_init(table, *args)
 
         def counting(vector):
-            seen[vector] += 1
+            seen.append(vector)  # kept alive, so no id is reused
             return NEG2.fn(vector)
 
+        monkeypatch.setattr(payments.AdequateSets, "__init__", recording_init)
+        rule = PriceRule(NEG2.name, NEG2.min_arity, counting, NEG2.bag)
         for n in (1, 2, 3, 4):
+            tables.clear()
             seen.clear()
             triple, j_low, j_high = vickrey_instance(n)
-            report = verify_imbalance(PriceRule(NEG2.name, NEG2.min_arity, counting, NEG2.bag),
-                                      triple, j_low, j_high)
+            report = verify_imbalance(rule, triple, j_low, j_high)
             assert report.holds
-            assert sum(seen.values()) == len(seen) == len(report.witness_set) == 5 * 2 ** n
+            evaluated = Counter(map(id, seen))
+            members = [m for table in tables for m in table.family.members.values()]
+            assert {evaluated[id(m)] for m in members} == {1}
+            # the rest are the stock vectors and the tables' flat vectors
+            others = [triple.b_low, triple.b_high, *(table.flat for table in tables)]
+            assert set(evaluated) == {id(v) for v in members + others}
             assert set(seen) == report.witness_set
 
     def test_invalid_partner_fails_its_side_only(self):
@@ -361,40 +374,73 @@ class TestVerifyImbalance:
         assert failed == {"adequate[low,1]": "invalid partner 1",
                           "eta[low,1]": "no valid partner"}
 
-    def test_each_distinct_vector_is_evaluated_once_per_call(self):
-        seen = Counter()
+    def test_the_ladder_hashes_no_member_and_builds_one_flat_vector_per_table(
+            self, monkeypatch):
+        from imbalance import payments
+
+        counts, inside, hashed_inside = Counter(), [], []
+        original_hash, original_of = BidVector.__hash__, BidVector.of
+        original_init, original_decide = payments.AdequateSets.__init__, payments.AdequateSets.decide
+
+        def counting_hash(vector):
+            if inside:
+                hashed_inside.append(vector)
+            return original_hash(vector)
+
+        def counting_of(entries):
+            counts["of"] += 1
+            return original_of(entries)
+
+        def counting_init(table, *args):
+            counts["tables"] += 1
+            original_init(table, *args)
+
+        def marking_decide(table, bidder):
+            inside.append(table)
+            try:
+                return original_decide(table, bidder)
+            finally:
+                inside.pop()
 
         def counting(vector):
-            seen[vector] += 1
+            counts["evaluations"] += 1
             return NEG2.fn(vector)
 
+        instances = [vickrey_instance(n) for n in range(1, 9)]
         rule = PriceRule(NEG2.name, NEG2.min_arity, counting, NEG2.bag)
-        triple, j_low, j_high = vickrey_instance(3)
-        first = verify_imbalance(rule, triple, j_low, j_high)
-        assert first.holds and set(seen.values()) == {1}
-        assert first.to_json() == verify_imbalance(NEG2, triple, j_low, j_high).to_json()
-        verify_imbalance(rule, triple, j_low, j_high)  # the cache ends with its call
-        assert set(seen.values()) == {2}
+        monkeypatch.setattr(BidVector, "__hash__", counting_hash)
+        monkeypatch.setattr(BidVector, "of", staticmethod(counting_of))
+        monkeypatch.setattr(payments.AdequateSets, "__init__", counting_init)
+        monkeypatch.setattr(payments.AdequateSets, "decide", marking_decide)
+        for triple, j_low, j_high in instances:
+            assert verify_imbalance(rule, triple, j_low, j_high).holds
+        assert hashed_inside == []
+        # 3,036 members, each once, and the stock and flat vectors at each check
+        # that reads them; the low and high fill-(n + 3) tables hold equal members
+        assert counts == {"tables": 32, "of": 32, "evaluations": 3284}
 
-    def test_the_cached_rule_keeps_every_field_but_fn(self, monkeypatch):
-        @dataclasses.dataclass(frozen=True)
-        class TaggedRule(PriceRule):
-            tag: str = "untagged"
+    def test_the_callers_rule_and_the_tables_flat_vector_reach_the_check(self, monkeypatch):
+        from imbalance import payments
 
-        rule = TaggedRule(NEG2.name, NEG2.min_arity, NEG2.fn, NEG2.bag, tag="kept")
-        seen = []
+        rule = PriceRule(NEG2.name, NEG2.min_arity, NEG2.fn, NEG2.bag)
+        tables, seen = [], []
+        original_init = payments.AdequateSets.__init__
 
-        def capturing(rule, vectors, bidders, fill):
-            seen.append(rule)
-            return check_flat_invariance(rule, vectors, bidders, fill)
+        def recording_init(table, *args):
+            tables.append(table)
+            original_init(table, *args)
 
-        monkeypatch.setattr("imbalance.payments.check_flat_invariance", capturing)
+        def capturing(rule, vectors, flat_vector):
+            seen.append((rule, flat_vector))
+            return check_flat_invariance(rule, vectors, flat_vector)
+
+        monkeypatch.setattr(payments.AdequateSets, "__init__", recording_init)
+        monkeypatch.setattr(payments, "check_flat_invariance", capturing)
         triple, j_low, j_high = vickrey_instance(2)
         assert verify_imbalance(rule, triple, j_low, j_high).holds
-        assert seen and {type(r) for r in seen} == {TaggedRule}
-        for used in seen:
-            assert used == rule and used.bag is NEG2.bag and used.tag == "kept"
-            assert used.fn is not rule.fn and used.fn.__wrapped__ is rule.fn
+        assert seen and all(used is rule for used, _ in seen)
+        assert {id(flat_vector) for _, flat_vector in seen} == {id(t.flat) for t in tables}
+        assert [t.flat for t in tables] == [flat(t.vector.dom, t.family.fill) for t in tables]
 
     def test_rule_errors_are_not_cached(self):
         triple, j_low, j_high = vickrey_instance(2)
@@ -408,13 +454,17 @@ class TestVerifyImbalance:
             return lookup.fn(vector)
 
         rule = PriceRule(lookup.name, lookup.min_arity, counting, lookup.bag)
-        reports = [verify_imbalance(rule, triple, j_low, j_high) for _ in range(3)]
+        reports = [verify_imbalance(rule, triple, j_low, j_high)]
+        once = dict(asked)
+        reports += [verify_imbalance(rule, triple, j_low, j_high) for _ in range(2)]
         assert reports[0].hypotheses == reports[1].hypotheses == reports[2].hypotheses
         failed = {c.name: c.detail for c in reports[0].hypotheses if not c.passed}
         assert "rule undefined on this bag" in failed["eta[low,1]"]
-        # the missing vector is asked for on every evaluation; each other once a call
-        assert asked[top_flat] > 3 * 2
-        assert {count for b, count in asked.items() if b != top_flat} == {3}
+        # the missing vector, the flat vector at 5 of both stock vectors, fails
+        # in each of the 5 sets decided there and each of the 6 eta checks, and
+        # no call keeps anything for the next
+        assert once[top_flat] == 11
+        assert asked == {b: 3 * count for b, count in once.items()}
 
     @pytest.mark.parametrize(
         "error", [RuleUndefinedError, RuleArityError, ValueError]
