@@ -83,6 +83,11 @@ MUTANTS = [
      "gc.enable()", "pass"),
     ("substitution-rescale-dropped", "feasibility.py",
      "num *= common // den", "pass"),
+    ("integral-text-drops-sign", "rationals.py",
+     "return int(sign + num)", "return int(num)"),
+    ("pair-memo-stores-any-text", "bids.py",
+     "if isinstance(text, str):\n            pair = self[item]",
+     "if True:\n            pair = self[item]"),
 ]
 
 # a pytest plugin, loaded with -p, that records the time of each failing test report

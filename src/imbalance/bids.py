@@ -34,11 +34,11 @@ the system build and the witness and result writers can sort and key on
 integers.
 
 ``ParseMemo`` holds what one input file's texts parse to, so each distinct
-bidder key and bid text in a file is parsed once: its tables parse a
-missing key themselves, so a hit is one subscript.  A text that is not a
-``str`` (a JSON number, ``true``, a list) is parsed every time and never
-stored, since ``true`` would hit the slot of ``1`` and a list cannot be
-hashed.
+bidder key, bid text and (key, text) pair in a file is parsed once: its
+tables parse a missing key themselves, so a hit is one subscript, and a
+bid costs one.  A text that is not a ``str`` (a JSON number, ``true``, a
+list) is parsed every time and never stored, since ``true`` would hit the
+slot of ``1`` and a list cannot be hashed.
 
 Everything is immutable and enumerations come back in deterministic order,
 so downstream artifacts (witness files, reports) are reproducible byte for
@@ -366,27 +366,49 @@ class _Table(dict):
         return value
 
 
+class _Pairs(dict):
+    """``ParseMemo.pairs``: a missing ``(key, text)`` item is read through
+    the bidder and text tables, and stored only when its text is a ``str``."""
+
+    __slots__ = ("bidders", "texts")
+
+    def __init__(self, bidders: dict[str, int], texts: dict[str, int | Fraction]):
+        self.bidders, self.texts = bidders, texts
+
+    def __missing__(self, item):
+        key, text = item
+        if isinstance(text, str):
+            pair = self[item] = self.bidders[key], self.texts[text]
+            return pair
+        return self.bidders[key], ensure_rational(text)
+
+
 class ParseMemo:
     """What the texts of one input file parse to, each distinct text once.
 
-    Three self-filling tables: ``bidders`` and ``indices`` map object keys
-    through ``canonical_id`` (the noun names the key in its error), and
+    Four self-filling tables: ``bidders`` and ``indices`` map object keys
+    through ``canonical_id`` (the noun names the key in its error),
     ``texts`` maps ``str`` texts (bids, coefficients, right-hand sides)
-    through ``ensure_rational``.  A hit is one subscript; a miss parses,
-    stores and returns, and a failed parse raises and stores nothing.
-    Only ``str`` texts are stored: any other JSON value goes through
+    through ``ensure_rational``, and ``pairs`` maps a bid vector's
+    ``(bidder key, bid text)`` item to its ``(bidder, bid)`` pair, read
+    through the other two, so vectors that share an item share one pair
+    object.  A hit is one subscript; a miss parses, stores and returns, and
+    a failed parse raises and stores nothing.  Only ``str`` texts are
+    stored, alone or in a pair: any other JSON value goes through
     ``ensure_rational`` every time, which keeps its exact error (``true``
-    would hit the slot of ``1``, and a list cannot be hashed).  The tables
-    take ``ensure_rational`` as it is bound when the memo is made.  A memo
-    serves one file; it is never shared across files.
+    hashes like ``1`` and would hit its slot, and a list cannot be
+    hashed).  The tables take ``ensure_rational`` as it is bound when the
+    memo is made.  A memo serves one file; it is never shared across files.
     """
 
     def __init__(self):
         self.bidders: dict[str, int] = _Table(lambda key: canonical_id(key, "bidder ids"))
         self.indices: dict[str, int] = _Table(lambda key: canonical_id(key, "coefficient indices"))
-        self.texts: dict[str, Fraction] = _Table(ensure_rational)
+        self.texts: dict[str, int | Fraction] = _Table(ensure_rational)
+        self.pairs: dict[tuple[str, object], tuple[int, int | Fraction]] = _Pairs(
+            self.bidders, self.texts)
 
-    def rational(self, text) -> Fraction:
+    def rational(self, text) -> int | Fraction:
         return self.texts[text] if isinstance(text, str) else ensure_rational(text)
 
 
@@ -394,18 +416,22 @@ def bid_vector_from_json(obj, memo: ParseMemo | None = None) -> BidVector:
     """Parse ``{"bids": {"<id>": "<p/q>", ...}}``, with ``memo`` holding the
     texts already parsed from the same file.
 
-    Each key and each ``str`` text is one subscript of a ``memo`` table,
-    which parses it on a miss; a text that is not a ``str`` goes through
-    ``ensure_rational`` and is never stored.  A key other than ``"bids"``
-    is rejected, so no misspelled field is dropped silently.
+    Each bid is one subscript of ``memo.pairs`` with its ``(key, text)``
+    item, which parses a miss through the key and text tables; an item
+    whose text is not a ``str`` is parsed and never stored.  An item with
+    an unhashable text (a list or an object) cannot be looked up, so that
+    vector is parsed entry by entry, and the error is ``ensure_rational``'s
+    own.  A key other than ``"bids"`` is rejected, so no misspelled field
+    is dropped silently.
     """
     if not isinstance(obj, dict) or len(obj) != 1 or not isinstance(obj.get("bids"), dict):
         raise ValueError('bid vector JSON must be {"bids": {"<id>": "<p/q>", ...}}')
     memo = ParseMemo() if memo is None else memo
-    bidders, texts = memo.bidders, memo.texts
-    entries = []
-    for key, text in obj["bids"].items():
-        entries.append((bidders[key], texts[text] if isinstance(text, str) else ensure_rational(text)))
+    bids = obj["bids"]
+    try:
+        entries = list(map(memo.pairs.__getitem__, bids.items()))
+    except TypeError:  # an unhashable text, or a text ensure_rational rejects
+        entries = [(memo.bidders[key], memo.rational(text)) for key, text in bids.items()]
     entries.sort()  # canonical ids are distinct, so only ids are compared
     return BidVector(tuple(entries))
 

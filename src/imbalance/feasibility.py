@@ -117,14 +117,14 @@ class LinearSystem:
 class Certificate:
     """Row multipliers combining the system into 0 = nonzero."""
 
-    multipliers: tuple[Fraction, ...]
+    multipliers: tuple[int | Fraction, ...]
 
 
 @dataclass(frozen=True)
 class Feasible:
     """One value per variable, in ``LinearSystem.variables`` order."""
 
-    assignment: tuple[Fraction, ...]
+    assignment: tuple[int | Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -172,13 +172,13 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
     each bag's coefficient dict, built through it from the pairs in their
     increasing order, is inserted in variable index order with no sort
     per bag.  Each bag's dict is built once, already scaled: its counts
-    times the bag's one scale, the denominator of its rule value.  The
-    bag's first row keeps the dict and each later row gets a copy, so
-    every row owns its dict.
+    times the bag's one scale, the denominator of its rule value, read
+    once per bag.  The bag's first row keeps the dict and each later row
+    gets a copy, so every row owns its dict.
 
     The rule runs in canonical vector order, once per distinct bag,
     through ``of_bag`` on the bag's bids in increasing order
-    ``[values[r] for r in bag]``, and reads no bidder and no ``Fraction``
+    ``values[r]`` for r in the bag, and reads no bidder and no ``Fraction``
     field; every vector of the bag takes that rhs.  It runs at the bag's
     first vector, and its arity check reads only the bag's size, so the
     first error names the same vector as one evaluation per vector would.
@@ -190,14 +190,14 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
         first.setdefault(key, vec)
     raw = []
     ids: dict[tuple[int, ...], int] = {}  # deletion -> provisional id, in first-seen order
-    bags: dict[tuple[int, ...], tuple[list[tuple[int, int]], Fraction]] = {}  # bag -> pairs, rhs
+    bags: dict[tuple[int, ...], tuple[list[tuple[int, int]], int, int]] = {}  # bag -> pairs, rhs
     for key in sorted(first):
         vec = first[key]
         bag = tuple(sorted(key[1::2]))
         new = bag not in bags
         if new:
             try:
-                rhs = rule.of_bag([values[r] for r in bag])
+                rhs = rule.of_bag(list(map(values.__getitem__, bag)))
             except RuleUndefinedError as exc:
                 raise ValueError(f"rule {rule.name!r} undefined on {vec!r}: {exc}") from exc
             counts = []
@@ -206,19 +206,19 @@ def build_balance_system(vectors: Iterable[BidVector], rule: PriceRule) -> Linea
                 if k == 0 or bag[k - 1] != bag[k]:  # k starts a run of equal ranks
                     counts.append((ids.setdefault(bag[:k] + bag[k + 1:], len(ids)), end - k))
                     end = k
-            bags[bag] = counts, rhs
+            bags[bag] = counts, rhs.numerator, rhs.denominator
         raw.append((vec, bag, new))
     order = sorted(sorted(ids), key=len)
     remap = [0] * len(order)  # provisional id -> variable index
     for k, m in enumerate(order):
         remap[ids[m]] = k
-    scaled = {bag: ({remap[p]: c * rhs.denominator for p, c in counts}, rhs.numerator,
-                    rhs.denominator) for bag, (counts, rhs) in bags.items()}
+    scaled = {bag: ({remap[p]: c * den for p, c in counts}, num, den)
+              for bag, (counts, num, den) in bags.items()}
     rows = []
     for vec, bag, new in raw:
         ints, num, den = scaled[bag]  # the bag's first row keeps the dict
         rows.append(LinearRow(ints if new else dict(ints), num, den, vec))
-    variables = tuple(BidMultiset(tuple(values[r] for r in m)) for m in order)
+    variables = tuple(BidMultiset(tuple(map(values.__getitem__, m))) for m in order)
     return LinearSystem(variables=variables, rows=rows)
 
 
@@ -295,7 +295,8 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
     solution supported on them: the assignment.  Back-substitution runs
     from the last pivot row to the first, as a pivot row holds no earlier
     pivot's column.  It works on integer (numerator, denominator) pairs in
-    lowest terms, and makes one ``Fraction`` per distinct value at the end.
+    lowest terms, and makes one ``Fraction`` per distinct non-integral
+    value at the end; an integral value is its ``int`` and a zero is ``0``.
     """
     # column -> number of rows holding it
     held = Counter(chain.from_iterable([row.coeffs for row in system.rows]))
@@ -376,9 +377,8 @@ def solve_or_refute(system: LinearSystem) -> Feasible | Infeasible:
             den *= p_coeffs[col]
             g = gcd(num, den) if den > 0 else -gcd(num, den)
             solution[col] = (num // g, den // g)
-    values = {value: Fraction(*value) for value in set(solution.values())}
-    zero = Fraction(0)
-    return Feasible(tuple(values[solution[col]] if col in solution else zero
+    values = {(n, d): n if d == 1 else Fraction(n, d) for n, d in set(solution.values())}
+    return Feasible(tuple(values[solution[col]] if col in solution else 0
                           for col in range(len(system.variables))))
 
 
@@ -411,7 +411,9 @@ def _certificate(
     coprime, so content divides both w*ap and w*fp exactly when it divides
     w).  The weight left on a row's integers, times its ``scale``, is its
     multiplier times the denominator times ``row_rhs``.  Many rows share a
-    multiplier, so one ``Fraction`` is made per distinct numerator.
+    multiplier, so one value is made per distinct numerator: an ``int``
+    when the denominator divides it, a ``Fraction`` otherwise.  A row with
+    no weight has the multiplier ``0``.
     """
     den = 1
     weights = {len(reduced) - 1: 1}  # position in ``reduced`` -> weight on that row
@@ -434,10 +436,10 @@ def _certificate(
             w *= ap
         numerators[idx] = w * rows[idx].scale
     den *= row_rhs
-    multipliers = {n: Fraction(n, den) for n in set(numerators.values())}
-    zero = Fraction(0)
+    multipliers = {n: n // den if n % den == 0 else Fraction(n, den)
+                   for n in set(numerators.values())}
     return Certificate(tuple(
-        multipliers[numerators[r]] if r in numerators else zero for r in range(len(rows))
+        multipliers[numerators[r]] if r in numerators else 0 for r in range(len(rows))
     ))
 
 

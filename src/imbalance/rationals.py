@@ -6,8 +6,9 @@ multipliers) is an exact rational: an ``int`` or a standard library
 positive denominator, with exact field arithmetic.  An ``int`` stays an
 ``int``: it already compares and hashes equal to the equal ``Fraction``
 and has ``numerator`` and ``denominator`` (PEP 3141), so only a true
-division needs a ``Fraction``.  Text always parses to a ``Fraction``.  No
-floating point is used anywhere.
+division needs a ``Fraction``.  Text parses the same way: to an ``int``
+when its value is an integer (``"10"``, ``"-0"``, ``"4/2"``), to a
+``Fraction`` otherwise.  No floating point is used anywhere.
 
 The external text encoding is ``"p/q"`` with the denominator omitted when
 it equals 1, e.g. ``"-5/4"``, ``"10"``.  It is used in all JSON files and
@@ -33,8 +34,9 @@ class RationalParseError(ValueError):
         self.position = position
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``[-]digits`` or ``[-]digits/digits`` into a Fraction.
+def parse_rational(text: str) -> int | Fraction:
+    """Parse ``[-]digits`` or ``[-]digits/digits``: an ``int`` when the value
+    is an integer, a ``Fraction`` otherwise.
 
     One anchored match reads the longest prefix of that shape; each error
     position is the end of one of its groups or of the whole match.
@@ -51,13 +53,15 @@ def parse_rational(text: str) -> Fraction:
         reason = "expected '/' or end of input" if den is None else "trailing characters"
         raise RationalParseError(text, match.end(), reason)
     if den is None:
-        return Fraction(int(sign + num))
-    if int(den) == 0:
+        return int(sign + num)
+    d = int(den)
+    if d == 0:
         raise ValueError("zero denominator")
-    return Fraction(int(sign + num), int(den))
+    n = int(sign + num)
+    return n // d if n % d == 0 else Fraction(n, d)
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: int | Fraction) -> str:
     """Render as ``p/q``, omitting the denominator when it is 1."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -66,7 +70,7 @@ def format_rational(value: Fraction) -> str:
 
 def ensure_rational(value) -> int | Fraction:
     """An exact rational: an int or Fraction unchanged, a ``p/q`` string
-    parsed to a Fraction; bools and floats are rejected."""
+    parsed by ``parse_rational``; bools and floats are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):

@@ -348,6 +348,11 @@ class TestBadInput:
              "bad bid vector in {path}: exact rational expected, got float"),
             ("check-balance", [{"bids": {"1": 1.5, "2": "2"}}],
              "bad bid vector in {path}: exact rational expected, got float"),
+            # a JSON true hashes like 1, so a memo that kept the first vector's 1 would take it
+            ("check-balance", [{"bids": {"1": 1, "2": "2"}}, {"bids": {"1": True, "2": "2"}}],
+             "bad bid vector in {path}: exact rational expected, got bool"),
+            ("check-balance", [{"bids": {"1": "1", "2": ["2"]}}],
+             "bad bid vector in {path}: exact rational expected, got list"),
             ("eval", {"bids": {"1": "1", "01": "2", "3": "4"}},
              "bad bid vector in {path}: bidder ids must be non-negative canonical decimals, got '01'"),
             ("check-balance", [{"bids": {"1": "1", "01": "2", "3": "4"}}],
@@ -406,6 +411,8 @@ class TestBadInput:
         ids=[
             "eval-float-bid",
             "check-balance-float-bid",
+            "check-balance-true-after-one",
+            "check-balance-list-bid",
             "eval-noncanonical-id",
             "check-balance-noncanonical-id",
             "row-without-coeffs",

@@ -332,3 +332,44 @@ def test_cross_check_forced_deletion_payments():
             fill = max(m.values)
             expected = -fill / (2 + (len(vector) - 2))
             assert values[m] == expected
+
+
+class TestIntegralResults:
+    """Integral assignment values and multipliers come back as ``int``, a
+    zero as ``0``, and the writers give them the bytes of the equal
+    ``Fraction``."""
+
+    VARIABLES = (bag(1), bag(2), bag(3))
+
+    def system(self, rows):
+        return LinearSystem(self.VARIABLES, [LinearRow.of(coeffs, rhs, vec({})) for coeffs, rhs in rows])
+
+    def test_assignment(self):
+        # x1 lies in the span of x0, so it is 0; x0 = 2 and x2 = 1/2
+        system = self.system([({0: 1, 1: 1}, 2), ({0: 2, 1: 2}, 4), ({2: 2}, 1)])
+        result = solve_or_refute(system)
+        assert [(type(v), v) for v in result.assignment] == [
+            (int, 2), (int, 0), (Fraction, Fraction(1, 2))]
+
+    @pytest.mark.parametrize("first, want", [
+        (({0: 1}, 1), [(int, -1), (int, 0), (int, 1)]),
+        (({0: 3}, 1), [(Fraction, Fraction(-1, 5)), (int, 0), (Fraction, Fraction(3, 5))]),
+    ])
+    def test_certificate(self, first, want):
+        system = self.system([first, ({1: 1}, 1), ({0: 1}, 2)])
+        result = solve_or_refute(system)
+        assert [(type(m), m) for m in result.certificate.multipliers] == want
+        assert verify_certificate(system, result.certificate)
+
+    @pytest.mark.parametrize("result", [
+        Feasible((2, 0, Fraction(1, 2))),
+        Infeasible(Certificate((-1, 0, Fraction(3, 2)))),
+    ])
+    def test_writers_give_int_and_fraction_the_same_bytes(self, result):
+        system = self.system([({0: 1}, 1)])
+        if isinstance(result, Feasible):
+            spelled = Feasible(tuple(map(Fraction, result.assignment)))
+        else:
+            spelled = Infeasible(Certificate(tuple(map(Fraction, result.certificate.multipliers))))
+        for write in (result_text, answer_text):
+            assert write(system, result) == write(system, spelled)

@@ -6,9 +6,17 @@ after a true division, a ``Fraction``, never a ``float``.  A ``float``
 would still compare equal (``-1.25 == Fraction(-5, 4)``), so the results
 are checked by type.  The stock pair built from ``Fraction`` bids must
 give the same bytes as the ``int`` pair on every command that prints it.
+
+Parsed text follows the same rule: an integral text is an ``int``, so a
+witness file of integer bids reaches the solver with no ``Fraction`` bid,
+and ``check-balance`` prints the same bytes whichever way a bid is
+spelled.  The cost guards count exactly: per witness file, no
+``Fraction`` negation and one ``Fraction`` per distinct non-integral
+certificate multiplier; each distinct bidder key and bid text parsed once.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +36,10 @@ from imbalance import (
     vickrey_instance,
     witness,
 )
+from imbalance import bids, cli, rationals
+from imbalance.bids import bid_vector_from_json
 from imbalance.cli import main
+from imbalance.witness import vickrey_witness_set, witness_set_text
 
 RULES = ["second-price", "neg-second-price", "first-price", "neg-first-price"]
 RECORDED = Path(__file__).resolve().parent / "theorem_outputs.json"
@@ -119,3 +130,103 @@ def test_fraction_and_int_stock_bids_print_the_same_bytes(n, tmp_path, capsys, m
     as_fractions = outputs(n, tmp_path / "report.json", capsys)
     for got, want in zip(as_ints, as_fractions, strict=True):
         assert got == want, got[:2]
+
+
+# --- parsed texts: integral texts are ints ------------------------------
+
+def stock_file(tmp_path, n: int, spell=str) -> tuple[str, list]:
+    """The stock witness file for ``n``, each bid text passed through
+    ``spell``; its path and its entries."""
+    entries = json.loads(witness_set_text(vickrey_witness_set(n)))
+    entries = [{"bids": {k: spell(t) for k, t in e["bids"].items()}} for e in entries]
+    path = tmp_path / f"witness-{n}.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return str(path), entries
+
+
+@pytest.mark.parametrize("rule", ["neg-second-price", "constant:7/3"])
+def test_a_bid_spelled_as_a_quotient_prints_the_same_bytes(rule, tmp_path, capsys):
+    """``"6"`` and ``"12/2"`` are one ``int``: stdout and the result file agree."""
+    got = []
+    for spell in (str, lambda t: f"{2 * int(t)}/2"):
+        path, entries = stock_file(tmp_path, 3, spell)
+        out = tmp_path / "result.json"
+        plain = main(["check-balance", "--witness", path, "--rule", rule]), capsys.readouterr().out
+        written = main(["check-balance", "--witness", path, "--rule", rule, "--out", str(out)])
+        got.append((plain, written, capsys.readouterr().out, out.read_bytes()))
+    assert all(text.endswith("/2") for e in entries for text in e["bids"].values())
+    assert got[0] == got[1]
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """Counts of ``Fraction`` constructions and negations."""
+    counts = Counter()
+    new, neg = Fraction.__new__, Fraction.__neg__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_neg(self):
+        counts["neg"] += 1
+        return neg(self)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(Fraction, "__neg__", counted_neg)
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_refuting_a_stock_file_makes_no_bid_fraction(n, tmp_path, capsys, fraction_calls):
+    """The only ``Fraction``s are the distinct non-integral multipliers of
+    the certificate; no second price is negated as a ``Fraction``."""
+    path, _ = stock_file(tmp_path, n)
+    fraction_calls.clear()
+    assert main(["check-balance", "--witness", path, "--rule", "neg-second-price"]) == 3
+    multipliers = json.loads(capsys.readouterr().out.splitlines()[1])["multipliers"]
+    assert fraction_calls == Counter(new=len({m for m in multipliers if "/" in m}))
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_each_key_text_and_pair_of_a_file_is_parsed_once(n, tmp_path, capsys, monkeypatch):
+    path, entries = stock_file(tmp_path, n)
+    keys, texts = Counter(), Counter()
+    canonical_id, parse_rational = bids.canonical_id, rationals.parse_rational
+    memos = []
+
+    class RecordedMemo(bids.ParseMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    def counted_id(key, noun):
+        keys[key] += 1
+        return canonical_id(key, noun)
+
+    def counted_rational(text):
+        texts[text] += 1
+        return parse_rational(text)
+
+    monkeypatch.setattr(bids, "canonical_id", counted_id)
+    monkeypatch.setattr(rationals, "parse_rational", counted_rational)
+    monkeypatch.setattr(cli, "ParseMemo", RecordedMemo)
+    assert main(["check-balance", "--witness", path, "--rule", "neg-second-price"]) == 3
+    capsys.readouterr()
+    items = {item for e in entries for item in e["bids"].items()}
+    assert keys == Counter({key for key, _ in items})
+    assert texts == Counter({text for _, text in items})
+    [memo] = memos
+    assert set(memo.pairs) == items
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_vectors_that_share_a_pair_share_its_tuple(n, tmp_path):
+    _, entries = stock_file(tmp_path, n)
+    memo = bids.ParseMemo()
+    vectors = [bid_vector_from_json(e, memo) for e in entries]
+    first = {}
+    for vector in vectors:
+        for pair in vector.entries:
+            assert first.setdefault(pair, pair) is pair
+    assert len(first) == len({item for e in entries for item in e["bids"].items()})

@@ -17,8 +17,9 @@ from ``flat_keys``, on ranks from ``rank_bids`` checked against their
 definition on the same inputs (``conftest.assert_ranked``), and joins
 the lines with the bidder keys in string order.
 
-Both routes must give equal results, with bids as ``Fraction`` and ids as
-``int``, or the same exception type and message raised at the same entry.
+Both routes must give equal results, with ids as ``int`` and bids as
+``int`` for an integral text and ``Fraction`` otherwise, or the same
+exception type and message raised at the same entry.
 Mutants these tests catch (each checked on a broken copy of the package):
 
 * one memo table shared by bidder keys and bid texts (a text ``"1"``

@@ -87,3 +87,21 @@ def test_normalization_idempotent(a):
     assert ensure_rational(a) is a
     again = ensure_rational(format_rational(a))
     assert again.numerator == a.numerator and again.denominator == a.denominator
+
+
+# --- integral texts parse to int ---------------------------------------
+
+@pytest.mark.parametrize("parse", [parse_rational, ensure_rational])
+@pytest.mark.parametrize(
+    "text, value",
+    [("10", 10), ("-3", -3), ("0", 0), ("-0", 0), ("007", 7), ("4/2", 2), ("-6/3", -2)],
+)
+def test_integral_text_parses_to_int(parse, text, value):
+    got = parse(text)
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize("parse", [parse_rational, ensure_rational])
+def test_non_integral_text_parses_to_fraction(parse):
+    got = parse("4/6")
+    assert type(got) is Fraction and got == Fraction(2, 3)
